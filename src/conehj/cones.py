@@ -12,7 +12,7 @@ move data between levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,11 +55,6 @@ def is_psd(a, tol=None):
     if tol is None:
         tol = default_psd_tol(a)
     return float(np.linalg.eigvalsh(a)[0]) >= -tol
-
-
-def frob(a, b):
-    """Trace inner product a . b = tr(ab) for symmetric a, b."""
-    return float(np.sum(a * b))
 
 
 # ---------------------------------------------------------------------------

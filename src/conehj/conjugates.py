@@ -9,7 +9,7 @@ empirically with a grid-resolution tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 
 import numpy as np

@@ -100,10 +100,6 @@ class CovarianceModel:
                    proper=bool(obj.get("proper", True)))
 
 
-def xi_eval(model: CovarianceModel, a) -> float:
-    return model(a)
-
-
 @dataclass(frozen=True)
 class Regularization:
     """Globally Lipschitz extension of xi from the unit ball of S^D_+.
@@ -152,7 +148,7 @@ class Regularization:
         return cls(CovarianceModel.from_json(obj["base"]), float(obj["L"]))
 
 
-def regularize(model: CovarianceModel, grid_samples: int = 10_000) -> Regularization:
+def regularize(model: CovarianceModel) -> Regularization:
     """Build the Lipschitz regularization of ``model``.
 
     For polynomial models L is exact (the gradient bound over B_tr(2D)
@@ -171,8 +167,10 @@ class ConjugateModel:
 
     For a regularized base the effective piece structure is cached: the
     regularization equals xi on [0, s0] and the affine branch beyond, so
-    the conjugate is the Legendre transform of xi up to slope xi'(s0)
-    and the chord through the seam from there to the slope cap 2L.
+    the conjugate is the Legendre transform of xi up to slope
+    r0 = xi'(s0) and the chord through the seam from there to the slope
+    cap 2L.  A plain base has no seam: r0 and the cap are the largest
+    float, or 0 when xi' vanishes identically (then xi* = +inf on r > 0).
     """
 
     base: object  # CovarianceModel or Regularization
@@ -181,10 +179,19 @@ class ConjugateModel:
         D = self.base.D if hasattr(self.base, "D") else 1
         if D != 1:
             raise UnsupportedOperationError("monotone conjugation requires D = 1")
+        model = self.model
+        terms = {p: c for p, c in model.poly.items() if c > 0.0}
         if self.is_regularized:
             s0 = _seam_point(self.base)
-            object.__setattr__(self, "_s0", s0)
-            object.__setattr__(self, "_r0", self.base.base.deriv(s0))
+            r0, cap = model.deriv(s0), self.base.slope_cap
+        else:
+            s0 = 1.0
+            r0 = cap = np.finfo(float).max if terms else 0.0
+        for name, value in (("_s0", s0), ("_r0", r0), ("_cap", cap),
+                            ("_xi0", model(0.0)), ("_xi_s0", model(s0))):
+            object.__setattr__(self, name, float(value))
+        # coefficient q of a pure quadratic xi = q s^2, else None
+        object.__setattr__(self, "_q", terms[2] if set(terms) == {2} else None)
 
     @property
     def is_regularized(self) -> bool:
@@ -222,61 +229,61 @@ def _seam_point(reg: Regularization) -> float:
     return 0.5 * (lo + hi)
 
 
-def _inv_deriv_vec(model: CovarianceModel, r: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Solve xi'(s) = r for s in [0, hi] by bisection (xi' nondecreasing)."""
-    lo = np.zeros_like(r)
-    hi = hi.copy()
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        d = np.zeros_like(mid)
-        for p, c in model.poly.items():
-            d += c * p * mid ** (p - 1)
-        take = d < r
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return 0.5 * (lo + hi)
+def _inv_deriv_vec(model: CovarianceModel, r: np.ndarray, hi) -> np.ndarray:
+    """Solve xi'(s) = r > 0 for s in [0, hi] by monotone Newton iteration.
+
+    With exponents >= 2 and nonnegative coefficients xi' is convex and
+    increasing on [0, inf), so Newton started right of the root
+    decreases onto it without leaving [root, hi].  The start is the
+    least of hi and the per-term roots (r / (p c_p))^(1/(p-1)), each an
+    upper bound since xi'(s) >= p c_p s^(p-1); a pure monomial starts at
+    its root.  An entry stops at its first step below one ulp (rounding
+    makes the last steps of either sign), so each entry's result does
+    not depend on the rest of the array.
+    """
+    terms = [(p, c) for p, c in model.poly.items() if c > 0.0]
+    s = hi
+    for p, c in terms:
+        s = np.minimum(s, (r / (p * c)) ** (1.0 / (p - 1)))
+    active = np.ones(r.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # xi''(0) = 0
+        while active.any():
+            d1 = sum(p * c * s ** (p - 1) for p, c in terms) - r
+            d2 = sum(p * (p - 1) * c * s ** (p - 2) for p, c in terms)
+            step = d1 / d2
+            active &= step >= np.spacing(s)
+            s = np.where(active, np.clip(s - step, 0.0, hi), s)
+    return s
 
 
 def xi_star_vec(conj: ConjugateModel, r: np.ndarray) -> np.ndarray:
-    """Vectorized monotone conjugate; exact up to bisection tolerance.
+    """Vectorized monotone conjugate, exact to rounding.
 
     Negative slopes give -xi(0) (the sup sits at s = 0 for nondecreasing
-    xi).  Regularized bases cap the finite domain at the slope cap 2L;
-    beyond it the conjugate is +inf.
+    xi).  On 0 < r <= r0 the maximizer solves xi'(s) = r: in closed form
+    s = r / (2q) for a pure quadratic, by ``_inv_deriv_vec`` otherwise.
+    Regularized bases continue with the seam chord r s0 - xi(s0) up to
+    the slope cap 2L; beyond the cap the conjugate is +inf.
     """
     r = np.asarray(r, dtype=float)
     model = conj.model
-    out = np.full(r.shape, -model(0.0))
-    pos = r > 0.0
-    if not pos.any():
-        return out
-    rp = r[pos]
-    if conj.is_regularized:
-        s0, r0 = conj._s0, conj._r0
-        vals = np.empty_like(rp)
-        inner = rp <= r0
-        if inner.any():
-            s = _inv_deriv_vec(model, rp[inner], np.full(inner.sum(), s0))
-            vals[inner] = rp[inner] * s - model.eval_vec(s)
-        seam = (~inner) & (rp <= conj.base.slope_cap)
-        if seam.any():
-            vals[seam] = rp[seam] * s0 - model(s0)
-        vals[rp > conj.base.slope_cap] = np.inf
-        out[pos] = vals
-        return out
-    if set(model.poly) == {2}:
-        out[pos] = rp ** 2 / (4.0 * model.poly[2])
-        return out
-    # superlinear polynomial: per-element bracket by doubling xi'(hi) >= r
-    hi = np.ones_like(rp)
-    for _ in range(60):
-        need = np.array([model.deriv(h) for h in hi]) < rp
-        if not need.any():
-            break
-        hi = np.where(need, 2.0 * hi, hi)
-    s = _inv_deriv_vec(model, rp, hi)
-    out[pos] = rp * s - model.eval_vec(s)
-    return out
+    s0, r0 = conj._s0, conj._r0
+    if conj._q is not None:
+        inner = r * r / (4.0 * conj._q)
+    elif r0 > 0.0:
+        # entries off the inner branch solve at the bracket's own slope,
+        # where the Newton start is already the root
+        r_hi = r0 if conj.is_regularized else model.deriv(1.0)
+        ri = np.where((r > 0.0) & (r <= r0), r, r_hi)
+        hi = s0 if conj.is_regularized else np.maximum(1.0, ri / r_hi)
+        s = _inv_deriv_vec(model, ri, hi)
+        # r s - xi(s) with r = xi'(s): a sum of nonnegative terms
+        inner = sum(c * (p - 1) * s ** p for p, c in model.poly.items())
+    else:
+        inner = 0.0
+    out = np.where(r <= r0, inner,
+                   np.where(r <= conj._cap, r * s0 - conj._xi_s0, np.inf))
+    return np.where(r > 0.0, out, -conj._xi0)
 
 
 def xi_star(conj: ConjugateModel, r: float) -> float:

@@ -16,7 +16,7 @@ the test suite exploits as a three-way cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -159,6 +159,40 @@ def _require_1d(x: ConePoint, what: str):
         raise UnsupportedOperationError(f"{what} is implemented for D = 1 only")
 
 
+def _require_cone_time(x: ConePoint, t: float, name: str = "x"):
+    """Preconditions shared by every route: x in the cone and t >= 0."""
+    if not is_in_cone(x):
+        raise InvalidInputError(f"{name} must lie in the cone")
+    if t < 0:
+        raise InvalidInputError("t must be nonnegative")
+
+
+def _zoom_argmax(f, shape, top: float, scans) -> np.ndarray:
+    """Entrywise max over s in [0, top] of f, for an array of ``shape``.
+
+    ``f`` maps grids with a trailing axis of candidate s to values.
+    Round i scans ``scans[i]`` uniform points of each entry's window,
+    then shrinks the window to two spacings either side of the argmax.
+    The zoom stops early once every spacing is at most one ulp of its
+    centre, when a further round could only re-grid the same floats.
+    Returns the best values of the last round.
+    """
+    lo = np.zeros(shape)
+    hi = np.full(shape, top)
+    for scan in scans:
+        grid = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, scan)
+        vals = f(grid)
+        k = np.argmax(vals, axis=-1)[..., None]
+        best = np.take_along_axis(vals, k, axis=-1)[..., 0]
+        centers = np.take_along_axis(grid, k, axis=-1)[..., 0]
+        span = (hi - lo) / (scan - 1)
+        if np.all(span <= np.spacing(centers)):
+            break
+        lo = np.maximum(centers - 2 * span, 0.0)
+        hi = np.minimum(centers + 2 * span, top)
+    return best
+
+
 def _lattice_steps(n: int, budget: int = 3000) -> int:
     """Axis resolution so the monotone lattice stays within the node budget."""
     from math import comb
@@ -209,10 +243,7 @@ def hopf_lax(psi: InitialCondition, reg: Regularization, j: Partition,
         raise InvalidInputError("hopf_lax requires a dual-increasing psi")
     if reg.base.D != 1 or x.dim != 1:
         raise UnsupportedOperationError("hopf_lax is implemented for D = 1 only")
-    if not is_in_cone(x):
-        raise InvalidInputError("x must lie in the cone")
-    if t < 0:
-        raise InvalidInputError("t must be nonnegative")
+    _require_cone_time(x, t)
     if t == 0.0:
         return psi.eval_point(x)
     conj = ConjugateModel(reg)
@@ -247,6 +278,7 @@ def hopf_lax_separable(psi: InitialCondition, reg: Regularization, j: Partition,
     """
     if psi.kind != KIND_SEPARABLE:
         raise InvalidInputError("separable path requires a separable psi")
+    _require_cone_time(x, t)
     if t == 0.0:
         return psi.eval_point(x)
     best = hopf_lax_pointwise(psi.phi, reg, t, x.scalars,
@@ -262,19 +294,9 @@ def hopf_lax_pointwise(phi, reg: Regularization, t: float, xv: np.ndarray,
     ub = reg.slope_cap * t
     if ub == 0.0:
         return phi(xv) - t * xi_star_vec(conj, np.zeros_like(xv))
-    lo = np.zeros_like(xv)
-    hi = np.full_like(xv, ub)
-    best = None
-    for _ in range(zoom_rounds):
-        grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, scan)
-        vals = phi(xv[:, None] + grid) - t * xi_star_vec(conj, grid / t)
-        k = np.argmax(vals, axis=1)
-        best = vals[np.arange(xv.size), k]
-        span = (hi - lo) / (scan - 1)
-        centers = grid[np.arange(xv.size), k]
-        lo = np.maximum(centers - 2 * span, 0.0)
-        hi = np.minimum(centers + 2 * span, ub)
-    return best
+    return _zoom_argmax(
+        lambda y: phi(xv[:, None] + y) - t * xi_star_vec(conj, y / t),
+        xv.shape, ub, [scan] * zoom_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +307,8 @@ def _phi_conjugate_vec(psi: InitialCondition, z: np.ndarray,
                        zoom_rounds: int = 6) -> np.ndarray:
     """Monotone conjugate of the separable profile: phi*(z) = sup_{s>=0} zs - phi(s)."""
     z = np.asarray(z, dtype=float)
-    lo = np.zeros_like(z)
-    hi = np.full_like(z, s_hi)
-    best = None
-    for _ in range(zoom_rounds):
-        grid = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, scan)
-        vals = z[..., None] * grid - psi.phi(grid)
-        k = np.argmax(vals, axis=-1)
-        best = np.take_along_axis(vals, k[..., None], axis=-1)[..., 0]
-        centers = np.take_along_axis(grid, k[..., None], axis=-1)[..., 0]
-        span = (hi - lo) / (scan - 1)
-        lo = np.maximum(centers - 2 * span, 0.0)
-        hi = np.minimum(centers + 2 * span, s_hi)
-    return best
+    return _zoom_argmax(lambda s: z[..., None] * s - psi.phi(s),
+                        z.shape, s_hi, [scan] * zoom_rounds)
 
 
 def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
@@ -313,13 +324,9 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     if not psi.dual_increasing:
         raise InvalidInputError("hopf requires a dual-increasing psi")
     _require_1d(x, "hopf")
-    if not is_in_cone(x):
-        raise InvalidInputError("x must lie in the cone")
-    if t < 0:
-        raise InvalidInputError("t must be nonnegative")
+    _require_cone_time(x, t)
     w = j.widths
     xv = x.scalars
-    n = j.size
     if psi.kind == KIND_LINEAR:
         return _hopf_linear(psi, model, j, t, x)
     if psi.kind != KIND_SEPARABLE:
@@ -329,20 +336,9 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     # per-coordinate objective x_k z - phi*(z) + t xi(z); increasing
     # differences in (z, x_k) make the per-coordinate suprema jointly
     # attainable on the cone for monotone x
-    lo = np.zeros_like(xv)
-    hi = np.full_like(xv, cap)
-    best = None
-    for rnd in range(7):
-        scan = 1025 if rnd == 0 else 257
-        grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, scan)
-        vals = xv[:, None] * grid - _phi_conjugate_vec(psi, grid) \
-            + t * model.eval_vec(grid)
-        k = np.argmax(vals, axis=1)
-        best = vals[np.arange(n), k]
-        centers = grid[np.arange(n), k]
-        span = (hi - lo) / (scan - 1)
-        lo = np.maximum(centers - 2 * span, 0.0)
-        hi = np.minimum(centers + 2 * span, cap)
+    best = _zoom_argmax(
+        lambda z: xv[:, None] * z - _phi_conjugate_vec(psi, z) + t * model.eval_vec(z),
+        xv.shape, cap, [1025] + [257] * 6)
     return float(np.sum(w * best))
 
 
@@ -406,8 +402,7 @@ def hopf_lax_1d(psi: InitialCondition, conj: ConjugateModel, j: Partition,
     constant of psi.  t = 0 falls back to psi^j(mu) by convention.
     """
     _require_1d(mu, "hopf_lax_1d")
-    if not is_in_cone(mu):
-        raise InvalidInputError("mu must lie in the cone")
+    _require_cone_time(mu, t, "mu")
     if t == 0.0:
         return psi.eval_point(mu)
     w = j.widths

@@ -1,5 +1,7 @@
 """Covariance models, regularization, conjugates, and the extended H."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from conehj import (ConePoint, ConjugateModel, CovarianceModel,
                     InvalidInputError, Partition, UnsupportedOperationError,
                     bold_xi, h_eval, h_eval_bruteforce, regularize, xi_star,
                     xi_star_vec)
+from conehj.nonlinearity import _inv_deriv_vec
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +81,17 @@ def test_regularization_matrix_branch():
 # ---------------------------------------------------------------------------
 # monotone conjugate
 
-def _conj_oracle(model, reg, r):
-    """Independent 1-d maximization of rs - xibar(s) over s >= 0."""
+def _conj_oracle(model, reg, r, kinks=()):
+    """Independent 1-d maximization of rs - xibar(s) over s >= 0.
+
+    Bounded Brent stops about 1e-8 short of a maximizer at a kink of
+    xibar or at an end of the search interval, which costs a first-order
+    error there; ``kinks`` lists such points to evaluate exactly.
+    """
     res = minimize_scalar(lambda s: -(r * s - reg(s)),
                           bounds=(0.0, 50.0), method="bounded",
                           options={"xatol": 1e-12})
-    return -res.fun
+    return max([-res.fun] + [r * s - reg(s) for s in kinks])
 
 
 def test_conjugate_pure_quadratic_closed_form():
@@ -141,6 +149,93 @@ def test_fenchel_young_inequality():
         r = rng.uniform(-1, 7.9)
         s = rng.uniform(0, 3)
         assert r * s <= reg(s) + xi_star(conj, r) + 1e-9
+
+
+KERNEL_POLYS = [{2: 1.0}, {2: 0.5, 3: 0.7}, {3: 1.0}, {2: 0.25, 4: 1.0}]
+KERNEL_CASES = [(poly, reg) for poly in KERNEL_POLYS for reg in (False, True)]
+
+
+def _kernel_conj(poly, regularized):
+    model = CovarianceModel(D=1, poly=poly)
+    reg = regularize(model)
+    return model, reg, ConjugateModel(reg if regularized else model)
+
+
+def _kernel_slopes(reg):
+    cap = reg.slope_cap
+    r0 = ConjugateModel(reg)._r0
+    return np.concatenate([np.linspace(-1.0, 1.1 * cap, 301),
+                           [0.0, r0, cap, np.nextafter(cap, np.inf)]])
+
+
+def _seam(model, reg):
+    """Where the affine branch overtakes xi, solved independently."""
+    gap = lambda s: model(s) - (model(0.0) + reg.slope_cap * (s - 1.0))
+    return 1.0 if gap(1.0) <= 0.0 else brentq(gap, 1.0, 2.0, xtol=1e-300)
+
+
+@pytest.mark.parametrize("poly,regularized", KERNEL_CASES)
+def test_conjugate_kernel_matches_oracle(poly, regularized):
+    model, reg, conj = _kernel_conj(poly, regularized)
+    xibar, kinks = (reg, (0.0, _seam(model, reg))) if regularized else (model, (0.0,))
+    rs = _kernel_slopes(reg)
+    vals = xi_star_vec(conj, rs)
+    for r, v in zip(rs, vals):
+        if regularized and r > reg.slope_cap:
+            assert v == np.inf
+        else:
+            assert v == pytest.approx(_conj_oracle(model, xibar, r, kinks), abs=1e-9)
+
+
+@pytest.mark.parametrize("poly,regularized", KERNEL_CASES)
+def test_conjugate_kernel_fenchel_young_equality(poly, regularized):
+    model, reg, conj = _kernel_conj(poly, regularized)
+    r0 = conj._r0 if regularized else 2.0 * reg.slope_cap
+    for r in np.geomspace(1e-3, 1.0, 40) * r0:
+        s = brentq(lambda u: model.deriv(u) - r, 0.0, 10.0,
+                   xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert model.deriv(s) == pytest.approx(r, rel=1e-12)
+        assert r * s - model(s) == pytest.approx(xi_star(conj, r), rel=1e-12)
+        if len(poly) > 1 or 2 not in poly:
+            # the Newton solve itself lands on xi'(s) = r
+            hi = conj._s0 if regularized else max(1.0, r / model.deriv(1.0))
+            k = _inv_deriv_vec(model, np.array([r]), hi)[0]
+            assert model.deriv(k) == pytest.approx(r, rel=1e-12)
+    if regularized:
+        # past r0 the maximizer stays at the seam s0 up to the slope cap
+        s0 = conj._s0
+        for r in np.linspace(conj._r0, reg.slope_cap, 9):
+            assert reg(s0) + xi_star(conj, r) == pytest.approx(r * s0, rel=1e-12)
+
+
+@pytest.mark.parametrize("poly,regularized", KERNEL_CASES)
+def test_conjugate_kernel_vector_and_scalar_agree_bitwise(poly, regularized):
+    _, reg, conj = _kernel_conj(poly, regularized)
+    rs = _kernel_slopes(reg)
+    scalar = np.array([xi_star(conj, float(r)) for r in rs])
+    np.testing.assert_array_equal(xi_star_vec(conj, rs), scalar)
+
+
+@pytest.mark.parametrize("regularized", [False, True])
+def test_sk_closed_form_is_exact_to_an_ulp(regularized):
+    rng = np.random.default_rng(4)
+    for beta in (1.0, 0.5, 0.3, 1.7):
+        _, reg, conj = _kernel_conj({2: beta}, regularized)
+        rs = rng.uniform(0.0, conj._r0 if regularized else 50.0, 200)
+        for r, v in zip(rs, xi_star_vec(conj, rs)):
+            exact = float(Fraction(r) ** 2 / (4 * Fraction(beta)))
+            assert abs(v - exact) <= np.spacing(exact)
+
+
+@pytest.mark.parametrize("poly", [{}, {2: 0.0}, {3: 0.0}])
+@pytest.mark.parametrize("regularized", [False, True])
+def test_conjugate_of_zero_model_is_infinite(poly, regularized):
+    # xi' == 0: rs - xi(s) grows without bound for every r > 0
+    _, _, conj = _kernel_conj(poly, regularized)
+    vals = xi_star_vec(conj, np.array([-1.0, 0.0, 1e-12, 0.5, 3.0]))
+    assert vals.dtype == float
+    np.testing.assert_array_equal(vals, [0.0, 0.0, np.inf, np.inf, np.inf])
+    assert xi_star(conj, 2.0) == np.inf
 
 
 # ---------------------------------------------------------------------------

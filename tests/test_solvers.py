@@ -8,6 +8,7 @@ from conehj import (ConePoint, ConjugateModel, CovarianceModel,
                     UnsupportedOperationError, bold_xi, hopf, hopf_lax,
                     hopf_lax_1d, hopf_lax_separable, regularize,
                     solve_surface)
+from conehj.solvers import _zoom_argmax
 
 MODEL = CovarianceModel.sk(1.0)
 REG = regularize(MODEL)
@@ -148,6 +149,87 @@ def test_negative_time_rejected():
     x = ConePoint(j, [0.5])
     with pytest.raises(InvalidInputError):
         hopf_lax(psi, REG, j, -0.1, x)
+    with pytest.raises(InvalidInputError, match="t must be nonnegative"):
+        hopf_lax_1d(psi, ConjugateModel(REG), j, -0.1, x)
+
+
+def test_separable_route_enforces_the_shared_preconditions():
+    j = Partition.uniform(3)
+    psi = InitialCondition.quadratic_monotone(0.5, 0.5, 10)
+    with pytest.raises(InvalidInputError, match="t must be nonnegative"):
+        hopf_lax_separable(psi, REG, j, -0.5, ConePoint(j, [0.2, 0.5, 0.9]))
+    with pytest.raises(InvalidInputError, match="x must lie in the cone"):
+        hopf_lax_separable(psi, REG, j, 0.5, ConePoint(j, [0.9, 0.5, 0.2]))
+
+
+# ---------------------------------------------------------------------------
+# the shared zoom search
+
+def _counted(f):
+    calls = []
+
+    def g(s):
+        calls.append(s.shape)
+        return f(s)
+    return g, calls
+
+
+def test_zoom_finds_interior_maxima_to_the_ulp():
+    c = np.array([0.3, 1.0, np.pi / 2, 2.9])
+    f, calls = _counted(lambda s: -(s - c[:, None]) ** 2)
+    best = _zoom_argmax(f, c.shape, 4.0, [2049] * 8)
+    assert np.all(best <= 0.0) and np.all(best >= -np.spacing(c) ** 2)
+    # spacing 4 (4/2048)^(k-1) / 2048 reaches one ulp of c ~ 1 at round 6
+    assert len(calls) == 6
+
+
+def test_zoom_keeps_every_round_while_windows_are_wide():
+    c = np.array([0.4, 1.7])
+    f, calls = _counted(lambda s: -np.abs(s - c[:, None]))
+    _zoom_argmax(f, c.shape, 2.0, [1025] + [257] * 6)
+    assert [shape[-1] for shape in calls] == [1025] + [257] * 6
+
+
+def _reference_zoom(f, shape, top, scans):
+    """The zoom loop the three searches ran before sharing one helper."""
+    lo = np.zeros(shape)
+    hi = np.full(shape, top)
+    for scan in scans:
+        grid = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, scan)
+        vals = f(grid)
+        k = np.argmax(vals, axis=-1)[..., None]
+        best = np.take_along_axis(vals, k, axis=-1)[..., 0]
+        centers = np.take_along_axis(grid, k, axis=-1)[..., 0]
+        span = (hi - lo) / (scan - 1)
+        lo = np.maximum(centers - 2 * span, 0.0)
+        hi = np.minimum(centers + 2 * span, top)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zoom_matches_the_loop_it_replaced(seed):
+    psi = _softplus_psi(seed)
+    xv = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0, 5))
+    hopf_like = lambda z: xv[:, None] * z - psi.phi(z) + 0.7 * MODEL.eval_vec(z)
+    for scans in ([1025] + [257] * 6, [257] * 6):
+        np.testing.assert_array_equal(
+            _zoom_argmax(hopf_like, xv.shape, psi.lip_l1, scans),
+            _reference_zoom(hopf_like, xv.shape, psi.lip_l1, scans))
+    # the early stop only skips rounds that re-grid below one ulp
+    conj = ConjugateModel(REG)
+    pointwise = lambda y: psi.phi(xv[:, None] + y) - conj.eval_vec(y)
+    np.testing.assert_allclose(
+        _zoom_argmax(pointwise, xv.shape, REG.slope_cap, [2049] * 8),
+        _reference_zoom(pointwise, xv.shape, REG.slope_cap, [2049] * 8),
+        rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_zoom_at_the_boundary_runs_all_rounds():
+    # a centre at 0 has an ulp far below any spacing, so no early stop
+    f, calls = _counted(lambda s: -s)
+    best = _zoom_argmax(f, (3,), 1.0, [2049] * 8)
+    np.testing.assert_array_equal(best, 0.0)
+    assert len(calls) == 8
 
 
 # ---------------------------------------------------------------------------
