@@ -20,15 +20,7 @@ conj = ConjugateModel(reg)
 rng = np.random.default_rng(1)
 
 # a smooth increasing convex separable datum (softplus mixture)
-a, th, tau = np.array([0.4, 0.5]), np.array([0.3, 1.2]), np.array([0.4, 0.8])
-
-
-def phi(r):
-    r = np.asarray(r, dtype=float)[..., None]
-    return np.sum(a * tau * np.logaddexp(0.0, (r - th) / tau), axis=-1)
-
-
-psi = InitialCondition.separable(phi, lip=float(a.sum()))
+psi = InitialCondition.softplus([0.4, 0.5], [0.3, 1.2], [0.4, 0.8])
 
 j = Partition.uniform(3)
 x = ConePoint(j, np.cumsum(rng.uniform(0.0, 0.8, 3)))

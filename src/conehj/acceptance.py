@@ -332,12 +332,7 @@ def _random_softplus(rng, lip_target=None):
     a *= (rng.uniform(0.5, 1.0) if lip_target is None else lip_target) / a.sum()
     th = rng.uniform(0.0, 2.0, m)
     tau = rng.uniform(0.2, 1.0, m)
-
-    def phi(r):
-        r = np.asarray(r, dtype=float)[..., None]
-        return np.sum(a * tau * np.logaddexp(0.0, (r - th) / tau), axis=-1)
-
-    return InitialCondition.separable(phi, lip=float(a.sum()), name="softplus")
+    return InitialCondition.softplus(a, th, tau)
 
 
 def _random_cone_scalars(rng, n, scale=1.5):

@@ -81,15 +81,8 @@ def parse_psi(obj: dict) -> InitialCondition:
     if kind == "softplus":
         prof = obj["profile"]
         _check_keys(prof, {"weights", "thresholds", "scales"}, "psi.profile")
-        a = np.asarray(prof["weights"], dtype=float)
-        th = np.asarray(prof["thresholds"], dtype=float)
-        tau = np.asarray(prof["scales"], dtype=float)
-
-        def phi(r):
-            r = np.asarray(r, dtype=float)[..., None]
-            return np.sum(a * tau * np.logaddexp(0.0, (r - th) / tau), axis=-1)
-
-        return InitialCondition.separable(phi, lip=float(a.sum()), name="softplus")
+        return InitialCondition.softplus(prof["weights"], prof["thresholds"],
+                                         prof["scales"])
     if kind == "sk-one-spin":
         return one_spin_initial_condition()
     raise InvalidInputError(f"unknown psi kind {kind!r}")

@@ -236,9 +236,13 @@ def _weighted_inner(widths, a, b) -> float:
     return float(np.sum(widths * np.sum(a * b, axis=(1, 2))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConePoint:
-    """Element x of H^j: one symmetric matrix per partition cell."""
+    """Element x of H^j: one symmetric matrix per partition cell.
+
+    Like ``StepPath`` and ``DiscreteMeasure``, it compares and hashes by
+    identity: its coordinates are an array, whose ``==`` is elementwise.
+    """
 
     partition: Partition
     coords: np.ndarray
@@ -392,7 +396,7 @@ ROLE_DUAL = "dual-certificate"
 _ROLES = (ROLE_GENERIC, ROLE_MONOTONE, ROLE_DUAL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepPath:
     """Piecewise-constant map [0,1) -> S^D on a support grid.
 
@@ -517,7 +521,7 @@ def coarsen(path: StepPath, j: Partition) -> StepPath:
 # ---------------------------------------------------------------------------
 # discrete monotone measures and the quantile isometry
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finitely supported monotone measure sum_k (zeta_{k+1}-zeta_k) delta_{q_k}.
 

@@ -20,6 +20,7 @@ from scipy import optimize
 
 from .cones import (ConePoint, InvalidInputError, UnsupportedOperationError,
                     is_in_cone, sym)
+from .conjugates import monotone_increments
 
 
 @dataclass(frozen=True)
@@ -326,11 +327,7 @@ def _h_eval_1d(kappa: ConePoint, reg: Regularization) -> float:
 
     # monotone nonneg chain + weighted tail-sum domination, all linear
     cons = []
-    mono = np.zeros((n, n))
-    mono[0, 0] = 1.0
-    for i in range(1, n):
-        mono[i, i] = 1.0
-        mono[i, i - 1] = -1.0
+    mono = np.vstack([np.eye(1, n), monotone_increments(n)])
     cons.append(optimize.LinearConstraint(mono, 0.0, np.inf))
     tails = np.triu(np.ones((n, n))) * w  # row i: sum_{j>=i} w_j x_j
     cons.append(optimize.LinearConstraint(tails, tail_k, np.inf))

@@ -79,7 +79,6 @@ def sample_cascade(spec: CascadeSpec, rng: np.random.Generator) -> Cascade:
     if spec.K == 0:
         return Cascade(np.array([1.0]), (), ())
     log_u = np.zeros(1)  # log product along paths, per current-depth node
-    ancestors = []
     node_counts = []
     for k, zeta in enumerate(spec.zetas):
         n_parents = log_u.size
@@ -88,7 +87,6 @@ def sample_cascade(spec: CascadeSpec, rng: np.random.Generator) -> Cascade:
         child_log_u = -np.log(gamma) / zeta  # decreasing arrivals per parent
         log_u = (log_u[:, None] + child_log_u).ravel()
         node_counts.append(log_u.size)
-        ancestors.append(None)  # filled below once depth is final
     # ancestor ids: with a full M-ary layout, leaf i has depth-(k+1)
     # ancestor i // M^(K-1-k)
     P = log_u.size

@@ -7,7 +7,7 @@ gate; per-checker details (worst errors, margins, fitted slopes) live
 in the report dictionaries asserted below and surface on failure.
 """
 
-from conehj import acceptance
+from conehj import acceptance, solvers
 
 THREADS = 4
 
@@ -64,6 +64,16 @@ def test_05_variational_routes_agree():
     _check(rep, 300.0)
     assert rep["worst_hopf_gap"] <= 1e-4
     assert rep["worst_linear_gap"] <= 1e-6
+
+
+def test_05_shifted_conjugate_fails_the_gate(monkeypatch):
+    # negative control: a phi* off by 1e-3 moves every hopf value by 1e-3
+    exact = solvers._phi_conjugate_vec
+    monkeypatch.setattr(solvers, "_phi_conjugate_vec",
+                        lambda psi, z: exact(psi, z) + 1e-3)
+    rep = acceptance.crit_variational(instances=6)
+    assert not rep["pass"], rep
+    assert rep["worst_hopf_gap"] > rep["tol"]
 
 
 def test_06_dimension_reduction():

@@ -61,6 +61,20 @@ def test_equal_partitions_built_separately_are_equal_and_hash_equal():
     assert a != a.breaks
 
 
+def test_cone_objects_compare_and_hash_by_identity():
+    j = Partition.uniform(2)
+    objs = [ConePoint(j, [1.0, 2.0]), StepPath(j, [1.0, 2.0]),
+            DiscreteMeasure(np.array([0.5, 1.0]), np.array([0.0, 0.5, 1.0]))]
+    twins = [ConePoint(j, [1.0, 2.0]), StepPath(j, [1.0, 2.0]),
+             DiscreteMeasure(np.array([0.5, 1.0]), np.array([0.0, 0.5, 1.0]))]
+    for obj, twin in zip(objs, twins):
+        assert (obj == obj) is True
+        assert (obj == twin) is False
+        assert (obj != twin) is True
+        assert len({obj, obj, twin}) == 2
+        assert {obj: "found"}[obj] == "found"
+
+
 def test_partition_json_round_trip():
     for j in (Partition.uniform(3), Partition.dyadic(2),
               Partition(np.array([0.1, 0.7, 1.0]))):

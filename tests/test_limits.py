@@ -12,15 +12,7 @@ REG = regularize(CovarianceModel.sk(1.0))
 
 
 def _softplus():
-    a = np.array([0.5, 0.5])
-    th = np.array([0.3, 1.1])
-    tau = np.array([0.4, 0.7])
-
-    def phi(r):
-        r = np.asarray(r, dtype=float)[..., None]
-        return np.sum(a * tau * np.logaddexp(0.0, (r - th) / tau), axis=-1)
-
-    return InitialCondition.separable(phi, lip=1.0)
+    return InitialCondition.softplus([0.5, 0.5], [0.3, 1.1], [0.4, 0.7])
 
 
 def test_lift_restrict_requires_nesting():

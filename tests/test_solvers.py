@@ -8,7 +8,7 @@ from conehj import (ConePoint, ConjugateModel, CovarianceModel,
                     UnsupportedOperationError, bold_xi, hopf, hopf_lax,
                     hopf_lax_1d, hopf_lax_separable, regularize,
                     solve_surface)
-from conehj.solvers import _zoom_argmax
+from conehj.solvers import _phi_conjugate_vec, _zoom_argmax
 
 MODEL = CovarianceModel.sk(1.0)
 REG = regularize(MODEL)
@@ -21,12 +21,7 @@ def _softplus_psi(seed, lip=1.0):
     a *= lip / a.sum()
     th = rng.uniform(0.0, 2.0, m)
     tau = rng.uniform(0.3, 1.0, m)
-
-    def phi(r):
-        r = np.asarray(r, dtype=float)[..., None]
-        return np.sum(a * tau * np.logaddexp(0.0, (r - th) / tau), axis=-1)
-
-    return InitialCondition.separable(phi, lip=float(a.sum()))
+    return InitialCondition.softplus(a, th, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +225,50 @@ def test_zoom_at_the_boundary_runs_all_rounds():
     best = _zoom_argmax(f, (3,), 1.0, [2049] * 8)
     np.testing.assert_array_equal(best, 0.0)
     assert len(calls) == 8
+
+
+# ---------------------------------------------------------------------------
+# the monotone conjugate phi*(z) = sup_{0 <= s <= 64} zs - phi(s)
+
+def test_phi_conjugate_of_the_huber_profile_in_all_three_regimes():
+    a, b, c = 0.3, 0.5, 2.0
+    psi = InitialCondition.quadratic_monotone(a, b, c)
+    z = np.linspace(-0.5, 2.5, 3001)
+    # maximizer at s = 0, inside (0, c], and at the search cap s = 64
+    closed = np.where(z <= a, 0.0,
+                      np.where(z <= a + b * c, (z - a) ** 2 / (2 * b),
+                               64.0 * z - psi.phi(64.0)))
+    got = _phi_conjugate_vec(psi, z)
+    for mask in (z <= a, (z > a) & (z <= a + b * c), z > a + b * c):
+        assert mask.any()
+        np.testing.assert_allclose(got[mask], closed[mask], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_phi_conjugate_matches_the_zoom_it_replaced(seed):
+    # slopes below the Lipschitz constant 1 keep the maximizer interior;
+    # past it both searches return 64 z - phi(64), whose rounding is at the
+    # scale of 64 rather than of the value (the Huber test covers that cap)
+    psi = _softplus_psi(seed)
+    z = np.linspace(0.0, 0.9, 1025).reshape(5, 205)
+    zoom = _zoom_argmax(lambda s: z[..., None] * s - psi.phi(s),
+                        z.shape, 64.0, [257] * 6)
+    got = _phi_conjugate_vec(psi, z)
+    assert got.shape == z.shape
+    ulp = np.finfo(float).eps * np.maximum(1.0, np.abs(zoom))
+    assert np.all(np.abs(got - zoom) <= 4 * ulp)
+
+
+def test_phi_conjugate_stops_at_float_precision():
+    profile = _softplus_psi(0)
+    phi, calls = _counted(profile.phi)
+    psi = InitialCondition.separable(phi, lip=profile.lip_l1)
+    z = np.linspace(0.0, 1.2, 301)
+    _phi_conjugate_vec(psi, z)
+    # golden sections from width 64 down to 4 ulp of 1 take about 80 steps,
+    # one profile evaluation each, over the whole array at once
+    assert len(calls) <= 90
+    assert all(shape == z.shape for shape in calls)
 
 
 # ---------------------------------------------------------------------------
