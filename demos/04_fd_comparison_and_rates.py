@@ -13,10 +13,9 @@ import numpy as np
 
 from conehj import (CovarianceModel, FdGrid, FdSurface, InitialCondition,
                     Partition, comparison_check, fd_solve,
-                    hopf_lax_pointwise, rate_study, regularize,
-                    seeded_test_points)
+                    hopf_lax_pointwise, rate_study, seeded_test_points)
 
-reg = regularize(CovarianceModel.sk(1.0))
+model = CovarianceModel.sk(1.0)
 
 
 def phi(xv):
@@ -26,23 +25,21 @@ def phi(xv):
 
 # --- finite differences vs the variational solver ----------------------
 dx, T = 1.0 / 200, 1.0
-grid = FdGrid.make(reg, x_max=5.0, dx=dx, slope_cap=1.0)
-fd = fd_solve(phi, reg, grid, T)
+grid = FdGrid.make(model, x_max=5.0, dx=dx, slope_cap=1.0)
+fd = fd_solve(phi, model, grid, T)
 xs = fd.xs[fd.xs <= 2.0][::8]
-ref = hopf_lax_pointwise(phi, reg, T, xs)
+ref = hopf_lax_pointwise(phi, model, T, xs)
 gap = np.abs(np.interp(xs, fd.xs, fd.values[-1]) - ref).max()
 print(f"fd vs variational at T={T}: max gap {gap:.2e} "
       f"(budget {10 * dx * (1 + T):.2e})")
 
 # --- quantified comparison --------------------------------------------
-vals = np.empty((fd.times.size, xs.size))
-for ti, t in enumerate(fd.times):
-    vals[ti] = phi(xs) if t == 0.0 else hopf_lax_pointwise(phi, reg, float(t), xs)
+vals = np.array([hopf_lax_pointwise(phi, model, float(t), xs) for t in fd.times])
 u = FdSurface(fd.times, xs, vals, "variational")
 v = FdSurface(fd.times, xs,
               np.array([np.interp(xs, fd.xs, row) for row in fd.values]),
               "fd")
-rep = comparison_check(u, v, L=1.0, reg=reg, tol=10 * dx * (1 + T))
+rep = comparison_check(u, v, L=1.0, model=model, tol=10 * dx * (1 + T))
 print(f"comparison check: pass={rep.passed}, argmax t*={rep.t_star}, "
       f"margin={rep.margin:.2e}")
 
@@ -57,7 +54,7 @@ def smooth(r):
 
 
 psi = InitialCondition.separable(smooth, lip=0.5)
-study = rate_study(psi, reg, chain, pts)
+study = rate_study(psi, model, chain, pts)
 print("restriction errors along 4 -> 8 -> 16 -> 32:",
       [f"{e:.2e}" for e in study.errors])
 print(f"fitted decay slope: {study.slope:.2f}")
@@ -65,5 +62,5 @@ print(f"fitted decay slope: {study.slope:.2f}")
 # linear data factors through the one-cell grid, so the error vanishes
 lin = InitialCondition.separable(lambda r: 0.25 * np.asarray(r, float),
                                  lip=0.25)
-flat = rate_study(lin, reg, chain, pts)
+flat = rate_study(lin, model, chain, pts)
 print(f"factoring datum max error: {flat.errors.max():.1e}")

@@ -10,10 +10,10 @@ measure must lower-bound these averages (up to Monte Carlo error and a
 
 import numpy as np
 
-from conehj import (CascadeSpec, ConjugateModel, CovarianceModel,
-                    DiscreteMeasure, Partition, SkInstance, bound_check,
-                    free_energy, hopf_lax_1d, measure_to_quantile,
-                    one_spin_initial_condition, one_spin_psi, project_pj)
+from conehj import (CascadeSpec, CovarianceModel, DiscreteMeasure, Partition,
+                    SkInstance, bound_check, free_energy, hopf_lax_1d,
+                    measure_to_quantile, one_spin_initial_condition,
+                    one_spin_psi, project_pj)
 
 beta, t = 0.5, 0.25
 measure = DiscreteMeasure(np.array([0.0, 0.3]), np.array([0.0, 0.5, 1.0]))
@@ -28,10 +28,9 @@ print(f"one-spin MC {est1.mean:.4f} +/- {est1.se:.4f}, "
 
 # the HJ-side value at the overlap measure's quantile path
 psi = one_spin_initial_condition()
-conj = ConjugateModel(CovarianceModel.sk(beta))
 j = Partition.uniform(4)
 mu = project_pj(measure_to_quantile(measure), j)
-f = hopf_lax_1d(psi, conj, j, t, mu, rng=np.random.default_rng(0))
+f = hopf_lax_1d(psi, CovarianceModel.sk(beta), j, t, mu, rng=np.random.default_rng(0))
 print(f"variational value f = {f:.5f} at t = {t}")
 
 # exact-enumeration free energies for increasing N

@@ -23,7 +23,7 @@ from .cones import (ConePoint, DiscreteMeasure, Partition, StepPath,
 from .conjugates import GridFunction, fm_verify
 from .fd_oracle import FdGrid, FdSurface, comparison_check, fd_solve
 from .limits import lipschitz_audit, rate_study, seeded_test_points
-from .nonlinearity import (ConjugateModel, CovarianceModel, bold_xi, h_eval,
+from .nonlinearity import (CovarianceModel, bold_xi, h_eval,
                            h_eval_bruteforce, regularize)
 from .solvers import (InitialCondition, hopf, hopf_lax, hopf_lax_1d,
                       hopf_lax_pointwise, hopf_lax_separable, solve_surface)
@@ -355,7 +355,7 @@ def crit_variational(seed=4, instances=100, tol_scale=1.0):
         x = ConePoint(j, _random_cone_scalars(rng, n, 1.0))
         t = times[i % 3]
         worst = max(worst, abs(hopf(psi, model, j, t, x)
-                               - hopf_lax(psi, reg, j, t, x)))
+                               - hopf_lax(psi, model, j, t, x)))
     worst_lin = 0.0
     for i in range(30):
         n = int(rng.integers(1, 4))
@@ -366,7 +366,7 @@ def crit_variational(seed=4, instances=100, tol_scale=1.0):
         t = times[i % 3]
         hj = ConePoint(j, h.values)
         closed = x.inner(hj) + t * bold_xi(hj, reg)
-        worst_lin = max(worst_lin, abs(hopf_lax(psi, reg, j, t, x) - closed))
+        worst_lin = max(worst_lin, abs(hopf_lax(psi, model, j, t, x) - closed))
     tol, tol_lin = 1e-4 * tol_scale, 1e-6 * tol_scale
     return _report(5, "variational-agreement", t0,
                    worst <= tol and worst_lin <= tol_lin,
@@ -379,8 +379,7 @@ def crit_variational(seed=4, instances=100, tol_scale=1.0):
 def crit_1d_reduction(seed=5, instances=100, tol_scale=1.0):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    reg = regularize(CovarianceModel.sk(1.0))
-    conj = ConjugateModel(reg)
+    model = CovarianceModel.sk(1.0)
     times = (0.1, 0.5, 1.0)
     worst = 0.0
     for i in range(instances):
@@ -393,8 +392,8 @@ def crit_1d_reduction(seed=5, instances=100, tol_scale=1.0):
             psi = InitialCondition.linear(h)
         x = ConePoint(j, _random_cone_scalars(rng, n, 1.0))
         t = times[i % 3]
-        a = hopf_lax_1d(psi, conj, j, t, x, rng=rng)
-        b = hopf_lax(psi, reg, j, t, x)
+        a = hopf_lax_1d(psi, model, j, t, x, rng=rng)
+        b = hopf_lax(psi, model, j, t, x)
         worst = max(worst, abs(a - b))
     tol = 1e-4 * tol_scale
     return _report(6, "1d-reduction", t0, worst <= tol,
@@ -420,14 +419,14 @@ def _random_pwl_profile(rng):
     return phi
 
 
-def _fd_vs_hopf_lax(phi, reg, dx, T, x_lim=2.0):
-    grid = FdGrid.make(reg, x_max=5.0, dx=dx, slope_cap=1.0)
-    fd = fd_solve(phi, reg, grid, T)
+def _fd_vs_hopf_lax(phi, model, dx, T, x_lim=2.0):
+    grid = FdGrid.make(model, x_max=5.0, dx=dx, slope_cap=1.0)
+    fd = fd_solve(phi, model, grid, T)
     xs = fd.xs[fd.xs <= x_lim][::8]
     gap = 0.0
     for ti in (len(fd.times) // 2, len(fd.times) - 1):
         t = float(fd.times[ti])
-        ref = hopf_lax_pointwise(phi, reg, t, xs, scan=513, zoom_rounds=7)
+        ref = hopf_lax_pointwise(phi, model, t, xs, scan=513, zoom_rounds=7)
         sub = np.interp(xs, fd.xs, fd.values[ti])
         gap = max(gap, float(np.abs(sub - ref).max()))
     return gap
@@ -436,15 +435,15 @@ def _fd_vs_hopf_lax(phi, reg, dx, T, x_lim=2.0):
 def crit_pde_oracle(seed=6, tol_scale=1.0):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    reg = regularize(CovarianceModel.sk(1.0))
+    model = CovarianceModel.sk(1.0)
     dx, T = 1.0 / 400, 1.0
     tol = 10.0 * dx * (1.0 + T) * tol_scale
     worst = 0.0
     for _ in range(10):
-        worst = max(worst, _fd_vs_hopf_lax(_random_pwl_profile(rng), reg, dx, T))
+        worst = max(worst, _fd_vs_hopf_lax(_random_pwl_profile(rng), model, dx, T))
     smooth = _random_softplus(rng, lip_target=0.9)
-    g1 = _fd_vs_hopf_lax(smooth.phi, reg, dx, T)
-    g2 = _fd_vs_hopf_lax(smooth.phi, reg, dx / 2, T)
+    g1 = _fd_vs_hopf_lax(smooth.phi, model, dx, T)
+    g2 = _fd_vs_hopf_lax(smooth.phi, model, dx / 2, T)
     ratio = g1 / g2
     passed = worst <= tol and 1.5 <= ratio <= 3.0
     return _report(7, "pde-oracle", t0, passed, worst_gap=worst, tol=tol,
@@ -455,28 +454,24 @@ def crit_pde_oracle(seed=6, tol_scale=1.0):
 def crit_comparison(seed=7, tol_scale=1.0):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    reg = regularize(CovarianceModel.sk(1.0))
+    model = CovarianceModel.sk(1.0)
     dx, T = 1.0 / 400, 1.0
     phi = _random_pwl_profile(rng)
-    grid = FdGrid.make(reg, x_max=5.0, dx=dx, slope_cap=1.0)
-    fd = fd_solve(phi, reg, grid, T)
+    grid = FdGrid.make(model, x_max=5.0, dx=dx, slope_cap=1.0)
+    fd = fd_solve(phi, model, grid, T)
     sub = slice(0, fd.xs.size, 10)
     xs = fd.xs[sub]
-    vals = np.empty((fd.times.size, xs.size))
-    for ti, t in enumerate(fd.times):
-        if t == 0.0:
-            vals[ti] = phi(xs)
-        else:
-            vals[ti] = hopf_lax_pointwise(phi, reg, float(t), xs,
-                                          scan=513, zoom_rounds=7)
+    vals = np.array([hopf_lax_pointwise(phi, model, float(t), xs,
+                                        scan=513, zoom_rounds=7)
+                     for t in fd.times])
     u = FdSurface(fd.times, xs, vals, "hopf_lax")
     v = FdSurface(fd.times, xs, fd.values[:, sub], "fd_oracle")
     tol = 10.0 * dx * (1.0 + T) * tol_scale
-    rep = comparison_check(u, v, L=1.0, reg=reg, tol=tol)
+    rep = comparison_check(u, v, L=1.0, model=model, tol=tol)
     # negative control: subtracting c t from the second solution must
     # push the penalized max strictly after t = 0
     drift = FdSurface(u.times, xs, u.values - 1.0 * u.times[:, None], "drift")
-    neg = comparison_check(u, drift, L=1.0, reg=reg, tol=tol)
+    neg = comparison_check(u, drift, L=1.0, model=model, tol=tol)
     passed = rep.passed and rep.t_star == 0.0 \
         and (not neg.passed) and neg.margin > 0.0
     return _report(8, "quantified-comparison", t0, passed,
@@ -490,16 +485,16 @@ def crit_comparison(seed=7, tol_scale=1.0):
 def crit_rate(seed=8, tol_scale=1.0):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    reg = regularize(CovarianceModel.sk(1.0))
+    model = CovarianceModel.sk(1.0)
     chain = [Partition.uniform(n) for n in (4, 8, 16, 32, 64)]
     pts = seeded_test_points(seed, count=32, radius=4.0, fine=128)
     psi = _random_softplus(rng, lip_target=1.0)
-    study = rate_study(psi, reg, chain, pts)
+    study = rate_study(psi, model, chain, pts)
     slope_ok = study.slope <= -0.4 * tol_scale
 
     lin = InitialCondition.separable(lambda r: 0.3 * np.asarray(r, float),
                                      lip=0.3, name="factoring-linear")
-    study_lin = rate_study(lin, reg, chain, pts)
+    study_lin = rate_study(lin, model, chain, pts)
     flat_ok = float(study_lin.errors.max()) <= 1e-9
     return _report(9, "convergence-rate", t0, slope_ok and flat_ok,
                    slope=study.slope, errors=study.errors.tolist(),
@@ -553,7 +548,6 @@ def crit_lipschitz(seed=10, tol_scale=1.0):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     model = CovarianceModel.sk(1.0)
-    reg = regularize(model)
     times = [0.0, 0.25, 0.5, 1.0]
     audits = []
     # separable data on a moderately fine grid
@@ -561,23 +555,23 @@ def crit_lipschitz(seed=10, tol_scale=1.0):
     psi = _random_softplus(rng, lip_target=1.0)
     samples = [ConePoint(j16, _random_cone_scalars(rng, 16, 0.4))
                for _ in range(6)]
-    surf = solve_surface(psi, reg, j16, times, samples,
+    surf = solve_surface(psi, model, j16, times, samples,
                          method="hopf_lax_separable")
-    audits.append(lipschitz_audit(surf, psi, reg, slack=1.01 * tol_scale))
+    audits.append(lipschitz_audit(surf, psi, model, slack=1.01 * tol_scale))
     # linear data through the generic route
     j3 = Partition.uniform(3)
     h = StepPath(j3, np.array([0.2, 0.5, 0.9]))
     psi_lin = InitialCondition.linear(h)
     samples3 = [ConePoint(j3, _random_cone_scalars(rng, 3, 1.0))
                 for _ in range(5)]
-    surf_lin = solve_surface(psi_lin, reg, j3, times, samples3,
+    surf_lin = solve_surface(psi_lin, model, j3, times, samples3,
                              method="hopf_lax")
-    audits.append(lipschitz_audit(surf_lin, psi_lin, reg,
+    audits.append(lipschitz_audit(surf_lin, psi_lin, model,
                                   slack=1.01 * tol_scale))
     # convex separable data through the dual route
     psi_q = InitialCondition.quadratic_monotone(0.4, 0.3, 1.0)
     surf_q = solve_surface(psi_q, model, j3, times, samples3, method="hopf")
-    audits.append(lipschitz_audit(surf_q, psi_q, reg, slack=1.01 * tol_scale))
+    audits.append(lipschitz_audit(surf_q, psi_q, model, slack=1.01 * tol_scale))
     passed = all(a["pass"] for a in audits)
     return _report(11, "lipschitz-audits", t0, passed, audits=audits)
 
@@ -619,7 +613,7 @@ def crit_spin_glass(seed=11, replicas=1000, tol_scale=1.0, threads=1):
     ok &= details["pd_identity"]["pass"]
     # (d) + (e) lower bound and gap trend per (t, measure)
     psi = one_spin_initial_condition()
-    conj = ConjugateModel(CovarianceModel.sk(beta))
+    model = CovarianceModel.sk(beta)
     j = Partition.uniform(4)
     bounds = {}
     for mname, measure in (("delta0", DiscreteMeasure.delta(0.0)),
@@ -627,7 +621,7 @@ def crit_spin_glass(seed=11, replicas=1000, tol_scale=1.0, threads=1):
         mspec = CascadeSpec.for_measure(measure)
         mu = project_pj(measure_to_quantile(measure), j)
         for t in (0.25, 0.5):
-            f = hopf_lax_1d(psi, conj, j, t, mu,
+            f = hopf_lax_1d(psi, model, j, t, mu,
                             rng=np.random.default_rng(seed))
             ests = [free_energy(SkInstance(N, beta, t, measure), mspec,
                                 replicas, seed=seed + 17 * N + int(1000 * t),

@@ -25,8 +25,9 @@ from .cones import (ConePoint, DiscreteMeasure, InvalidInputError, Partition,
 from .conjugates import GridFunction, fm_verify
 from .fd_oracle import FdGrid, FdSurface, comparison_check, fd_solve
 from .limits import rate_study, seeded_test_points
-from .nonlinearity import ConjugateModel, CovarianceModel, regularize
-from .solvers import InitialCondition, hopf_lax_1d, solve_surface
+from .nonlinearity import CovarianceModel
+from .solvers import (InitialCondition, hopf_lax_1d, hopf_lax_pointwise,
+                      solve_surface)
 from .spin_glass import (CascadeSpec, SkInstance, bound_check, free_energy,
                          one_spin_initial_condition)
 
@@ -104,10 +105,7 @@ def run_solve(config: dict, out: Path, seed: int, threads: int, tol_scale: float
     times = [float(t) for t in config["times"]]
     samples = [ConePoint(j, np.asarray(s, dtype=float)) for s in config["samples"]]
     method = config.get("method", "hopf_lax")
-    arg = model if method == "hopf" else regularize(model)
-    if method == "hopf_lax_1d":
-        arg = ConjugateModel(arg)
-    surf = solve_surface(psi, arg, j, times, samples, method=method)
+    surf = solve_surface(psi, model, j, times, samples, method=method)
     rows = [(t, si, surf.values[ti, si], method)
             for ti, t in enumerate(surf.times) for si in range(len(samples))]
     write_csv(out / "solve.csv", ["t", "sample_id", "value", "method"], rows)
@@ -119,13 +117,13 @@ def run_converge(config: dict, out: Path, seed: int, threads: int, tol_scale: fl
     _check_keys(config, {"psi", "xi", "levels", "points", "radius", "slope_max"},
                 "converge config")
     psi = parse_psi(config["psi"])
-    reg = regularize(parse_xi(config["xi"]))
+    model = parse_xi(config["xi"])
     levels = [int(n) for n in config.get("levels", [4, 8, 16, 32, 64])]
     chain = [Partition.uniform(n) for n in levels]
     pts = seeded_test_points(seed, count=int(config.get("points", 32)),
                              radius=float(config.get("radius", 4.0)),
                              fine=2 * max(levels))
-    study = rate_study(psi, reg, chain, pts)
+    study = rate_study(psi, model, chain, pts)
     rows = [(int(s), e) for s, e in zip(study.sizes, study.errors)]
     write_csv(out / "converge.csv", ["level_size", "error"], rows)
     slope_max = float(config.get("slope_max", -0.4))
@@ -151,8 +149,7 @@ def run_fm_verify(config: dict, out: Path, seed: int, threads: int, tol_scale: f
 def run_compare(config: dict, out: Path, seed: int, threads: int, tol_scale: float):
     _check_keys(config, {"xi", "psi", "T", "dx", "slope_cap", "x_max", "tol"},
                 "compare config")
-    from .solvers import hopf_lax_pointwise
-    reg = regularize(parse_xi(config["xi"]))
+    model = parse_xi(config["xi"])
     psi = parse_psi(config["psi"])
     if psi.kind != "separable":
         raise InvalidInputError("compare requires a separable psi profile")
@@ -160,21 +157,17 @@ def run_compare(config: dict, out: Path, seed: int, threads: int, tol_scale: flo
     dx = float(config.get("dx", 1.0 / 400))
     cap = float(config.get("slope_cap", psi.lip_l1))
     x_max = float(config.get("x_max", 5.0))
-    grid = FdGrid.make(reg, x_max, dx, cap)
-    fd = fd_solve(psi.phi, reg, grid, T)
+    grid = FdGrid.make(model, x_max, dx, cap)
+    fd = fd_solve(psi.phi, model, grid, T)
     sub = slice(0, fd.xs.size, max(1, fd.xs.size // 200))
     xs = fd.xs[sub]
-    vals = np.empty((fd.times.size, xs.size))
-    for ti, t in enumerate(fd.times):
-        if t == 0.0:
-            vals[ti] = psi.phi(xs)
-        else:
-            vals[ti] = hopf_lax_pointwise(psi.phi, reg, float(t), xs,
-                                          scan=513, zoom_rounds=7)
+    vals = np.array([hopf_lax_pointwise(psi.phi, model, float(t), xs,
+                                        scan=513, zoom_rounds=7)
+                     for t in fd.times])
     u = FdSurface(fd.times, xs, vals, "hopf_lax")
     v = FdSurface(fd.times, xs, fd.values[:, sub], "fd_oracle")
     tol = float(config.get("tol", 10.0 * dx * (1.0 + T))) * tol_scale
-    rep = comparison_check(u, v, L=cap, reg=reg, tol=tol)
+    rep = comparison_check(u, v, L=cap, model=model, tol=tol)
     rows = [(t, x, u.values[ti, xi_], v.values[ti, xi_])
             for ti, t in enumerate(u.times) for xi_, x in enumerate(xs)]
     write_csv(out / "compare.csv", ["t", "x", "hopf_lax", "fd"], rows)
@@ -208,7 +201,6 @@ def run_spinglass(config: dict, out: Path, seed: int, threads: int, tol_scale: f
     write_csv(out / "spinglass.csv", ["N", "t", "mean", "se", "replicas"], rows)
     # HJ-side value and bound report per time
     model = CovarianceModel.sk(beta)
-    conj = ConjugateModel(model)
     psi = one_spin_initial_condition()
     level = int(config.get("hj_level", 4))
     j = Partition.uniform(level)
@@ -217,7 +209,7 @@ def run_spinglass(config: dict, out: Path, seed: int, threads: int, tol_scale: f
     all_pass = True
     for t, ests in sorted(results.items()):
         rng = np.random.default_rng(seed)
-        f = hopf_lax_1d(psi, conj, j, float(t), mu, rng=rng)
+        f = hopf_lax_1d(psi, model, j, float(t), mu, rng=rng)
         rep = bound_check(ests, f)
         reports[str(t)] = rep
         all_pass = all_pass and rep["pass"]

@@ -82,9 +82,6 @@ class GridFunction:
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
 
-    def node_point(self, i: int) -> ConePoint:
-        return ConePoint(self.partition, self.nodes[i])
-
     def lipschitz_estimate(self) -> float:
         """Max difference quotient in the H^j norm over near-neighbor pairs."""
         w = self.weights

@@ -17,15 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import InvalidInputError
-from .nonlinearity import Regularization
+from .nonlinearity import CovarianceModel, regularize
 
 
-def xibar_deriv_sup(reg: Regularization, lo: float, hi: float) -> float:
+def xibar_deriv_sup(model: CovarianceModel, lo: float, hi: float) -> float:
     """sup of |xibar'| over slopes in [lo, hi] (D = 1).
 
     xibar is convex, so the sup sits at an endpoint; one-sided
     differences at the endpoints bound the derivative.
     """
+    reg = regularize(model)
     eps = 1e-7
     cands = []
     for p in (lo, hi):
@@ -43,18 +44,18 @@ class FdGrid:
     dt: float
     slope_cap: float  # P: Lipschitz cap of the initial datum
 
-    def validate(self, reg: Regularization):
-        speed = xibar_deriv_sup(reg, 0.0, self.slope_cap)
+    def validate(self, model: CovarianceModel):
+        speed = xibar_deriv_sup(model, 0.0, self.slope_cap)
         cfl = self.dt * speed / self.dx
         if cfl > 0.5 + 1e-12:
             raise InvalidInputError(f"CFL ratio {cfl:.3f} exceeds 1/2")
         return cfl
 
     @classmethod
-    def make(cls, reg: Regularization, x_max: float, dx: float,
-             slope_cap: float, safety: float = 0.9) -> "FdGrid":
-        speed = max(xibar_deriv_sup(reg, 0.0, slope_cap), 1e-12)
-        dt = safety * 0.5 * dx / speed
+    def make(cls, model: CovarianceModel, x_max: float, dx: float,
+             slope_cap: float) -> "FdGrid":
+        speed = max(xibar_deriv_sup(model, 0.0, slope_cap), 1e-12)
+        dt = 0.9 * 0.5 * dx / speed
         return cls(x_max, dx, dt, slope_cap)
 
     @property
@@ -81,15 +82,15 @@ class FdSurface:
         return float(np.interp(x, self.xs, row))
 
 
-def fd_solve(phi, reg: Regularization, grid: FdGrid, T: float,
-             n_snapshots: int = 33) -> FdSurface:
+def fd_solve(phi, model: CovarianceModel, grid: FdGrid, T: float) -> FdSurface:
     """Lax-Friedrichs solution of d/dt f = xibar(d/dx f), f(0, .) = phi.
 
     ``phi`` must be vectorized, nondecreasing and Lipschitz with
-    constant <= grid.slope_cap.  Snapshot rows are stored at
-    ``n_snapshots`` evenly spaced times including 0 and T.
+    constant <= grid.slope_cap.  Snapshot rows are stored at 33 evenly
+    spaced times including 0 and T.
     """
-    grid.validate(reg)
+    grid.validate(model)
+    reg = regularize(model)
     xs = grid.xs
     u = np.asarray(phi(xs), dtype=float).copy()
     if np.any(np.diff(u) < -1e-12):
@@ -98,7 +99,7 @@ def fd_solve(phi, reg: Regularization, grid: FdGrid, T: float,
         raise InvalidInputError("initial datum exceeds the slope cap")
     n_steps = int(np.ceil(T / grid.dt))
     dt = T / n_steps if n_steps > 0 else grid.dt
-    snap_at = np.unique(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int))
+    snap_at = np.unique(np.round(np.linspace(0, n_steps, 33)).astype(int))
     times, rows = [], []
     P = grid.slope_cap
     for step in range(n_steps + 1):
@@ -136,27 +137,25 @@ class ComparisonReport:
                 "x_star": self.x_star, "margin": self.margin, "pass": self.passed}
 
 
-def comparison_check(u: FdSurface, v: FdSurface, L: float, reg: Regularization,
-                     tol: float, M: float = None, R: float = None) -> ComparisonReport:
+def comparison_check(u: FdSurface, v: FdSurface, L: float,
+                     model: CovarianceModel, tol: float) -> ComparisonReport:
     """Scan u - v - M (|x| + V t - R)_+ for a global max away from t = 0.
 
-    ``L`` bounds both spatial Lipschitz constants and M must exceed 2L;
-    V is the Lipschitz constant of xibar on the slope ball of radius
-    2L + 3M.  The report passes when the sup over t > 0 exceeds the
-    t = 0 sup by at most ``tol``.
+    ``L`` bounds both spatial Lipschitz constants, M = 2L + 1/2, R is half
+    the spatial extent and V the Lipschitz constant of xibar on the slope
+    ball of radius 2L + 3M.  The report passes when the sup over t > 0
+    exceeds the t = 0 sup by at most ``tol``.
     """
     if u.xs.shape != v.xs.shape or not np.allclose(u.xs, v.xs):
         raise InvalidInputError("surfaces live on different spatial grids")
     if u.times.shape != v.times.shape or not np.allclose(u.times, v.times):
         raise InvalidInputError("surfaces live on different time grids")
-    if M is None:
-        M = 2.0 * L + 0.5
+    M = 2.0 * L + 0.5
     if M <= 2.0 * L:
         raise InvalidInputError("comparison requires M > 2L")
     B = 2.0 * L + 3.0 * M
-    V = xibar_deriv_sup(reg, -B, B)
-    if R is None:
-        R = 0.5 * float(u.xs[-1])
+    V = xibar_deriv_sup(model, -B, B)
+    R = 0.5 * float(u.xs[-1])
     pen = M * np.maximum(np.abs(u.xs)[None, :] + V * u.times[:, None] - R, 0.0)
     W = u.values - v.values - pen
     sup0 = float(W[0].max())

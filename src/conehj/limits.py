@@ -15,7 +15,7 @@ import numpy as np
 
 from .cones import (ConePoint, InvalidInputError, Partition, StepPath,
                     lift_lj, project_pj)
-from .nonlinearity import Regularization
+from .nonlinearity import CovarianceModel, regularize
 from .solvers import (KIND_SEPARABLE, InitialCondition, SolutionSurface,
                       hopf_lax, hopf_lax_separable)
 
@@ -36,11 +36,11 @@ def lift_restrict(f_j, j: Partition, j_fine: Partition):
     return restricted
 
 
-def _solve(psi: InitialCondition, reg: Regularization, j: Partition,
+def _solve(psi: InitialCondition, model: CovarianceModel, j: Partition,
            t: float, x: ConePoint) -> float:
     if psi.kind == KIND_SEPARABLE:
-        return hopf_lax_separable(psi, reg, j, t, x)
-    return hopf_lax(psi, reg, j, t, x)
+        return hopf_lax_separable(psi, model, j, t, x)
+    return hopf_lax(psi, model, j, t, x)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class RefinementStudy:
                 "tests": self.test_count}
 
 
-def rate_study(psi: InitialCondition, reg: Regularization, chain,
+def rate_study(psi: InitialCondition, model: CovarianceModel, chain,
                test_points, fit_levels: int = 3) -> RefinementStudy:
     """Measure e_n = max |f_{j_n -> j_{n+1}} - f_{j_{n+1}}| / (t + |x|) per gap.
 
@@ -79,8 +79,8 @@ def rate_study(psi: InitialCondition, reg: Regularization, chain,
         for t, mu in test_points:
             x_fine = project_pj(mu, jf)
             x_coarse = project_pj(lift_lj(x_fine), jc)
-            f_fine = _solve(psi, reg, jf, t, x_fine)
-            f_restricted = _solve(psi, reg, jc, t, x_coarse)
+            f_fine = _solve(psi, model, jf, t, x_fine)
+            f_restricted = _solve(psi, model, jc, t, x_coarse)
             scale = t + x_fine.norm()
             worst = max(worst, abs(f_restricted - f_fine) / max(scale, 1e-12))
         sizes.append(jc.size)
@@ -119,7 +119,7 @@ def seeded_test_points(seed: int, count: int = 32, radius: float = 4.0,
 
 
 def lipschitz_audit(surface: SolutionSurface, psi: InitialCondition,
-                    reg: Regularization, slack: float = 1.01) -> dict:
+                    model: CovarianceModel, slack: float = 1.01) -> dict:
     """Observed difference quotients of a surface versus the formula bounds.
 
     Spatial quotients are taken in both the H^j norm (bound lip_h) and
@@ -146,7 +146,7 @@ def lipschitz_audit(surface: SolutionSurface, psi: InitialCondition,
         gap = np.abs(vals[ti + 1] - vals[ti]).max()
         sup_t = max(sup_t, float(gap / dt))
     slopes = np.linspace(0.0, psi.lip_l1, 256)
-    time_bound = float(np.max(np.abs(reg.eval_vec(slopes))))
+    time_bound = float(np.max(np.abs(regularize(model).eval_vec(slopes))))
     report = {
         "spatial_h": sup_h, "spatial_h_bound": psi.lip_h,
         "spatial_l1": sup_l1, "spatial_l1_bound": psi.lip_l1,

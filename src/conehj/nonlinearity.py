@@ -156,6 +156,8 @@ def regularize(model: CovarianceModel) -> Regularization:
     has a closed form); callables would need a sampled estimate, which
     polynomial-only models never hit.
     """
+    if not isinstance(model, CovarianceModel):
+        raise InvalidInputError("regularize takes the CovarianceModel xi")
     if not model.proper:
         raise InvalidInputError("regularization requires a proper model")
     L = model.grad_sup_norm_on_trace_ball(2.0 * model.D)

@@ -1,17 +1,21 @@
 """Variational solution formulas on the cone of monotone scalar paths.
 
-Three routes to the same solution value are implemented for D = 1:
+Each route takes the covariance model xi and is implemented for D = 1:
 
-* ``hopf_lax`` — sup over cone increments y of psi(x + y) minus the
-  integrated conjugate of the regularized nonlinearity at y / t;
+* ``hopf_lax`` (and ``hopf_lax_separable`` for separable psi) — sup over
+  cone increments y of psi(x + y) minus the integrated conjugate of the
+  regularization xibar at y / t;
 * ``hopf`` — sup over cone slopes z of the pairing with x minus the
-  monotone conjugate of psi plus the integrated nonlinearity at z
-  (requires convex psi);
+  monotone conjugate of psi plus the integrated plain xi at z (requires
+  convex psi);
 * ``hopf_lax_1d`` — sup over monotone paths nu of psi(nu) minus the
-  pointwise conjugate penalty at (nu - mu) / t.
+  pointwise conjugate of xibar at (nu - mu) / t.
 
-They agree for convex nonlinearities and admissible initial data, which
-the test suite exploits as a three-way cross-check.
+xibar equals xi on [0, s0] with seam point s0 >= 1, and ``hopf`` only
+visits slopes up to the Lipschitz constant of psi, so for data with
+Lipschitz constant <= 1 plain xi gives the same value.  The routes agree
+for convex nonlinearities and admissible initial data, which the test
+suite exploits as a cross-check.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ import numpy as np
 from scipy import optimize
 
 from .cones import (ConePoint, InvalidInputError, Partition, StepPath,
-                    UnsupportedOperationError, is_in_cone, lift_lj)
+                    UnsupportedOperationError, is_in_cone, lift_lj, project_pj)
 from .conjugates import monotone_increments, monotone_lattice
-from .nonlinearity import (ConjugateModel, CovarianceModel, Regularization,
-                           bold_xi, xi_star_vec)
+from .nonlinearity import (ConjugateModel, CovarianceModel, regularize,
+                           xi_star_vec)
 
 KIND_LINEAR = "linear"
 KIND_SEPARABLE = "separable"
@@ -121,8 +125,7 @@ class InitialCondition:
         X = np.asarray(X, dtype=float)
         w = j.widths
         if self.kind == KIND_LINEAR:
-            h = project_h(self.h, j)
-            return X @ (w * h)
+            return X @ (w * project_pj(self.h, j).scalars)
         if self.kind == KIND_SEPARABLE:
             return self.phi(X) @ w
         return np.array([self(StepPath(j, row[:, None, None])) for row in X])
@@ -136,12 +139,6 @@ class InitialCondition:
         return out
 
 
-def project_h(h: StepPath, j: Partition) -> np.ndarray:
-    """Cell averages of a linear datum's slope path on j (scalar coords)."""
-    from .cones import project_pj
-    return project_pj(h, j).scalars
-
-
 @dataclass(frozen=True)
 class SolutionSurface:
     """Tabulated values f(t, x) on a time grid and spatial sample set."""
@@ -151,7 +148,6 @@ class SolutionSurface:
     samples: tuple
     values: np.ndarray  # shape (len(times), len(samples))
     provenance: str
-    stats: tuple = ()
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -162,9 +158,6 @@ class SolutionSurface:
             raise InvalidInputError("surface values must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-
-    def value(self, ti: int, si: int) -> float:
-        return float(self.values[ti, si])
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +239,23 @@ def _lattice_steps(n: int, budget: int = 3000) -> int:
     return max(m - 1, 2) + 1
 
 
-def _polish(objective, y0: np.ndarray, ub: float, n_starts_extra=(), maxiter=200):
-    """Maximize over the cone box [0, ub]^n with SLSQP from several starts."""
-    n = y0[0].size if isinstance(y0, list) else y0.size
-    starts = y0 if isinstance(y0, list) else [y0]
+def _lattice_starts(score, n: int, ub: float, budget: int = 3000) -> list:
+    """The six best nodes of the monotone lattice on [0, ub]^n, as SLSQP starts.
+
+    ``score`` maps the lattice, one node per row, to objective values.
+    """
+    Y = monotone_lattice(n, np.linspace(0.0, ub, _lattice_steps(n, budget)))
+    order = np.argsort(score(Y))[::-1][:6]
+    return [Y[i] for i in order]
+
+
+def _polish(objective, starts: list, ub: float, maxiter: int = 200) -> float:
+    """Maximize over the cone box [0, ub]^n with SLSQP from each start."""
+    n = starts[0].size
     cons = ([optimize.LinearConstraint(monotone_increments(n), 0.0, np.inf)]
             if n > 1 else [])
     best = -np.inf
-    for s in list(starts) + list(n_starts_extra):
+    for s in starts:
         res = optimize.minimize(lambda y: -objective(y), np.asarray(s, float),
                                 method="SLSQP", bounds=[(0.0, ub)] * n,
                                 constraints=cons,
@@ -272,17 +274,18 @@ def _polish(objective, y0: np.ndarray, ub: float, n_starts_extra=(), maxiter=200
 # ---------------------------------------------------------------------------
 # Hopf-Lax
 
-def hopf_lax(psi: InitialCondition, reg: Regularization, j: Partition,
-             t: float, x: ConePoint, n_polish: int = 6) -> float:
+def hopf_lax(psi: InitialCondition, model: CovarianceModel, j: Partition,
+             t: float, x: ConePoint) -> float:
     """sup over cone increments y of psi^j(x + y) - t * sum_k w_k xibar*(y_k / t).
 
     The inner infimum over dual slopes collapses to the pointwise
     conjugate for D = 1; the conjugate is +inf past the slope cap 2L,
     which bounds the search box by y <= 2 L t.
     """
+    reg = regularize(model)
     if not psi.dual_increasing:
         raise InvalidInputError("hopf_lax requires a dual-increasing psi")
-    if reg.base.D != 1 or x.dim != 1:
+    if model.D != 1 or x.dim != 1:
         raise UnsupportedOperationError("hopf_lax is implemented for D = 1 only")
     _require_cone_time(x, t)
     if t == 0.0:
@@ -301,15 +304,14 @@ def hopf_lax(psi: InitialCondition, reg: Regularization, j: Partition,
 
     if ub == 0.0:
         return float(objective(np.zeros(n)))
-    Y = monotone_lattice(n, np.linspace(0.0, ub, _lattice_steps(n)))
-    vals = psi.eval_coords(j, xv + Y) - t * (xi_star_vec(conj, Y / t) @ w)
-    order = np.argsort(vals)[::-1][:n_polish]
-    return _polish(objective, [Y[i] for i in order], ub)
+    starts = _lattice_starts(
+        lambda Y: psi.eval_coords(j, xv + Y) - t * (xi_star_vec(conj, Y / t) @ w),
+        n, ub)
+    return _polish(objective, starts, ub)
 
 
-def hopf_lax_separable(psi: InitialCondition, reg: Regularization, j: Partition,
-                       t: float, x: ConePoint, scan: int = 2049,
-                       zoom_rounds: int = 8) -> float:
+def hopf_lax_separable(psi: InitialCondition, model: CovarianceModel,
+                       j: Partition, t: float, x: ConePoint) -> float:
     """Fast Hopf-Lax path for separable psi (any |j|).
 
     The objective decouples per coordinate; monotone selection of the
@@ -320,17 +322,15 @@ def hopf_lax_separable(psi: InitialCondition, reg: Regularization, j: Partition,
     if psi.kind != KIND_SEPARABLE:
         raise InvalidInputError("separable path requires a separable psi")
     _require_cone_time(x, t)
-    if t == 0.0:
-        return psi.eval_point(x)
-    best = hopf_lax_pointwise(psi.phi, reg, t, x.scalars,
-                              scan=scan, zoom_rounds=zoom_rounds)
+    best = hopf_lax_pointwise(psi.phi, model, t, x.scalars)
     return float(np.sum(j.widths * best))
 
 
-def hopf_lax_pointwise(phi, reg: Regularization, t: float, xv: np.ndarray,
+def hopf_lax_pointwise(phi, model: CovarianceModel, t: float, xv: np.ndarray,
                        scan: int = 2049, zoom_rounds: int = 8) -> np.ndarray:
     """Per-coordinate sup_y {phi(x + y) - t xibar*(y / t)} over y in [0, 2Lt]."""
     xv = np.asarray(xv, dtype=float)
+    reg = regularize(model)
     conj = ConjugateModel(reg)
     ub = reg.slope_cap * t
     if ub == 0.0:
@@ -343,15 +343,14 @@ def hopf_lax_pointwise(phi, reg: Regularization, t: float, xv: np.ndarray,
 # ---------------------------------------------------------------------------
 # Hopf
 
-def _phi_conjugate_vec(psi: InitialCondition, z: np.ndarray,
-                       s_hi: float = 64.0) -> np.ndarray:
+def _phi_conjugate_vec(psi: InitialCondition, z: np.ndarray) -> np.ndarray:
     """Monotone conjugate of the separable profile: phi*(z) = sup_{s>=0} zs - phi(s).
 
     phi is convex, so zs - phi(s) is concave in s and one golden-section
-    search per entry finds the sup over [0, s_hi].
+    search per entry finds the sup over [0, 64].
     """
     z = np.asarray(z, dtype=float)
-    return _golden_max(lambda s: z * s - psi.phi(s), z.shape, s_hi)
+    return _golden_max(lambda s: z * s - psi.phi(s), z.shape, 64.0)
 
 
 def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
@@ -362,6 +361,8 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     psi (slopes beyond the Lipschitz constant make the conjugate +inf),
     which truncates the search region.
     """
+    if not isinstance(model, CovarianceModel):
+        raise InvalidInputError("hopf takes the CovarianceModel xi")
     if not psi.convex:
         raise InvalidInputError("hopf requires a convex psi")
     if not psi.dual_increasing:
@@ -395,7 +396,7 @@ def _hopf_linear(psi: InitialCondition, model: CovarianceModel, j: Partition,
     w = j.widths
     xv = x.scalars
     n = j.size
-    hj = project_h(psi.h, j)
+    hj = project_pj(psi.h, j).scalars
     cap = float(np.abs(hj).max(initial=0.0))
     if cap == 0.0:
         return 0.0
@@ -430,16 +431,18 @@ def _hopf_linear(psi: InitialCondition, model: CovarianceModel, j: Partition,
 # ---------------------------------------------------------------------------
 # one-dimensional Hopf-Lax reduction
 
-def hopf_lax_1d(psi: InitialCondition, conj: ConjugateModel, j: Partition,
-                t: float, mu: ConePoint, n_polish: int = 6,
+def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
+                t: float, mu: ConePoint,
                 rng: np.random.Generator = None) -> float:
-    """sup over monotone nu of psi^j(nu) - t * sum_k w_k xi*((nu_k - mu_k) / t).
+    """sup over monotone nu of psi^j(nu) - t * sum_k w_k xibar*((nu_k - mu_k) / t).
 
     The conjugate is flat at -xi(0) for nonpositive slopes, so nu is
     free to dip below mu; the search box caps nu at mu plus t times the
     slope at which the marginal conjugate cost exceeds the Lipschitz
     constant of psi.  t = 0 falls back to psi^j(mu) by convention.
     """
+    reg = regularize(model)
+    conj = ConjugateModel(reg)
     _require_1d(mu, "hopf_lax_1d")
     _require_cone_time(mu, t, "mu")
     if t == 0.0:
@@ -447,12 +450,9 @@ def hopf_lax_1d(psi: InitialCondition, conj: ConjugateModel, j: Partition,
     w = j.widths
     muv = mu.scalars
     n = j.size
-    model = conj.model
     # marginal conjugate slope exceeds lip once the optimizer s passes
     # the Lipschitz constant, i.e. past r = xi'(lip)
-    r_cap = model.deriv(psi.lip_l1) if model.poly else 0.0
-    if conj.is_regularized:
-        r_cap = min(r_cap, conj.base.slope_cap)
+    r_cap = min(model.deriv(psi.lip_l1) if model.poly else 0.0, reg.slope_cap)
     ub = float(muv.max(initial=0.0) + t * r_cap + 1e-9)
 
     def objective(nu):
@@ -467,12 +467,9 @@ def hopf_lax_1d(psi: InitialCondition, conj: ConjugateModel, j: Partition,
     cheap_psi = psi.kind != KIND_CUSTOM
     budget = 3000 if cheap_psi else 200
     if n <= (5 if cheap_psi else 3):
-        NU = monotone_lattice(n, np.linspace(0.0, max(ub, 1e-9),
-                                             _lattice_steps(n, budget)))
-        pen = xi_star_vec(conj, (NU - muv[None, :]) / t)
-        vals = psi.eval_coords(j, NU) - t * (pen @ w)
-        order = np.argsort(vals)[::-1][:n_polish]
-        starts += [NU[i] for i in order]
+        starts += _lattice_starts(
+            lambda NU: psi.eval_coords(j, NU)
+            - t * (xi_star_vec(conj, (NU - muv) / t) @ w), n, ub, budget=budget)
     if rng is not None:
         for _ in range(4):
             starts.append(np.sort(rng.uniform(0.0, ub, size=n)))
@@ -482,22 +479,18 @@ def hopf_lax_1d(psi: InitialCondition, conj: ConjugateModel, j: Partition,
 # ---------------------------------------------------------------------------
 # surfaces
 
-def solve_surface(psi: InitialCondition, model, j: Partition, times,
-                  samples, method: str = "hopf_lax") -> SolutionSurface:
+def solve_surface(psi: InitialCondition, model: CovarianceModel, j: Partition,
+                  times, samples, method: str = "hopf_lax") -> SolutionSurface:
     """Tabulate the chosen formula over a time grid and sample set."""
+    # looked up per call, so a route rebound on this module is the one run
+    routes = {"hopf_lax": hopf_lax, "hopf_lax_separable": hopf_lax_separable,
+              "hopf": hopf, "hopf_lax_1d": hopf_lax_1d}
+    if method not in routes:
+        raise InvalidInputError(f"unknown method {method!r}")
     times = np.asarray(times, dtype=float)
     samples = tuple(samples)
     vals = np.empty((times.size, len(samples)))
     for si, x in enumerate(samples):
         for ti, t in enumerate(times):
-            if method == "hopf_lax":
-                vals[ti, si] = hopf_lax(psi, model, j, float(t), x)
-            elif method == "hopf_lax_separable":
-                vals[ti, si] = hopf_lax_separable(psi, model, j, float(t), x)
-            elif method == "hopf":
-                vals[ti, si] = hopf(psi, model, j, float(t), x)
-            elif method == "hopf_lax_1d":
-                vals[ti, si] = hopf_lax_1d(psi, model, j, float(t), x)
-            else:
-                raise InvalidInputError(f"unknown method {method!r}")
+            vals[ti, si] = routes[method](psi, model, j, float(t), x)
     return SolutionSurface(j, times, samples, vals, provenance=method)

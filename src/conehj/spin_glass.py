@@ -278,17 +278,14 @@ def one_spin_initial_condition() -> InitialCondition:
 # bound check against the variational value
 
 def bound_check(estimates, f_value: float) -> dict:
-    """Validate F_bar_N >= f - 3 SE - c/N with the smallest admissible c >= 0.
+    """Validate FreeEnergyEstimates F_bar_N >= f - 3 SE - c/N, c fitted at the least N.
 
-    ``estimates`` is a list of FreeEnergyEstimate at increasing N.  Also
-    reports whether the gap F_bar_N - f is nonincreasing in N within
+    c = max(0, N (f - F_bar_N)) there, so the larger N test the c/N rate.
+    Also reports whether the gap F_bar_N - f is nonincreasing in N within
     combined standard errors.
     """
     estimates = sorted(estimates, key=lambda e: e.N)
-    c = 0.0
-    for e in estimates:
-        c = max(c, e.N * (f_value - e.mean))
-    c = max(c, 0.0)
+    c = max(0.0, estimates[0].N * (f_value - estimates[0].mean))
     rows = []
     for e in estimates:
         ok = e.mean >= f_value - 3.0 * e.se - c / e.N - 1e-12

@@ -7,21 +7,22 @@ from conehj import (CovarianceModel, FdGrid, FdSurface, InvalidInputError,
                     comparison_check, fd_solve, hopf_lax_pointwise, regularize)
 from conehj.fd_oracle import xibar_deriv_sup
 
-REG = regularize(CovarianceModel.sk(1.0))
+MODEL = CovarianceModel.sk(1.0)
+REG = regularize(MODEL)
 
 
 def test_deriv_sup_at_convex_endpoints():
     # xibar' in slope: 2r on the quadratic branch, 8 on the affine branch
-    assert xibar_deriv_sup(REG, 0.0, 1.0) == pytest.approx(2.0, abs=1e-5)
-    assert xibar_deriv_sup(REG, 0.0, 5.0) == pytest.approx(8.0, abs=1e-5)
+    assert xibar_deriv_sup(MODEL, 0.0, 1.0) == pytest.approx(2.0, abs=1e-5)
+    assert xibar_deriv_sup(MODEL, 0.0, 5.0) == pytest.approx(8.0, abs=1e-5)
 
 
 def test_grid_cfl_guard():
     grid = FdGrid(x_max=1.0, dx=0.01, dt=0.01, slope_cap=1.0)  # cfl = 2
     with pytest.raises(InvalidInputError):
-        grid.validate(REG)
-    ok = FdGrid.make(REG, 1.0, 0.01, 1.0)
-    assert ok.validate(REG) <= 0.5
+        grid.validate(MODEL)
+    ok = FdGrid.make(MODEL, 1.0, 0.01, 1.0)
+    assert ok.validate(MODEL) <= 0.5
 
 
 def test_linear_data_propagates_exactly():
@@ -30,23 +31,23 @@ def test_linear_data_propagates_exactly():
     a = 0.7
     # slope cap equal to the data slope makes the ghost extension exact,
     # so the whole grid stays on the closed-form solution
-    grid = FdGrid.make(REG, 2.0, 0.01, slope_cap=a)
-    surf = fd_solve(lambda x: a * np.asarray(x), REG, grid, T=0.5)
+    grid = FdGrid.make(MODEL, 2.0, 0.01, slope_cap=a)
+    surf = fd_solve(lambda x: a * np.asarray(x), MODEL, grid, T=0.5)
     for ti, t in enumerate(surf.times):
         expected = a * surf.xs + t * REG(a)
         np.testing.assert_allclose(surf.values[ti], expected, atol=1e-10)
 
 
 def test_scheme_rejects_decreasing_data():
-    grid = FdGrid.make(REG, 1.0, 0.01, 1.0)
+    grid = FdGrid.make(MODEL, 1.0, 0.01, 1.0)
     with pytest.raises(InvalidInputError):
-        fd_solve(lambda x: -np.asarray(x), REG, grid, T=0.1)
+        fd_solve(lambda x: -np.asarray(x), MODEL, grid, T=0.1)
 
 
 def test_scheme_rejects_steep_data():
-    grid = FdGrid.make(REG, 1.0, 0.01, slope_cap=0.5)
+    grid = FdGrid.make(MODEL, 1.0, 0.01, slope_cap=0.5)
     with pytest.raises(InvalidInputError):
-        fd_solve(lambda x: np.asarray(x), REG, grid, T=0.1)
+        fd_solve(lambda x: np.asarray(x), MODEL, grid, T=0.1)
 
 
 def test_fd_converges_to_variational_solution():
@@ -54,10 +55,10 @@ def test_fd_converges_to_variational_solution():
         x = np.asarray(x, dtype=float)
         return 0.3 * x + 0.5 * np.maximum(x - 0.8, 0.0)
 
-    grid = FdGrid.make(REG, 4.0, 1.0 / 200, 1.0)
-    fd = fd_solve(phi, REG, grid, T=1.0)
+    grid = FdGrid.make(MODEL, 4.0, 1.0 / 200, 1.0)
+    fd = fd_solve(phi, MODEL, grid, T=1.0)
     xs = fd.xs[fd.xs <= 1.5][::8]
-    ref = hopf_lax_pointwise(phi, REG, 1.0, xs)
+    ref = hopf_lax_pointwise(phi, MODEL, 1.0, xs)
     got = np.interp(xs, fd.xs, fd.values[-1])
     assert np.abs(got - ref).max() <= 10.0 * grid.dx * 2.0
 
@@ -83,7 +84,7 @@ def _toy_surfaces():
 def test_comparison_passes_for_ordered_pair():
     times, xs, u = _toy_surfaces()
     v = FdSurface(times, xs, u.values + 0.01, "v")  # v >= u everywhere
-    rep = comparison_check(u, v, L=1.0, reg=REG, tol=1e-9)
+    rep = comparison_check(u, v, L=1.0, model=MODEL, tol=1e-9)
     assert rep.passed and rep.t_star == 0.0
 
 
@@ -92,7 +93,7 @@ def test_comparison_negative_control_fails():
     # the drift must outrun the penalty cone M (|x| + V t - R)_+ near
     # t = 0, so it is taken large relative to the cone speed
     drift = FdSurface(times, xs, u.values - 10.0 * times[:, None], "drift")
-    rep = comparison_check(u, drift, L=1.0, reg=REG, tol=1e-3)
+    rep = comparison_check(u, drift, L=1.0, model=MODEL, tol=1e-3)
     assert not rep.passed
     assert rep.margin > 0
     assert rep.t_star > 0
@@ -102,13 +103,13 @@ def test_comparison_requires_matching_grids():
     times, xs, u = _toy_surfaces()
     other = FdSurface(times, xs[:-1], u.values[:, :-1], "w")
     with pytest.raises(InvalidInputError):
-        comparison_check(u, other, L=1.0, reg=REG, tol=1e-3)
+        comparison_check(u, other, L=1.0, model=MODEL, tol=1e-3)
 
 
 def test_comparison_report_json():
     times, xs, u = _toy_surfaces()
     v = FdSurface(times, xs, u.values, "v")
-    rep = comparison_check(u, v, L=1.0, reg=REG, tol=1e-9)
+    rep = comparison_check(u, v, L=1.0, model=MODEL, tol=1e-9)
     blob = rep.to_json()
     assert blob["pass"] is True
     assert set(blob) >= {"M", "R", "V", "t_star", "x_star", "margin"}

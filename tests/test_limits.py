@@ -6,9 +6,9 @@ import pytest
 from conehj import (ConePoint, CovarianceModel, InitialCondition,
                     InvalidInputError, Partition, StepPath, hopf_lax_separable,
                     lift_lj, lift_restrict, lipschitz_audit, project_pj,
-                    rate_study, regularize, seeded_test_points, solve_surface)
+                    rate_study, seeded_test_points, solve_surface)
 
-REG = regularize(CovarianceModel.sk(1.0))
+MODEL = CovarianceModel.sk(1.0)
 
 
 def _softplus():
@@ -50,7 +50,7 @@ def test_seeded_test_points_deterministic_and_monotone():
 def test_rate_study_decays_for_separable_data():
     chain = [Partition.uniform(n) for n in (4, 8, 16, 32)]
     pts = seeded_test_points(0, count=8, fine=64)
-    study = rate_study(_softplus(), REG, chain, pts)
+    study = rate_study(_softplus(), MODEL, chain, pts)
     assert study.errors.shape == (3,)
     # refinement errors decrease monotonically along the chain
     assert np.all(np.diff(study.errors) < 0)
@@ -62,14 +62,14 @@ def test_rate_study_exact_for_factoring_data():
                                      lip=0.25)
     chain = [Partition.uniform(n) for n in (4, 8, 16)]
     pts = seeded_test_points(1, count=6, fine=32)
-    study = rate_study(lin, REG, chain, pts)
+    study = rate_study(lin, MODEL, chain, pts)
     assert float(study.errors.max()) <= 1e-10
     assert study.constant == 0.0
 
 
 def test_rate_study_needs_three_levels():
     with pytest.raises(InvalidInputError):
-        rate_study(_softplus(), REG,
+        rate_study(_softplus(), MODEL,
                    [Partition.uniform(2), Partition.uniform(4)], [])
 
 
@@ -80,10 +80,10 @@ def test_restriction_error_definition():
     t, mu = seeded_test_points(2, count=1, fine=32)[0]
     x_fine = project_pj(mu, jf)
     x_coarse = project_pj(lift_lj(x_fine), jc)
-    f_fine = hopf_lax_separable(psi, REG, jf, t, x_fine)
-    f_restr = hopf_lax_separable(psi, REG, jc, t, x_coarse)
+    f_fine = hopf_lax_separable(psi, MODEL, jf, t, x_fine)
+    f_restr = hopf_lax_separable(psi, MODEL, jc, t, x_coarse)
     direct = abs(f_restr - f_fine) / (t + x_fine.norm())
-    study = rate_study(psi, REG,
+    study = rate_study(psi, MODEL,
                        [jc, jf, Partition.uniform(16)], [(t, mu)],
                        fit_levels=2)
     assert study.errors[0] == pytest.approx(direct, rel=1e-12)
@@ -95,9 +95,9 @@ def test_lipschitz_audit_passes_on_solved_surface():
     rng = np.random.default_rng(3)
     samples = [ConePoint(j, np.cumsum(rng.uniform(0, 0.3, 8)))
                for _ in range(5)]
-    surf = solve_surface(psi, REG, j, [0.0, 0.5, 1.0], samples,
+    surf = solve_surface(psi, MODEL, j, [0.0, 0.5, 1.0], samples,
                          method="hopf_lax_separable")
-    rep = lipschitz_audit(surf, psi, REG)
+    rep = lipschitz_audit(surf, psi, MODEL)
     assert rep["pass"]
     assert rep["spatial_l1"] <= rep["spatial_l1_bound"] * 1.01
     assert rep["time"] <= rep["time_bound"] * 1.01
@@ -111,5 +111,5 @@ def test_lipschitz_audit_flags_fabricated_surface():
     # a fake surface with a spatial jump far beyond lip bounds
     vals = np.array([[0.0, 5.0], [0.0, 5.0]])
     surf = SolutionSurface(j, np.array([0.0, 1.0]), samples, vals, "fake")
-    rep = lipschitz_audit(surf, psi, REG)
+    rep = lipschitz_audit(surf, psi, MODEL)
     assert not rep["pass"]

@@ -6,8 +6,8 @@ import pytest
 from conehj import (ConePoint, ConjugateModel, CovarianceModel,
                     InitialCondition, InvalidInputError, Partition, StepPath,
                     UnsupportedOperationError, bold_xi, hopf, hopf_lax,
-                    hopf_lax_1d, hopf_lax_separable, regularize,
-                    solve_surface)
+                    hopf_lax_1d, hopf_lax_pointwise, hopf_lax_separable,
+                    regularize, solve_surface)
 from conehj.solvers import _phi_conjugate_vec, _zoom_argmax
 
 MODEL = CovarianceModel.sk(1.0)
@@ -62,9 +62,19 @@ def test_all_routes_return_psi_at_time_zero():
     psi = _softplus_psi(1)
     x = ConePoint(j, [0.3, 0.8])
     v0 = psi.eval_point(x)
-    assert hopf_lax(psi, REG, j, 0.0, x) == pytest.approx(v0)
-    assert hopf_lax_separable(psi, REG, j, 0.0, x) == pytest.approx(v0)
-    assert hopf_lax_1d(psi, ConjugateModel(REG), j, 0.0, x) == pytest.approx(v0)
+    assert hopf_lax(psi, MODEL, j, 0.0, x) == pytest.approx(v0)
+    assert hopf_lax_separable(psi, MODEL, j, 0.0, x) == pytest.approx(v0)
+    assert hopf_lax_1d(psi, MODEL, j, 0.0, x) == pytest.approx(v0)
+
+
+def test_separable_route_is_exact_at_time_zero():
+    # the per-coordinate search box is {0} at t = 0, so no t = 0 branch is needed
+    j = Partition.uniform(3)
+    psi = _softplus_psi(1)
+    x = ConePoint(j, [0.1, 0.3, 0.8])
+    assert hopf_lax_separable(psi, MODEL, j, 0.0, x) == psi.eval_point(x)
+    np.testing.assert_array_equal(
+        hopf_lax_pointwise(psi.phi, MODEL, 0.0, x.scalars), psi.phi(x.scalars))
 
 
 def test_solution_increases_in_time():
@@ -72,23 +82,22 @@ def test_solution_increases_in_time():
     j = Partition.uniform(2)
     psi = _softplus_psi(2)
     x = ConePoint(j, [0.2, 0.6])
-    vals = [hopf_lax_separable(psi, REG, j, t, x) for t in (0.0, 0.25, 1.0)]
+    vals = [hopf_lax_separable(psi, MODEL, j, t, x) for t in (0.0, 0.25, 1.0)]
     assert vals[0] <= vals[1] + 1e-10 <= vals[2] + 2e-10
 
 
 def test_four_routes_agree_on_separable_data():
     rng = np.random.default_rng(3)
-    conj = ConjugateModel(REG)
     for i in range(5):
         n = int(rng.integers(1, 4))
         j = Partition.uniform(n)
         psi = _softplus_psi(100 + i, lip=0.9)
         x = ConePoint(j, np.cumsum(rng.uniform(0, 1, n)))
         t = (0.1, 0.5, 1.0)[i % 3]
-        a = hopf_lax(psi, REG, j, t, x)
-        b = hopf_lax_separable(psi, REG, j, t, x)
+        a = hopf_lax(psi, MODEL, j, t, x)
+        b = hopf_lax_separable(psi, MODEL, j, t, x)
         c = hopf(psi, MODEL, j, t, x)
-        d = hopf_lax_1d(psi, conj, j, t, x, rng=rng)
+        d = hopf_lax_1d(psi, MODEL, j, t, x, rng=rng)
         assert b == pytest.approx(a, abs=1e-6)
         assert c == pytest.approx(a, abs=1e-6)
         assert d == pytest.approx(a, abs=1e-6)
@@ -108,7 +117,7 @@ def test_linear_closed_form():
         hj = ConePoint(j, h.values)
         for t in (0.1, 1.0):
             closed = x.inner(hj) + t * bold_xi(hj, REG)
-            assert hopf_lax(psi, REG, j, t, x) == pytest.approx(closed, abs=1e-6)
+            assert hopf_lax(psi, MODEL, j, t, x) == pytest.approx(closed, abs=1e-6)
             assert hopf(psi, MODEL, j, t, x) == pytest.approx(closed, abs=1e-6)
 
 
@@ -133,9 +142,9 @@ def test_solvers_reject_points_outside_cone():
     psi = _softplus_psi(5)
     bad = ConePoint(j, [0.5, 0.1])
     with pytest.raises(InvalidInputError):
-        hopf_lax(psi, REG, j, 0.5, bad)
+        hopf_lax(psi, MODEL, j, 0.5, bad)
     with pytest.raises(InvalidInputError):
-        hopf_lax_1d(psi, ConjugateModel(REG), j, 0.5, bad)
+        hopf_lax_1d(psi, MODEL, j, 0.5, bad)
 
 
 def test_negative_time_rejected():
@@ -143,18 +152,18 @@ def test_negative_time_rejected():
     psi = _softplus_psi(6)
     x = ConePoint(j, [0.5])
     with pytest.raises(InvalidInputError):
-        hopf_lax(psi, REG, j, -0.1, x)
+        hopf_lax(psi, MODEL, j, -0.1, x)
     with pytest.raises(InvalidInputError, match="t must be nonnegative"):
-        hopf_lax_1d(psi, ConjugateModel(REG), j, -0.1, x)
+        hopf_lax_1d(psi, MODEL, j, -0.1, x)
 
 
 def test_separable_route_enforces_the_shared_preconditions():
     j = Partition.uniform(3)
     psi = InitialCondition.quadratic_monotone(0.5, 0.5, 10)
     with pytest.raises(InvalidInputError, match="t must be nonnegative"):
-        hopf_lax_separable(psi, REG, j, -0.5, ConePoint(j, [0.2, 0.5, 0.9]))
+        hopf_lax_separable(psi, MODEL, j, -0.5, ConePoint(j, [0.2, 0.5, 0.9]))
     with pytest.raises(InvalidInputError, match="x must lie in the cone"):
-        hopf_lax_separable(psi, REG, j, 0.5, ConePoint(j, [0.9, 0.5, 0.2]))
+        hopf_lax_separable(psi, MODEL, j, 0.5, ConePoint(j, [0.9, 0.5, 0.2]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +287,50 @@ def test_solve_surface_shape_and_t0_row():
     j = Partition.uniform(3)
     psi = _softplus_psi(7)
     samples = [ConePoint(j, [0.0, 0.0, 0.0]), ConePoint(j, [0.2, 0.5, 0.9])]
-    surf = solve_surface(psi, REG, j, [0.0, 0.5], samples,
+    surf = solve_surface(psi, MODEL, j, [0.0, 0.5], samples,
                          method="hopf_lax_separable")
     assert surf.values.shape == (2, 2)
     for si, x in enumerate(samples):
         assert surf.values[0, si] == pytest.approx(psi.eval_point(x))
 
 
+ROUTES = (hopf_lax, hopf_lax_separable, hopf, hopf_lax_1d)
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
+def test_solve_surface_runs_the_named_route(route):
+    j = Partition.uniform(2)
+    psi = _softplus_psi(12, lip=0.9)
+    samples = [ConePoint(j, [0.1, 0.4]), ConePoint(j, [0.3, 0.8])]
+    times = [0.0, 0.5]
+    surf = solve_surface(psi, MODEL, j, times, samples, method=route.__name__)
+    direct = [[route(psi, MODEL, j, t, x) for x in samples] for t in times]
+    np.testing.assert_array_equal(surf.values, direct)
+    assert surf.provenance == route.__name__
+
+
+@pytest.mark.parametrize("wrong", [REG, ConjugateModel(REG), ConjugateModel(MODEL)],
+                         ids=["regularization", "conjugate", "plain-conjugate"])
+@pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
+def test_routes_take_only_the_covariance_model(route, wrong):
+    # each route derives its own regularization or conjugate from xi
+    j = Partition.uniform(2)
+    psi = _softplus_psi(11)
+    x = ConePoint(j, [0.3, 0.8])
+    for t in (0.0, 0.5):
+        with pytest.raises(InvalidInputError, match="CovarianceModel"):
+            route(psi, wrong, j, t, x)
+        with pytest.raises(InvalidInputError, match="CovarianceModel"):
+            solve_surface(psi, wrong, j, [t], [x], method=route.__name__)
+    with pytest.raises(InvalidInputError, match="CovarianceModel"):
+        hopf_lax_pointwise(psi.phi, wrong, 0.5, x.scalars)
+
+
 def test_solve_surface_unknown_method():
     j = Partition.uniform(1)
     psi = _softplus_psi(8)
     with pytest.raises(InvalidInputError):
-        solve_surface(psi, REG, j, [0.0], [ConePoint(j, [0.1])],
+        solve_surface(psi, MODEL, j, [0.0], [ConePoint(j, [0.1])],
                       method="bogus")
 
 
@@ -301,6 +342,6 @@ def test_spatial_lipschitz_bound_observed():
     for _ in range(10):
         x = ConePoint(j, np.cumsum(rng.uniform(0, 0.5, 4)))
         y = ConePoint(j, np.cumsum(rng.uniform(0, 0.5, 4)))
-        fx = hopf_lax_separable(psi, REG, j, 0.7, x)
-        fy = hopf_lax_separable(psi, REG, j, 0.7, y)
+        fx = hopf_lax_separable(psi, MODEL, j, 0.7, x)
+        fy = hopf_lax_separable(psi, MODEL, j, 0.7, y)
         assert abs(fx - fy) <= 0.8 * (x - y).norm_lp(1.0) + 1e-8

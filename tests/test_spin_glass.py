@@ -154,3 +154,13 @@ def test_bound_check_absorbs_1_over_n_deficit():
 def test_bound_check_detects_increasing_gap():
     rep = bound_check([_est(6, 0.11), _est(8, 0.2)], 0.1)
     assert not rep["trend_nonincreasing"]
+
+
+def test_bound_check_fails_a_deficit_the_smallest_n_cannot_explain():
+    # negative control: c = 6 is fitted at N = 6, and the estimates 3 and
+    # 5 below f at N = 8 and 10 lie far past f - 3 SE - c/N
+    rep = bound_check([_est(6, 0.1 - 1.0), _est(8, 0.1 - 3.0),
+                       _est(10, 0.1 - 5.0)], 0.1)
+    assert not rep["pass"]
+    assert rep["c"] == pytest.approx(6.0)
+    assert [p["pass"] for p in rep["points"]] == [True, False, False]
