@@ -21,6 +21,7 @@ suite exploits as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 from scipy import optimize
@@ -130,14 +131,6 @@ class InitialCondition:
             return self.phi(X) @ w
         return np.array([self(StepPath(j, row[:, None, None])) for row in X])
 
-    def to_json(self):
-        out = {"kind": self.kind, "lip_l1": self.lip_l1, "lip_h": self.lip_h,
-               "convex": self.convex, "dual_increasing": self.dual_increasing,
-               "name": self.name}
-        if self.kind == KIND_LINEAR:
-            out["h"] = self.h.to_json()
-        return out
-
 
 @dataclass(frozen=True)
 class SolutionSurface:
@@ -230,21 +223,17 @@ def _golden_max(f, shape, top: float) -> np.ndarray:
     return best
 
 
-def _lattice_steps(n: int, budget: int = 3000) -> int:
-    """Axis resolution so the monotone lattice stays within the node budget."""
-    from math import comb
-    m = 2
-    while comb(m + n, n) <= budget:
-        m += 1
-    return max(m - 1, 2) + 1
-
-
 def _lattice_starts(score, n: int, ub: float, budget: int = 3000) -> list:
     """The six best nodes of the monotone lattice on [0, ub]^n, as SLSQP starts.
 
     ``score`` maps the lattice, one node per row, to objective values.
+    The axis has the most points m for which the lattice's C(m + n - 1, n)
+    nodes stay within ``budget`` (and at least 3).
     """
-    Y = monotone_lattice(n, np.linspace(0.0, ub, _lattice_steps(n, budget)))
+    m = 3
+    while comb(m + n, n) <= budget:
+        m += 1
+    Y = monotone_lattice(n, np.linspace(0.0, ub, m))
     order = np.argsort(score(Y))[::-1][:6]
     return [Y[i] for i in order]
 
@@ -357,9 +346,15 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
          t: float, x: ConePoint) -> float:
     """sup over cone slopes z of <x, z> - psi^{j*}(z) + t * sum_k w_k xi(z_k).
 
-    Requires convex psi.  The optimal z satisfies |z|_inf <= lip_l1 of
-    psi (slopes beyond the Lipschitz constant make the conjugate +inf),
-    which truncates the search region.
+    Requires convex psi.  For linear psi = <h, .> the conjugate is 0 on
+    {z in C^j : h^j - z in (C^j)*} and +inf outside, with h^j = p_j h in
+    the cone since psi is dual-increasing.  Every such z has
+    <x, z> <= <x, h^j> (x in the cone, h^j - z in its dual) and tail sums
+    at most those of h^j, so sum_k w_k xi(z_k) <= sum_k w_k xi(h^j_k) for
+    xi convex and nondecreasing on [0, inf): the sup is attained at
+    z = h^j.  For separable psi the optimal z satisfies
+    |z|_inf <= lip_l1 of psi (slopes beyond the Lipschitz constant make
+    the conjugate +inf), which truncates the search region.
     """
     if not isinstance(model, CovarianceModel):
         raise InvalidInputError("hopf takes the CovarianceModel xi")
@@ -372,7 +367,8 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     w = j.widths
     xv = x.scalars
     if psi.kind == KIND_LINEAR:
-        return _hopf_linear(psi, model, j, t, x)
+        hj = project_pj(psi.h, j).scalars
+        return float(w @ (xv * hj + t * model.eval_vec(hj)))
     if psi.kind != KIND_SEPARABLE:
         raise UnsupportedOperationError(
             "hopf supports linear and separable psi")
@@ -384,48 +380,6 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
         lambda z: xv[:, None] * z - _phi_conjugate_vec(psi, z) + t * model.eval_vec(z),
         xv.shape, cap, [1025] + [257] * 6)
     return float(np.sum(w * best))
-
-
-def _hopf_linear(psi: InitialCondition, model: CovarianceModel, j: Partition,
-                 t: float, x: ConePoint) -> float:
-    """Hopf value for linear psi = <h, .>.
-
-    The conjugate of the pairing with h is 0 on {z : h - z dual-PSD}
-    and +inf outside; the sup runs over that compact slice of the cone.
-    """
-    w = j.widths
-    xv = x.scalars
-    n = j.size
-    hj = project_pj(psi.h, j).scalars
-    cap = float(np.abs(hj).max(initial=0.0))
-    if cap == 0.0:
-        return 0.0
-    Z = monotone_lattice(n, np.linspace(0.0, cap, _lattice_steps(n)))
-    # feasibility: tail sums of (h - z) nonnegative
-    d = hj[None, :] - Z
-    tails = np.cumsum((d * w)[:, ::-1], axis=1)[:, ::-1]
-    feas = np.all(tails >= -1e-12, axis=1)
-    Z = np.vstack([Z[feas], hj[None, :]])
-    vals = Z @ (w * xv) + t * (model.eval_vec(Z) @ w)
-    order = np.argsort(vals)[::-1][:4]
-
-    tailmat = np.triu(np.ones((n, n))) * w
-    cons = [optimize.LinearConstraint(-tailmat, -tailmat @ hj, np.inf)]
-    if n > 1:
-        cons.append(optimize.LinearConstraint(monotone_increments(n), 0.0, np.inf))
-    best = float(np.max(vals))
-    for i in order:
-        res = optimize.minimize(
-            lambda z: -(z @ (w * xv) + t * (w @ model.eval_vec(z))),
-            Z[i], method="SLSQP", bounds=[(0.0, cap)] * n, constraints=cons,
-            options={"maxiter": 200, "ftol": 1e-14})
-        if res.success:
-            z = np.clip(res.x, 0.0, cap)
-            val = z @ (w * xv) + t * (w @ model.eval_vec(z))
-            tails = tailmat @ (hj - z)
-            if np.all(tails >= -1e-9) and np.all(np.diff(z) >= -1e-9):
-                best = max(best, float(val))
-    return best
 
 
 # ---------------------------------------------------------------------------

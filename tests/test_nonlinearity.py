@@ -265,6 +265,39 @@ def test_h_off_cone_agrees_with_bruteforce():
             h_eval_bruteforce(kappa, reg), abs=1e-4)
 
 
+def test_h_off_cone_hand_values():
+    # x = max(PAV_w(kappa), 0): [1, 0] pools to [0.5, 0.5], and [-1, 0.5]
+    # is already nondecreasing and floors to [0, 0.5]
+    reg = regularize(CovarianceModel.sk(1.0))
+    j = Partition.uniform(2)
+    assert h_eval(ConePoint(j, [1.0, 0.0]), reg) == 0.25
+    assert h_eval(ConePoint(j, [-1.0, 0.5]), reg) == 0.125
+
+
+def test_h_is_below_every_feasible_point_on_non_uniform_partitions():
+    reg = regularize(CovarianceModel.sk(1.0))
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        j = Partition(np.append(np.sort(rng.uniform(0.05, 0.95, n - 1)), 1.0))
+        x = ConePoint(j, np.sort(rng.exponential(1.0, n)))
+        # kappa = x - d with d in the dual cone, so x is feasible for kappa
+        tails = np.append(rng.uniform(0.0, 1.0, n), 0.0)
+        kappa = x - ConePoint(j, (tails[:-1] - tails[1:]) / j.widths)
+        assert h_eval(kappa, reg) <= bold_xi(x, reg) + 1e-12
+
+
+def test_bruteforce_rejects_non_uniform_partitions():
+    # a thin first cell let the zoom settle far from the optimum: it
+    # returned 2.44198 here, though kappa itself is feasible
+    reg = regularize(CovarianceModel.sk(1.0))
+    kappa = ConePoint(Partition(np.array([0.085159, 1.0])),
+                      [0.44484187, 1.30300528])
+    assert h_eval(kappa, reg) == pytest.approx(2.23446, abs=1e-5)
+    with pytest.raises(UnsupportedOperationError):
+        h_eval_bruteforce(kappa, reg)
+
+
 def test_h_monotone_along_dual_directions():
     reg = regularize(CovarianceModel.sk(1.0))
     rng = np.random.default_rng(2)

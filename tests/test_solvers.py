@@ -7,7 +7,7 @@ from conehj import (ConePoint, ConjugateModel, CovarianceModel,
                     InitialCondition, InvalidInputError, Partition, StepPath,
                     UnsupportedOperationError, bold_xi, hopf, hopf_lax,
                     hopf_lax_1d, hopf_lax_pointwise, hopf_lax_separable,
-                    regularize, solve_surface)
+                    project_pj, regularize, solve_surface)
 from conehj.solvers import _phi_conjugate_vec, _zoom_argmax
 
 MODEL = CovarianceModel.sk(1.0)
@@ -119,6 +119,32 @@ def test_linear_closed_form():
             closed = x.inner(hj) + t * bold_xi(hj, REG)
             assert hopf_lax(psi, MODEL, j, t, x) == pytest.approx(closed, abs=1e-6)
             assert hopf(psi, MODEL, j, t, x) == pytest.approx(closed, abs=1e-6)
+
+
+def test_linear_hopf_dominates_every_feasible_slope():
+    # psi = <h, .> with h on a finer partition than j: the sup over slopes
+    # z in C^j with h^j - z in (C^j)* is attained at z = h^j
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        n = int(rng.integers(1, 4))
+        j = Partition(np.append(np.sort(rng.uniform(0.05, 0.95, n - 1)), 1.0))
+        fine = j.union(Partition(np.append(np.sort(rng.uniform(0.05, 0.95, 3)), 1.0)))
+        h = StepPath(fine, np.sort(rng.uniform(0.0, 1.5, fine.size)))
+        psi = InitialCondition.linear(h)
+        hj = project_pj(h, j).scalars
+        x = ConePoint(j, np.cumsum(rng.uniform(0, 1, n)))
+        t = float(rng.uniform(0.0, 1.0))
+        value = hopf(psi, MODEL, j, t, x)
+        w = j.widths
+
+        def tail(v):
+            return np.cumsum((w * v)[::-1])[::-1]
+
+        for _ in range(20):
+            z = np.sort(rng.uniform(0.0, 1.5, n))
+            z *= rng.uniform() * min(1.0, np.min(tail(hj) / tail(z)))
+            assert np.all(tail(hj - z) >= -1e-12)
+            assert value >= w @ (x.scalars * z + t * MODEL.eval_vec(z)) - 1e-12
 
 
 def test_hopf_requires_convexity():
