@@ -10,8 +10,8 @@ double conjugation and refuses non-monotone ones with a witness.
 
 import numpy as np
 
-from conehj import (ConjugateModel, CovarianceModel, GridFunction, Partition,
-                    fm_verify, mono_conjugate, regularize)
+from conehj import (CovarianceModel, GridFunction, Partition, fm_verify,
+                    mono_conjugate, regularize, xi_star_vec)
 
 model = CovarianceModel.sk(1.0)          # xi(r) = r^2
 reg = regularize(model)
@@ -22,9 +22,9 @@ for a in (0.5, 1.0, 1.1716, 1.5, 3.0):
 
 # the conjugate: quadratic branch r^2/4 for small slopes, then a chord
 # to the slope cap 2L, then +infinity
-conj = ConjugateModel(reg)
-for r in (-1.0, 0.5, 2.0, 2.343, 7.9, 8.5):
-    print(f"  xibar*({r:6.3f}) = {conj(r):10.4f}")
+rs = np.array([-1.0, 0.5, 2.0, 2.343, 7.9, 8.5])
+for r, v in zip(rs, xi_star_vec(reg, rs)):
+    print(f"  xibar*({r:6.3f}) = {v:10.4f}")
 
 # Fenchel-Moreau on the monotone lattice: convex + dual-monotone data
 # is recovered by double conjugation up to the lattice resolution

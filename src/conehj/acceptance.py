@@ -26,7 +26,7 @@ from .limits import lipschitz_audit, rate_study, seeded_test_points
 from .nonlinearity import (CovarianceModel, bold_xi, h_eval,
                            h_eval_bruteforce, regularize)
 from .solvers import (InitialCondition, hopf, hopf_lax, hopf_lax_1d,
-                      hopf_lax_pointwise, hopf_lax_separable, solve_surface)
+                      hopf_lax_pointwise, solve_surface)
 from .spin_glass import (CascadeSpec, SkInstance, bound_check, free_energy,
                          moment_normalization, one_spin_initial_condition,
                          one_spin_psi, pd_squared_weight)
@@ -245,10 +245,11 @@ def crit_regularization(seed=2, points=1000, pairs=10_000, tol_scale=1.0):
     L = reg.L
 
     a = rng.uniform(-1.0, 4.0, points)
-    # closed piecewise form for xi(r) = r^2: max(a^2, 8(a-1)) up to the
-    # trace seam at 2, the affine branch alone beyond
-    affine = 0.0 + 2.0 * L * (a - 1.0)
-    expected = np.where(a <= 2.0, np.maximum(1.0 * a ** 2, affine), affine)
+    # closed piecewise form for xi(r) = r^2, whose L = xi'(2) = 4:
+    # max(a^2, 8(a-1)) up to the trace seam at 2, the affine branch
+    # alone beyond
+    affine = 8.0 * (a - 1.0)
+    expected = np.where(a <= 2.0, np.maximum(a ** 2, affine), affine)
     got = reg.eval_vec(a)
     exact_gap = float(np.abs(got - expected).max())
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .cones import (ConePoint, DiscreteMeasure, InvalidInputError, Partition,
-                    StepPath, measure_to_quantile, project_pj)
+                    StepPath, UnsupportedOperationError, measure_to_quantile,
+                    project_pj)
 from .conjugates import GridFunction, fm_verify
 from .fd_oracle import FdGrid, FdSurface, comparison_check, fd_solve
 from .limits import rate_study, seeded_test_points
@@ -90,6 +91,7 @@ def parse_psi(obj: dict) -> InitialCondition:
 
 
 def parse_xi(obj: dict) -> CovarianceModel:
+    _check_keys(obj, {"poly", "D"}, "xi")
     return CovarianceModel.from_json(obj)
 
 
@@ -277,7 +279,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing config key {exc}", file=sys.stderr)
         return 1
-    except (InvalidInputError, ValueError) as exc:
+    except (UnsupportedOperationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(summary)

@@ -44,9 +44,6 @@ class GridFunction:
     axis: np.ndarray
     nodes: np.ndarray
     values: np.ndarray
-    convex: bool = True
-    lsc: bool = True
-    dual_increasing: bool = True
 
     def __post_init__(self):
         a = np.asarray(self.axis, dtype=float)
@@ -64,12 +61,12 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, j: Partition, fn, x_max: float = 2.0,
-                      steps: int = 11, **flags) -> "GridFunction":
+                      steps: int = 11) -> "GridFunction":
         """Tabulate ``fn`` (vector of coordinates -> real) on the lattice."""
         axis = np.linspace(0.0, x_max, steps)
         nodes = monotone_lattice(j.size, axis)
         vals = np.array([fn(x) for x in nodes], dtype=float)
-        return cls(j, axis, nodes, vals, **flags)
+        return cls(j, axis, nodes, vals)
 
     @property
     def step(self) -> float:
@@ -102,18 +99,18 @@ class GridFunction:
     def to_json(self):
         return {"partition": self.partition.to_json(),
                 "axis": self.axis.tolist(),
-                "values": [v if np.isfinite(v) else "inf" for v in self.values],
-                "flags": {"convex": self.convex, "lsc": self.lsc,
-                          "dual_increasing": self.dual_increasing}}
+                "values": [v if np.isfinite(v) else "inf" for v in self.values]}
 
     @classmethod
     def from_json(cls, obj) -> "GridFunction":
+        unknown = set(obj) - {"partition", "axis", "values"}
+        if unknown:
+            raise InvalidInputError(f"unknown grid function keys {sorted(unknown)}")
         j = Partition.from_json(obj["partition"])
         axis = np.asarray(obj["axis"], dtype=float)
         nodes = monotone_lattice(j.size, axis)
         vals = np.array([np.inf if v == "inf" else float(v) for v in obj["values"]])
-        flags = obj.get("flags", {})
-        return cls(j, axis, nodes, vals, **flags)
+        return cls(j, axis, nodes, vals)
 
 
 def mono_conjugate(g: GridFunction) -> GridFunction:
@@ -130,7 +127,7 @@ def mono_conjugate(g: GridFunction) -> GridFunction:
     for blk in range(0, g.nodes.shape[0], 512):
         Y = g.nodes[blk:blk + 512]
         out[blk:blk + 512] = np.max(Y @ Xw.T - gx, axis=1)
-    return replace(g, values=out, convex=True, lsc=True, dual_increasing=True)
+    return replace(g, values=out)
 
 
 def _dual_ge(nodes: np.ndarray, w: np.ndarray, i: int, tol: float = 1e-12):
@@ -182,8 +179,8 @@ def convexity_check(g: GridFunction, tol: float = 1e-9):
 def fm_verify(g: GridFunction, tol: float = None) -> dict:
     """Empirical biconjugation test g** = g on the effective domain.
 
-    The dual-increasing and convexity flags are checked first; a failing
-    flag aborts with a diagnostic instead of a gap report.  The default
+    Dual-increasingness and convexity are checked first; a failing check
+    aborts with a diagnostic instead of a gap report.  The default
     tolerance is 5 * (grid step) * (Lip(g) + Lip(g*)).
     """
     ok, ce = dual_increasing_check(g)

@@ -1,12 +1,12 @@
 """Covariance nonlinearities and their regularized / conjugated forms.
 
 A covariance model xi is a polynomial with nonnegative coefficients
-(scalar argument for D = 1, trace polynomial for D > 1) or a user
-callable.  The regularization extends xi from the unit ball of the PSD
-cone to a globally Lipschitz, proper (and convex, when xi is) function
-by competing it against an affine function of the trace.  The monotone
-conjugate xi*(r) = sup_{s >= 0} {r s - xi(s)} drives the
-one-dimensional Hopf-Lax reduction, and H extends the integrated
+(scalar argument for D = 1, trace polynomial for D > 1).  The
+regularization xibar extends xi from the unit ball of the PSD cone to a
+globally Lipschitz, proper and convex function by competing it against
+an affine function of the trace; ``regularize`` builds it once per
+model.  Its monotone conjugate xibar*(r) = sup_{s >= 0} {r s - xibar(s)}
+drives the Hopf-Lax routes, and H extends the integrated
 nonlinearity off the cone as an infimum over dominating monotone
 points.
 """
@@ -14,6 +14,9 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,8 +36,6 @@ class CovarianceModel:
 
     D: int = 1
     poly: dict = field(default_factory=dict)
-    convex: bool = True
-    proper: bool = True
 
     def __post_init__(self):
         for p, c in self.poly.items():
@@ -42,7 +43,9 @@ class CovarianceModel:
                 raise InvalidInputError("polynomial exponents must be >= 2")
             if c < 0:
                 raise InvalidInputError("coefficients beta_p^2 must be >= 0")
-        object.__setattr__(self, "poly", {int(p): float(c) for p, c in self.poly.items()})
+        # read-only, since ``regularize`` caches its result on the model
+        object.__setattr__(self, "poly", MappingProxyType(
+            {int(p): float(c) for p, c in self.poly.items()}))
 
     @classmethod
     def sk(cls, beta: float = 1.0) -> "CovarianceModel":
@@ -78,24 +81,21 @@ class CovarianceModel:
             raise UnsupportedOperationError("deriv requires D = 1")
         return sum(c * p * r ** (p - 1) for p, c in self.poly.items())
 
-    def grad_sup_norm_on_trace_ball(self, radius: float) -> float:
-        """sup of the spectral norm of the gradient over B_tr(radius).
-
-        Attained at a rank-one matrix with the full trace budget (the
-        scalar r = radius when D = 1): sum_p c_p p radius^(p-1).
-        """
-        return float(sum(c * p * radius ** (p - 1) for p, c in self.poly.items()))
-
     def to_json(self):
-        return {"D": self.D, "poly": {str(p): c for p, c in self.poly.items()},
-                "convex": self.convex, "proper": self.proper}
+        return {"D": self.D, "poly": {str(p): c for p, c in self.poly.items()}}
 
     @classmethod
     def from_json(cls, obj) -> "CovarianceModel":
         return cls(D=int(obj.get("D", 1)),
-                   poly={int(p): float(c) for p, c in obj["poly"].items()},
-                   convex=bool(obj.get("convex", True)),
-                   proper=bool(obj.get("proper", True)))
+                   poly={int(p): float(c) for p, c in obj["poly"].items()})
+
+    @cached_property
+    def _regularization(self) -> "Regularization":
+        # L, the sup of the gradient's spectral norm over B_tr(2D), is
+        # attained at a rank-one matrix with the full trace budget
+        radius = 2.0 * self.D
+        return Regularization(self, float(sum(c * p * radius ** (p - 1)
+                                              for p, c in self.poly.items())))
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,8 @@ class Regularization:
 
     On the trace ball B_tr(2D) the value is max(xi(a), xi(0) + 2L(tr(a) - D));
     outside it is the affine branch alone.  L is the sup of the gradient
-    norm of xi over B_tr(2D).
+    norm of xi over B_tr(2D).  For D = 1 the seam data of the monotone
+    conjugate is computed on first use (see ``xi_star_vec``).
     """
 
     base: CovarianceModel
@@ -138,67 +139,37 @@ class Regularization:
         affine = self.base(0.0) + 2.0 * self.L * (r - 1.0)
         return np.where(r <= 2.0, np.maximum(self.base.eval_vec(r), affine), affine)
 
+    @cached_property
+    def _seam(self) -> "_Seam":
+        if self.D != 1:
+            raise UnsupportedOperationError("monotone conjugation requires D = 1")
+        model = self.base
+        terms = {p: c for p, c in model.poly.items() if c > 0.0}
+        s0 = _seam_point(self)
+        return _Seam(s0=s0, r0=float(model.deriv(s0)), xi_s0=float(model(s0)),
+                     xi0=float(model(0.0)),
+                     q=terms[2] if set(terms) == {2} else None)
+
+
+class _Seam(NamedTuple):
+    """Where xibar leaves xi (D = 1): xibar = xi on [0, s0], affine beyond."""
+
+    s0: float
+    r0: float  # xi'(s0), the slope where the conjugate leaves xi's own
+    xi_s0: float
+    xi0: float
+    q: Optional[float]  # coefficient of a pure quadratic xi = q s^2, else None
+
 
 def regularize(model: CovarianceModel) -> Regularization:
-    """Build the Lipschitz regularization of ``model``.
+    """The Lipschitz regularization of ``model``, built once per model object.
 
-    For polynomial models L is exact (the gradient bound over B_tr(2D)
-    has a closed form); callables would need a sampled estimate, which
-    polynomial-only models never hit.
+    L is exact: the gradient bound over B_tr(2D) is sum_p c_p p (2D)^(p-1)
+    for polynomial models.
     """
     if not isinstance(model, CovarianceModel):
         raise InvalidInputError("regularize takes the CovarianceModel xi")
-    if not model.proper:
-        raise InvalidInputError("regularization requires a proper model")
-    L = model.grad_sup_norm_on_trace_ball(2.0 * model.D)
-    return Regularization(model, L)
-
-
-@dataclass(frozen=True)
-class ConjugateModel:
-    """Monotone conjugate xi*(r) = sup_{s>=0} {rs - xi(s)} for D = 1.
-
-    For a regularized base the effective piece structure is cached: the
-    regularization equals xi on [0, s0] and the affine branch beyond, so
-    the conjugate is the Legendre transform of xi up to slope
-    r0 = xi'(s0) and the chord through the seam from there to the slope
-    cap 2L.  A plain base has no seam: r0 and the cap are the largest
-    float, or 0 when xi' vanishes identically (then xi* = +inf on r > 0).
-    """
-
-    base: object  # CovarianceModel or Regularization
-
-    def __post_init__(self):
-        D = self.base.D if hasattr(self.base, "D") else 1
-        if D != 1:
-            raise UnsupportedOperationError("monotone conjugation requires D = 1")
-        model = self.model
-        terms = {p: c for p, c in model.poly.items() if c > 0.0}
-        if self.is_regularized:
-            s0 = _seam_point(self.base)
-            r0, cap = model.deriv(s0), self.base.slope_cap
-        else:
-            s0 = 1.0
-            r0 = cap = np.finfo(float).max if terms else 0.0
-        for name, value in (("_s0", s0), ("_r0", r0), ("_cap", cap),
-                            ("_xi0", model(0.0)), ("_xi_s0", model(s0))):
-            object.__setattr__(self, name, float(value))
-        # coefficient q of a pure quadratic xi = q s^2, else None
-        object.__setattr__(self, "_q", terms[2] if set(terms) == {2} else None)
-
-    @property
-    def is_regularized(self) -> bool:
-        return isinstance(self.base, Regularization)
-
-    @property
-    def model(self) -> CovarianceModel:
-        return self.base.base if self.is_regularized else self.base
-
-    def __call__(self, r: float) -> float:
-        return xi_star(self, r)
-
-    def eval_vec(self, r) -> np.ndarray:
-        return xi_star_vec(self, np.asarray(r, dtype=float))
+    return model._regularization
 
 
 def _seam_point(reg: Regularization) -> float:
@@ -249,39 +220,34 @@ def _inv_deriv_vec(model: CovarianceModel, r: np.ndarray, hi) -> np.ndarray:
     return s
 
 
-def xi_star_vec(conj: ConjugateModel, r: np.ndarray) -> np.ndarray:
-    """Vectorized monotone conjugate, exact to rounding.
+def xi_star_vec(reg: Regularization, r: np.ndarray) -> np.ndarray:
+    """Monotone conjugate xibar*(r) = sup_{s>=0} {rs - xibar(s)}, exact to rounding.
 
     Negative slopes give -xi(0) (the sup sits at s = 0 for nondecreasing
     xi).  On 0 < r <= r0 the maximizer solves xi'(s) = r: in closed form
     s = r / (2q) for a pure quadratic, by ``_inv_deriv_vec`` otherwise.
-    Regularized bases continue with the seam chord r s0 - xi(s0) up to
-    the slope cap 2L; beyond the cap the conjugate is +inf.
+    From r0 the seam chord r s0 - xi(s0) continues up to the slope cap
+    2L; beyond the cap the conjugate is +inf.  When xi' vanishes
+    identically, r0 = 2L = 0 and the conjugate is +inf on r > 0.
     """
     r = np.asarray(r, dtype=float)
-    model = conj.model
-    s0, r0 = conj._s0, conj._r0
-    if conj._q is not None:
-        inner = r * r / (4.0 * conj._q)
+    model = reg.base
+    seam = reg._seam
+    s0, r0 = seam.s0, seam.r0
+    if seam.q is not None:
+        inner = r * r / (4.0 * seam.q)
     elif r0 > 0.0:
-        # entries off the inner branch solve at the bracket's own slope,
-        # where the Newton start is already the root
-        r_hi = r0 if conj.is_regularized else model.deriv(1.0)
-        ri = np.where((r > 0.0) & (r <= r0), r, r_hi)
-        hi = s0 if conj.is_regularized else np.maximum(1.0, ri / r_hi)
-        s = _inv_deriv_vec(model, ri, hi)
+        # entries off the inner branch solve at r0, where the Newton
+        # start s0 is already the root
+        ri = np.where((r > 0.0) & (r <= r0), r, r0)
+        s = _inv_deriv_vec(model, ri, s0)
         # r s - xi(s) with r = xi'(s): a sum of nonnegative terms
         inner = sum(c * (p - 1) * s ** p for p, c in model.poly.items())
     else:
         inner = 0.0
     out = np.where(r <= r0, inner,
-                   np.where(r <= conj._cap, r * s0 - conj._xi_s0, np.inf))
-    return np.where(r > 0.0, out, -conj._xi0)
-
-
-def xi_star(conj: ConjugateModel, r: float) -> float:
-    """Scalar monotone conjugate xi*(r); see ``xi_star_vec``."""
-    return float(xi_star_vec(conj, np.array([float(r)]))[0])
+                   np.where(r <= reg.slope_cap, r * s0 - seam.xi_s0, np.inf))
+    return np.where(r > 0.0, out, -seam.xi0)
 
 
 def bold_xi(x: ConePoint, model) -> float:

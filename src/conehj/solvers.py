@@ -29,8 +29,7 @@ from scipy import optimize
 from .cones import (ConePoint, InvalidInputError, Partition, StepPath,
                     UnsupportedOperationError, is_in_cone, lift_lj, project_pj)
 from .conjugates import monotone_increments, monotone_lattice
-from .nonlinearity import (ConjugateModel, CovarianceModel, regularize,
-                           xi_star_vec)
+from .nonlinearity import CovarianceModel, regularize, xi_star_vec
 
 KIND_LINEAR = "linear"
 KIND_SEPARABLE = "separable"
@@ -156,13 +155,19 @@ class SolutionSurface:
 # ---------------------------------------------------------------------------
 # shared optimization helpers
 
-def _require_1d(x: ConePoint, what: str):
-    if x.dim != 1:
-        raise UnsupportedOperationError(f"{what} is implemented for D = 1 only")
+def _require(psi: InitialCondition, model: CovarianceModel, x: ConePoint,
+             t: float, route: str, name: str = "x"):
+    """Preconditions shared by every route.
 
-
-def _require_cone_time(x: ConePoint, t: float, name: str = "x"):
-    """Preconditions shared by every route: x in the cone and t >= 0."""
+    xi is a CovarianceModel, xi and the point have D = 1, psi is
+    dual-increasing, the point lies in the cone and t >= 0.
+    """
+    if not isinstance(model, CovarianceModel):
+        raise InvalidInputError(f"{route} takes the CovarianceModel xi")
+    if model.D != 1 or x.dim != 1:
+        raise UnsupportedOperationError(f"{route} is implemented for D = 1 only")
+    if not psi.dual_increasing:
+        raise InvalidInputError(f"{route} requires a dual-increasing psi")
     if not is_in_cone(x):
         raise InvalidInputError(f"{name} must lie in the cone")
     if t < 0:
@@ -271,15 +276,10 @@ def hopf_lax(psi: InitialCondition, model: CovarianceModel, j: Partition,
     conjugate for D = 1; the conjugate is +inf past the slope cap 2L,
     which bounds the search box by y <= 2 L t.
     """
-    reg = regularize(model)
-    if not psi.dual_increasing:
-        raise InvalidInputError("hopf_lax requires a dual-increasing psi")
-    if model.D != 1 or x.dim != 1:
-        raise UnsupportedOperationError("hopf_lax is implemented for D = 1 only")
-    _require_cone_time(x, t)
+    _require(psi, model, x, t, "hopf_lax")
     if t == 0.0:
         return psi.eval_point(x)
-    conj = ConjugateModel(reg)
+    reg = regularize(model)
     n = j.size
     w = j.widths
     xv = x.scalars
@@ -287,14 +287,14 @@ def hopf_lax(psi: InitialCondition, model: CovarianceModel, j: Partition,
 
     def objective(y):
         y = np.clip(np.asarray(y, dtype=float), 0.0, ub)
-        pen = np.minimum(xi_star_vec(conj, y / t), 1e12)
+        pen = np.minimum(xi_star_vec(reg, y / t), 1e12)
         return psi.eval_coords(j, (xv + y)[None, :])[0] \
             - t * float(np.sum(w * pen))
 
     if ub == 0.0:
         return float(objective(np.zeros(n)))
     starts = _lattice_starts(
-        lambda Y: psi.eval_coords(j, xv + Y) - t * (xi_star_vec(conj, Y / t) @ w),
+        lambda Y: psi.eval_coords(j, xv + Y) - t * (xi_star_vec(reg, Y / t) @ w),
         n, ub)
     return _polish(objective, starts, ub)
 
@@ -310,7 +310,7 @@ def hopf_lax_separable(psi: InitialCondition, model: CovarianceModel,
     """
     if psi.kind != KIND_SEPARABLE:
         raise InvalidInputError("separable path requires a separable psi")
-    _require_cone_time(x, t)
+    _require(psi, model, x, t, "hopf_lax_separable")
     best = hopf_lax_pointwise(psi.phi, model, t, x.scalars)
     return float(np.sum(j.widths * best))
 
@@ -320,12 +320,11 @@ def hopf_lax_pointwise(phi, model: CovarianceModel, t: float, xv: np.ndarray,
     """Per-coordinate sup_y {phi(x + y) - t xibar*(y / t)} over y in [0, 2Lt]."""
     xv = np.asarray(xv, dtype=float)
     reg = regularize(model)
-    conj = ConjugateModel(reg)
     ub = reg.slope_cap * t
     if ub == 0.0:
-        return phi(xv) - t * xi_star_vec(conj, np.zeros_like(xv))
+        return phi(xv) - t * xi_star_vec(reg, np.zeros_like(xv))
     return _zoom_argmax(
-        lambda y: phi(xv[:, None] + y) - t * xi_star_vec(conj, y / t),
+        lambda y: phi(xv[:, None] + y) - t * xi_star_vec(reg, y / t),
         xv.shape, ub, [scan] * zoom_rounds)
 
 
@@ -356,14 +355,9 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     |z|_inf <= lip_l1 of psi (slopes beyond the Lipschitz constant make
     the conjugate +inf), which truncates the search region.
     """
-    if not isinstance(model, CovarianceModel):
-        raise InvalidInputError("hopf takes the CovarianceModel xi")
+    _require(psi, model, x, t, "hopf")
     if not psi.convex:
         raise InvalidInputError("hopf requires a convex psi")
-    if not psi.dual_increasing:
-        raise InvalidInputError("hopf requires a dual-increasing psi")
-    _require_1d(x, "hopf")
-    _require_cone_time(x, t)
     w = j.widths
     xv = x.scalars
     if psi.kind == KIND_LINEAR:
@@ -395,12 +389,10 @@ def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
     slope at which the marginal conjugate cost exceeds the Lipschitz
     constant of psi.  t = 0 falls back to psi^j(mu) by convention.
     """
-    reg = regularize(model)
-    conj = ConjugateModel(reg)
-    _require_1d(mu, "hopf_lax_1d")
-    _require_cone_time(mu, t, "mu")
+    _require(psi, model, mu, t, "hopf_lax_1d", "mu")
     if t == 0.0:
         return psi.eval_point(mu)
+    reg = regularize(model)
     w = j.widths
     muv = mu.scalars
     n = j.size
@@ -412,7 +404,7 @@ def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
     def objective(nu):
         # slopes past the conjugate domain carry a huge-but-finite
         # penalty so SLSQP's finite differences stay well defined
-        pen = np.minimum(xi_star_vec(conj, (np.asarray(nu) - muv) / t), 1e12)
+        pen = np.minimum(xi_star_vec(reg, (np.asarray(nu) - muv) / t), 1e12)
         return psi.eval_coords(j, np.asarray(nu)[None, :])[0] \
             - t * float(np.sum(w * pen))
 
@@ -423,7 +415,7 @@ def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
     if n <= (5 if cheap_psi else 3):
         starts += _lattice_starts(
             lambda NU: psi.eval_coords(j, NU)
-            - t * (xi_star_vec(conj, (NU - muv) / t) @ w), n, ub, budget=budget)
+            - t * (xi_star_vec(reg, (NU - muv) / t) @ w), n, ub, budget=budget)
     if rng is not None:
         for _ in range(4):
             starts.append(np.sort(rng.uniform(0.0, ub, size=n)))

@@ -71,6 +71,19 @@ def test_unknown_config_keys_exit_1(tmp_path, capsys):
     assert "extra_knob" in err and "allowed" in err
 
 
+def test_unknown_xi_keys_exit_1(tmp_path, capsys):
+    cfg = dict(SOLVE_CONFIG, xi={"poly": {"2": 1.0}, "beta": 7})
+    assert _run(tmp_path, "solve", cfg) == 1
+    err = capsys.readouterr().err
+    assert "beta" in err and "allowed" in err
+
+
+def test_matrix_xi_exits_1_with_an_error_line(tmp_path, capsys):
+    cfg = dict(SOLVE_CONFIG, xi={"poly": {"2": 1.0}, "D": 2})
+    assert _run(tmp_path, "solve", cfg) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_config_key_exits_1(tmp_path, capsys):
     cfg = {k: v for k, v in SOLVE_CONFIG.items() if k != "times"}
     assert _run(tmp_path, "solve", cfg) == 1
@@ -112,6 +125,12 @@ def test_fm_verify_failure_exits_2_with_witness(tmp_path):
     rep = json.loads((tmp_path / "fm_verify.json").read_text())
     assert not rep["pass"]
     assert rep["witness"] is not None
+
+
+def test_fm_verify_unknown_function_keys_exit_1(tmp_path, capsys):
+    function = dict(_grid_function(convex=True).to_json(), flags={"bogus": True})
+    assert _run(tmp_path, "fm-verify", {"function": function}) == 1
+    assert "flags" in capsys.readouterr().err
 
 
 def test_converge_on_linear_data_exits_0(tmp_path):

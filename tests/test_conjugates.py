@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conehj import (ConePoint, GridFunction, Partition, dual_increasing_check,
-                    fm_verify, full_rank_interior_box, mono_conjugate,
-                    monotone_lattice)
+from conehj import (ConePoint, GridFunction, InvalidInputError, Partition,
+                    dual_increasing_check, fm_verify, full_rank_interior_box,
+                    mono_conjugate, monotone_lattice)
 from conehj.conjugates import box_feasible, convexity_check
 
 
@@ -35,6 +35,12 @@ def test_grid_function_json_round_trip_with_inf():
                      np.array([0.0, 1.0, np.inf, 2.0, 3.0]))
     rt = GridFunction.from_json(g.to_json())
     np.testing.assert_array_equal(rt.values, g.values)
+
+
+def test_grid_function_from_json_rejects_unknown_keys():
+    g = GridFunction.from_callable(Partition.uniform(1), lambda x: float(x[0]), steps=3)
+    with pytest.raises(InvalidInputError, match="flags"):
+        GridFunction.from_json(dict(g.to_json(), flags={"convex": True}))
 
 
 def test_conjugate_of_linear_is_indicator():

@@ -1,14 +1,15 @@
 """Negative controls: a subtly wrong kernel must make its acceptance gate fail.
 
 Each row monkeypatches one kernel that an acceptance criterion calls and
-runs the criterion, which must then report ``pass=False``.
+runs the criterion at a reduced size, which must then report
+``pass=False``.
 """
 
 import numpy as np
 import pytest
 
-from conehj import acceptance, bold_xi, is_in_cone
-from conehj.nonlinearity import h_eval
+from conehj import acceptance, bold_xi, is_in_cone, solvers
+from conehj.nonlinearity import Regularization, h_eval, regularize, xi_star_vec
 
 
 def _h_sorted_without_pooling(kappa, reg):
@@ -23,16 +24,32 @@ def _h_shifted_off_cone(kappa, reg):
     return h_eval(kappa, reg) + (0.0 if is_in_cone(kappa) else 1e-3)
 
 
+def _regularize_l_off(model):
+    return Regularization(model, regularize(model).L * (1.0 + 1e-6))
+
+
+def _xi_star_shifted(reg, r):
+    return xi_star_vec(reg, r) + 1e-3
+
+
 CONTROLS = [
-    # (criterion, kernel name in conehj.acceptance, wrong kernel)
-    (acceptance.crit_h_properties, "h_eval", _h_sorted_without_pooling),
-    (acceptance.crit_h_properties, "h_eval", _h_shifted_off_cone),
+    # (criterion, its reduced-size arguments, module holding the kernel,
+    #  kernel name, wrong kernel)
+    (acceptance.crit_h_properties, {"seed": 4}, acceptance, "h_eval",
+     _h_sorted_without_pooling),
+    (acceptance.crit_h_properties, {"seed": 4}, acceptance, "h_eval",
+     _h_shifted_off_cone),
+    (acceptance.crit_regularization, {"seed": 4}, acceptance, "regularize",
+     _regularize_l_off),
+    (acceptance.crit_variational, {"seed": 5, "instances": 6}, solvers,
+     "xi_star_vec", _xi_star_shifted),
 ]
 
 
-@pytest.mark.parametrize("crit, name, wrong", CONTROLS,
-                         ids=lambda v: getattr(v, "__name__", None))
-def test_wrong_kernel_fails_its_gate(monkeypatch, crit, name, wrong):
-    monkeypatch.setattr(acceptance, name, wrong)
-    rep = crit(seed=4)
+@pytest.mark.parametrize("crit, args, module, name, wrong", CONTROLS,
+                         ids=[f"{c.__name__}-{n}-{w.__name__}"
+                              for c, _, _, n, w in CONTROLS])
+def test_wrong_kernel_fails_its_gate(monkeypatch, crit, args, module, name, wrong):
+    monkeypatch.setattr(module, name, wrong)
+    rep = crit(**args)
     assert not rep["pass"], rep

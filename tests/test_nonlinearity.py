@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from conehj import (ConePoint, ConjugateModel, CovarianceModel,
-                    InvalidInputError, Partition, UnsupportedOperationError,
-                    bold_xi, h_eval, h_eval_bruteforce, regularize, xi_star,
+from conehj import (ConePoint, CovarianceModel, InvalidInputError, Partition,
+                    UnsupportedOperationError, bold_xi, h_eval,
+                    h_eval_bruteforce, hopf_lax_pointwise, regularize,
                     xi_star_vec)
+from conehj import nonlinearity
 from conehj.nonlinearity import _inv_deriv_vec
 
 
@@ -76,6 +77,9 @@ def test_regularization_matrix_branch():
     a = 0.25 * np.eye(2)
     assert reg(a) == pytest.approx(max(2 * 0.25 ** 2,
                                        reg.slope_cap * (0.5 - 2.0)))
+    # the monotone conjugate is scalar only
+    with pytest.raises(UnsupportedOperationError):
+        xi_star_vec(reg, np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -95,77 +99,94 @@ def _conj_oracle(model, reg, r, kinks=()):
 
 
 def test_conjugate_pure_quadratic_closed_form():
-    model = CovarianceModel.sk(1.0)
-    conj = ConjugateModel(model)
-    for r in (0.0, 0.5, 1.0, 3.0):
-        assert xi_star(conj, r) == pytest.approx(r ** 2 / 4.0, abs=1e-12)
+    reg = regularize(CovarianceModel.sk(1.0))
+    # r^2 / 4 on [0, r0], r0 = 2 s0 ~ 2.34
+    for r in (0.0, 0.5, 1.0, 2.0):
+        assert xi_star_vec(reg, r) == pytest.approx(r ** 2 / 4.0, abs=1e-12)
     # flat at -xi(0) = 0 for nonpositive slopes
-    assert xi_star(conj, -2.0) == 0.0
+    assert xi_star_vec(reg, -2.0) == 0.0
 
 
 def test_conjugate_of_regularized_matches_oracle():
     model = CovarianceModel.sk(1.0)
     reg = regularize(model)
-    conj = ConjugateModel(reg)
-    for r in np.linspace(0.0, 7.9, 40):
-        assert xi_star(conj, r) == pytest.approx(
-            _conj_oracle(model, reg, r), abs=1e-7)
+    rs = np.linspace(0.0, 7.9, 40)
+    for r, v in zip(rs, xi_star_vec(reg, rs)):
+        assert v == pytest.approx(_conj_oracle(model, reg, r), abs=1e-7)
     # +inf past the slope cap
-    assert xi_star(conj, 8.0 + 1e-9) == np.inf
+    assert xi_star_vec(reg, 8.0 + 1e-9) == np.inf
 
 
 def test_conjugate_mixed_quartic_matches_oracle():
     model = CovarianceModel(D=1, poly={2: 0.5, 4: 0.25})
     reg = regularize(model)
-    conj = ConjugateModel(reg)
-    for r in np.linspace(0.0, reg.slope_cap - 1e-6, 25):
-        assert xi_star(conj, r) == pytest.approx(
-            _conj_oracle(model, reg, r), abs=1e-7)
+    rs = np.linspace(0.0, reg.slope_cap - 1e-6, 25)
+    for r, v in zip(rs, xi_star_vec(reg, rs)):
+        assert v == pytest.approx(_conj_oracle(model, reg, r), abs=1e-7)
 
 
 def test_conjugate_seam_slope_sk():
     # the regularized sk nonlinearity switches to the affine branch at
     # s0 = 4 - 2 sqrt(2); the conjugate kinks at xi'(s0)
     reg = regularize(CovarianceModel.sk(1.0))
-    conj = ConjugateModel(reg)
     s0 = 4.0 - 2.0 * np.sqrt(2.0)
-    assert conj._s0 == pytest.approx(s0, abs=1e-12)
-    assert conj._r0 == pytest.approx(2.0 * s0, abs=1e-12)
+    assert reg._seam.s0 == pytest.approx(s0, abs=1e-12)
+    assert reg._seam.r0 == pytest.approx(2.0 * s0, abs=1e-12)
 
 
 def test_conjugate_vectorized_matches_scalar():
-    conj = ConjugateModel(regularize(CovarianceModel.sk(1.0)))
+    reg = regularize(CovarianceModel.sk(1.0))
     rs = np.linspace(-1.0, 7.5, 30)
-    vec = xi_star_vec(conj, rs)
+    vec = xi_star_vec(reg, rs)
     for r, v in zip(rs, vec):
-        assert v == pytest.approx(xi_star(conj, float(r)), abs=1e-12)
+        assert v == pytest.approx(float(xi_star_vec(reg, float(r))), abs=1e-12)
 
 
 def test_fenchel_young_inequality():
     reg = regularize(CovarianceModel.sk(1.0))
-    conj = ConjugateModel(reg)
     rng = np.random.default_rng(0)
     for _ in range(200):
         r = rng.uniform(-1, 7.9)
         s = rng.uniform(0, 3)
-        assert r * s <= reg(s) + xi_star(conj, r) + 1e-9
+        assert r * s <= reg(s) + xi_star_vec(reg, r) + 1e-9
+
+
+def test_regularization_and_its_seam_are_built_once_per_model(monkeypatch):
+    seams = []
+    seam_point = nonlinearity._seam_point
+    monkeypatch.setattr(nonlinearity, "_seam_point",
+                        lambda reg: seams.append(reg) or seam_point(reg))
+    model = CovarianceModel(D=1, poly={2: 0.5, 3: 0.7})
+    reg = regularize(model)
+    assert regularize(model) is reg
+    for t in (0.25, 0.5):
+        hopf_lax_pointwise(lambda r: 0.5 * r, model, t, np.array([0.1, 0.4]))
+        xi_star_vec(regularize(model), np.array([0.5, 1.0]))
+    assert seams == [reg]
+    # an equal model object gets its own regularization
+    assert regularize(CovarianceModel(D=1, poly={2: 0.5, 3: 0.7})) is not reg
+    # the coefficients cannot change under the cached regularization
+    with pytest.raises(TypeError):
+        model.poly[2] = 2.0
 
 
 KERNEL_POLYS = [{2: 1.0}, {2: 0.5, 3: 0.7}, {3: 1.0}, {2: 0.25, 4: 1.0}]
-KERNEL_CASES = [(poly, reg) for poly in KERNEL_POLYS for reg in (False, True)]
+# case ids are those of the regularized half of the former plain/regularized
+# grid, so each case keeps its name
+KERNEL_IDS = [f"poly{2 * i + 1}-True" for i in range(len(KERNEL_POLYS))]
+ZERO_POLYS = [{}, {2: 0.0}, {3: 0.0}]
+ZERO_IDS = [f"True-poly{i}" for i in range(len(ZERO_POLYS))]
 
 
-def _kernel_conj(poly, regularized):
+def _kernel_reg(poly):
     model = CovarianceModel(D=1, poly=poly)
-    reg = regularize(model)
-    return model, reg, ConjugateModel(reg if regularized else model)
+    return model, regularize(model)
 
 
 def _kernel_slopes(reg):
     cap = reg.slope_cap
-    r0 = ConjugateModel(reg)._r0
     return np.concatenate([np.linspace(-1.0, 1.1 * cap, 301),
-                           [0.0, r0, cap, np.nextafter(cap, np.inf)]])
+                           [0.0, reg._seam.r0, cap, np.nextafter(cap, np.inf)]])
 
 
 def _seam(model, reg):
@@ -174,68 +195,67 @@ def _seam(model, reg):
     return 1.0 if gap(1.0) <= 0.0 else brentq(gap, 1.0, 2.0, xtol=1e-300)
 
 
-@pytest.mark.parametrize("poly,regularized", KERNEL_CASES)
-def test_conjugate_kernel_matches_oracle(poly, regularized):
-    model, reg, conj = _kernel_conj(poly, regularized)
-    xibar, kinks = (reg, (0.0, _seam(model, reg))) if regularized else (model, (0.0,))
+@pytest.mark.parametrize("poly", KERNEL_POLYS, ids=KERNEL_IDS)
+def test_conjugate_kernel_matches_oracle(poly):
+    model, reg = _kernel_reg(poly)
+    kinks = (0.0, _seam(model, reg))
     rs = _kernel_slopes(reg)
-    vals = xi_star_vec(conj, rs)
+    vals = xi_star_vec(reg, rs)
     for r, v in zip(rs, vals):
-        if regularized and r > reg.slope_cap:
+        if r > reg.slope_cap:
             assert v == np.inf
         else:
-            assert v == pytest.approx(_conj_oracle(model, xibar, r, kinks), abs=1e-9)
+            assert v == pytest.approx(_conj_oracle(model, reg, r, kinks), abs=1e-9)
 
 
-@pytest.mark.parametrize("poly,regularized", KERNEL_CASES)
-def test_conjugate_kernel_fenchel_young_equality(poly, regularized):
-    model, reg, conj = _kernel_conj(poly, regularized)
-    r0 = conj._r0 if regularized else 2.0 * reg.slope_cap
+@pytest.mark.parametrize("poly", KERNEL_POLYS, ids=KERNEL_IDS)
+def test_conjugate_kernel_fenchel_young_equality(poly):
+    model, reg = _kernel_reg(poly)
+    s0, r0 = reg._seam.s0, reg._seam.r0
     for r in np.geomspace(1e-3, 1.0, 40) * r0:
         s = brentq(lambda u: model.deriv(u) - r, 0.0, 10.0,
                    xtol=1e-300, rtol=4 * np.finfo(float).eps)
         assert model.deriv(s) == pytest.approx(r, rel=1e-12)
-        assert r * s - model(s) == pytest.approx(xi_star(conj, r), rel=1e-12)
+        assert r * s - model(s) == pytest.approx(xi_star_vec(reg, r), rel=1e-12)
         if len(poly) > 1 or 2 not in poly:
             # the Newton solve itself lands on xi'(s) = r
-            hi = conj._s0 if regularized else max(1.0, r / model.deriv(1.0))
-            k = _inv_deriv_vec(model, np.array([r]), hi)[0]
+            k = _inv_deriv_vec(model, np.array([r]), s0)[0]
             assert model.deriv(k) == pytest.approx(r, rel=1e-12)
-    if regularized:
-        # past r0 the maximizer stays at the seam s0 up to the slope cap
-        s0 = conj._s0
-        for r in np.linspace(conj._r0, reg.slope_cap, 9):
-            assert reg(s0) + xi_star(conj, r) == pytest.approx(r * s0, rel=1e-12)
+    # past r0 the maximizer stays at the seam s0 up to the slope cap
+    for r in np.linspace(r0, reg.slope_cap, 9):
+        assert reg(s0) + xi_star_vec(reg, r) == pytest.approx(r * s0, rel=1e-12)
 
 
-@pytest.mark.parametrize("poly,regularized", KERNEL_CASES)
-def test_conjugate_kernel_vector_and_scalar_agree_bitwise(poly, regularized):
-    _, reg, conj = _kernel_conj(poly, regularized)
+@pytest.mark.parametrize("poly", KERNEL_POLYS, ids=KERNEL_IDS)
+def test_conjugate_kernel_vector_and_scalar_agree_bitwise(poly):
+    # each entry of an array call equals the call on that entry alone,
+    # given as a one-element array or as a float
+    _, reg = _kernel_reg(poly)
     rs = _kernel_slopes(reg)
-    scalar = np.array([xi_star(conj, float(r)) for r in rs])
-    np.testing.assert_array_equal(xi_star_vec(conj, rs), scalar)
+    alone = np.concatenate([xi_star_vec(reg, rs[i:i + 1]) for i in range(rs.size)])
+    scalar = np.array([float(xi_star_vec(reg, float(r))) for r in rs])
+    np.testing.assert_array_equal(xi_star_vec(reg, rs), alone)
+    np.testing.assert_array_equal(xi_star_vec(reg, rs), scalar)
 
 
-@pytest.mark.parametrize("regularized", [False, True])
-def test_sk_closed_form_is_exact_to_an_ulp(regularized):
+@pytest.mark.parametrize("betas", [(1.0, 0.5, 0.3, 1.7)], ids=["True"])
+def test_sk_closed_form_is_exact_to_an_ulp(betas):
     rng = np.random.default_rng(4)
-    for beta in (1.0, 0.5, 0.3, 1.7):
-        _, reg, conj = _kernel_conj({2: beta}, regularized)
-        rs = rng.uniform(0.0, conj._r0 if regularized else 50.0, 200)
-        for r, v in zip(rs, xi_star_vec(conj, rs)):
+    for beta in betas:
+        _, reg = _kernel_reg({2: beta})
+        rs = rng.uniform(0.0, reg._seam.r0, 200)
+        for r, v in zip(rs, xi_star_vec(reg, rs)):
             exact = float(Fraction(r) ** 2 / (4 * Fraction(beta)))
             assert abs(v - exact) <= np.spacing(exact)
 
 
-@pytest.mark.parametrize("poly", [{}, {2: 0.0}, {3: 0.0}])
-@pytest.mark.parametrize("regularized", [False, True])
-def test_conjugate_of_zero_model_is_infinite(poly, regularized):
+@pytest.mark.parametrize("poly", ZERO_POLYS, ids=ZERO_IDS)
+def test_conjugate_of_zero_model_is_infinite(poly):
     # xi' == 0: rs - xi(s) grows without bound for every r > 0
-    _, _, conj = _kernel_conj(poly, regularized)
-    vals = xi_star_vec(conj, np.array([-1.0, 0.0, 1e-12, 0.5, 3.0]))
+    _, reg = _kernel_reg(poly)
+    vals = xi_star_vec(reg, np.array([-1.0, 0.0, 1e-12, 0.5, 3.0]))
     assert vals.dtype == float
     np.testing.assert_array_equal(vals, [0.0, 0.0, np.inf, np.inf, np.inf])
-    assert xi_star(conj, 2.0) == np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from conehj import (ConePoint, ConjugateModel, CovarianceModel,
-                    InitialCondition, InvalidInputError, Partition, StepPath,
+from conehj import (ConePoint, CovarianceModel, InitialCondition,
+                    InvalidInputError, Partition, StepPath,
                     UnsupportedOperationError, bold_xi, hopf, hopf_lax,
                     hopf_lax_1d, hopf_lax_pointwise, hopf_lax_separable,
-                    project_pj, regularize, solve_surface)
+                    project_pj, regularize, solve_surface, xi_star_vec)
 from conehj.solvers import _phi_conjugate_vec, _zoom_argmax
 
 MODEL = CovarianceModel.sk(1.0)
@@ -246,8 +246,7 @@ def test_zoom_matches_the_loop_it_replaced(seed):
             _zoom_argmax(hopf_like, xv.shape, psi.lip_l1, scans),
             _reference_zoom(hopf_like, xv.shape, psi.lip_l1, scans))
     # the early stop only skips rounds that re-grid below one ulp
-    conj = ConjugateModel(REG)
-    pointwise = lambda y: psi.phi(xv[:, None] + y) - conj.eval_vec(y)
+    pointwise = lambda y: psi.phi(xv[:, None] + y) - xi_star_vec(REG, y)
     np.testing.assert_allclose(
         _zoom_argmax(pointwise, xv.shape, REG.slope_cap, [2049] * 8),
         _reference_zoom(pointwise, xv.shape, REG.slope_cap, [2049] * 8),
@@ -335,8 +334,27 @@ def test_solve_surface_runs_the_named_route(route):
     assert surf.provenance == route.__name__
 
 
-@pytest.mark.parametrize("wrong", [REG, ConjugateModel(REG), ConjugateModel(MODEL)],
-                         ids=["regularization", "conjugate", "plain-conjugate"])
+@pytest.mark.parametrize("route", (hopf_lax, hopf, hopf_lax_1d),
+                         ids=lambda r: r.__name__)
+def test_routes_reject_a_psi_that_is_not_dual_increasing(route):
+    j = Partition.uniform(2)
+    psi = InitialCondition.linear(StepPath(j, np.array([1.0, 0.2])))
+    assert not psi.dual_increasing
+    for t in (0.0, 0.5):
+        with pytest.raises(InvalidInputError, match="dual-increasing"):
+            route(psi, MODEL, j, t, ConePoint(j, [0.1, 0.4]))
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
+def test_routes_reject_matrix_models(route):
+    j = Partition.uniform(2)
+    psi = _softplus_psi(11)
+    with pytest.raises(UnsupportedOperationError, match="D = 1"):
+        route(psi, CovarianceModel(D=2, poly={2: 1.0}), j, 0.5,
+              ConePoint(j, [0.3, 0.8]))
+
+
+@pytest.mark.parametrize("wrong", [REG], ids=["regularization"])
 @pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
 def test_routes_take_only_the_covariance_model(route, wrong):
     # each route derives its own regularization or conjugate from xi
