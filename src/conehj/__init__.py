@@ -1,17 +1,16 @@
 """Numerics for Hamilton-Jacobi equations on cones of monotone matrix paths."""
 
 from .cones import (ConePoint, DiscreteMeasure, InvalidInputError, Partition,
-                    StepPath, UnsupportedOperationError, boundary_class,
-                    coarsen, is_in_cone, is_in_dual, is_psd, lift_lj,
-                    measure_to_quantile, project_pj, quantile_to_measure,
-                    rearrange_sharp, wasserstein_p)
+                    StepPath, UnsupportedOperationError, is_in_cone,
+                    is_in_dual, is_psd, lift_lj, measure_to_quantile,
+                    project_pj, quantile_to_measure, rearrange_sharp,
+                    wasserstein_p)
 from .conjugates import (GridFunction, dual_increasing_check, fm_verify,
-                         full_rank_interior_box, mono_conjugate,
-                         monotone_lattice)
+                         mono_conjugate, monotone_lattice)
 from .fd_oracle import (ComparisonReport, FdGrid, FdSurface, comparison_check,
                         fd_solve)
-from .limits import (RefinementStudy, lift_restrict, lipschitz_audit,
-                     rate_study, seeded_test_points)
+from .limits import (RefinementStudy, lipschitz_audit, rate_study,
+                     seeded_test_points)
 from .nonlinearity import (CovarianceModel, Regularization, bold_xi, h_eval,
                            h_eval_bruteforce, regularize, xi_star_vec)
 from .solvers import (InitialCondition, SolutionSurface, hopf, hopf_lax,

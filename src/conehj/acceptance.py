@@ -129,21 +129,21 @@ def _cone_algebra_public_case(upd, g, j, dyadic_pair, iota, x, mono, dual):
         upd("dual_image", 1.0)
 
 
-def crit_cone_algebra(seed=0, cases=10_000, tol=1e-10, tol_scale=1.0,
-                      averaging=averaging_matrix, lift=refinement_index):
+def crit_cone_algebra(seed=0, cases=10_000):
     """Seven identities of the projection/lift pair on random scenes.
 
     Case i runs on scene i % 48 and dyadic pair i % 10.  The cases of a
-    scene run as one stacked batch: ``averaging(src, dst)`` is the matrix
-    of p_dst on paths over ``src`` and ``lift(src, grid)`` the cell gather
-    that re-expresses a path over ``src`` on a refining grid; both default
-    to the operators behind ``project_pj`` and ``StepPath.refine_to``.
-    The first case of each scene also runs through the public API.
-    Wrong operators passed in must fail the gate (its negative control).
+    scene run as one stacked batch through the operators behind
+    ``project_pj`` and ``StepPath.refine_to``: ``averaging_matrix(src,
+    dst)``, the matrix of p_dst on paths over ``src``, and
+    ``refinement_index(src, grid)``, the cell gather that re-expresses a
+    path over ``src`` on a refining grid.  The first case of each scene
+    also runs through the public API.  Wrong operators patched in must
+    fail the gate (its negative control).
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    tol = tol * tol_scale
+    tol = 1e-10
     scenes = []
     for _ in range(48):
         D = int(rng.integers(1, 4))
@@ -166,8 +166,8 @@ def crit_cone_algebra(seed=0, cases=10_000, tol=1e-10, tol_scale=1.0,
         dual = _random_dual_values(rng, g, D, batch=(B,))
         # both sides lifted onto the union grid u
         u = g.union(j)
-        iota_u, x_u = iota[:, lift(g, u)], x[:, lift(j, u)]
-        p_iota = _apply(averaging(g, j), iota)
+        iota_u, x_u = iota[:, refinement_index(g, u)], x[:, refinement_index(j, u)]
+        p_iota = _apply(averaging_matrix(g, j), iota)
         # adjointness: <p_j iota, x> = <iota, l_j x>
         upd("adjoint", np.max(_rel_err(_pairings(j.widths, p_iota, x),
                                        _pairings(u.widths, iota_u, x_u))))
@@ -180,20 +180,20 @@ def crit_cone_algebra(seed=0, cases=10_000, tol=1e-10, tol_scale=1.0,
         upd("contraction",
             np.max(np.maximum(0.0, p_norm - iota_norm) / (1.0 + iota_norm)))
         # p_j l_j = id
-        upd("left_inverse", _coord_err(_apply(averaging(u, j), x_u), x))
+        upd("left_inverse", _coord_err(_apply(averaging_matrix(u, j), x_u), x))
         # projectivity on a nested dyadic pair
         pair_ids = case_ids % len(dyadics)
         for d in np.unique(pair_ids):
             jc, jf = dyadics[d]
             sel = iota[pair_ids == d]
-            a = _apply(averaging(jf, jc), _apply(averaging(g, jf), sel))
-            upd("projectivity", _coord_err(a, _apply(averaging(g, jc), sel)))
+            a = _apply(averaging_matrix(jf, jc), _apply(averaging_matrix(g, jf), sel))
+            upd("projectivity", _coord_err(a, _apply(averaging_matrix(g, jc), sel)))
         # cone and dual-cone preservation
-        p_mono = _apply(averaging(g, j), mono)
+        p_mono = _apply(averaging_matrix(g, j), mono)
         steps = np.diff(p_mono, axis=1, prepend=np.zeros((B, 1, D, D)))
         if not np.all(_all_psd_per_case(steps, p_mono)):
             upd("cone_image", 1.0)
-        p_dual = _apply(averaging(g, j), dual)
+        p_dual = _apply(averaging_matrix(g, j), dual)
         tails = np.cumsum((j.widths[:, None, None] * p_dual)[:, ::-1],
                           axis=1)[:, ::-1]
         if not np.all(_all_psd_per_case(tails, p_dual)):
@@ -208,10 +208,10 @@ def crit_cone_algebra(seed=0, cases=10_000, tol=1e-10, tol_scale=1.0,
 # ---------------------------------------------------------------------------
 # criterion 2: rearrangement
 
-def crit_rearrangement(seed=1, cases=10_000, tol=1e-12, tol_scale=1.0):
+def crit_rearrangement(seed=1, cases=10_000):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    tol = tol * tol_scale
+    tol = 1e-12
     worst = {"dual": 0.0, "stats": 0.0, "idempotent": 0.0}
     for i in range(cases):
         n = int(rng.integers(2, 17))
@@ -238,7 +238,7 @@ def crit_rearrangement(seed=1, cases=10_000, tol=1e-12, tol_scale=1.0):
 # ---------------------------------------------------------------------------
 # criterion 3: regularization
 
-def crit_regularization(seed=2, points=1000, pairs=10_000, tol_scale=1.0):
+def crit_regularization(seed=2, points=1000, pairs=10_000):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     reg = regularize(CovarianceModel.sk(1.0))
@@ -263,7 +263,7 @@ def crit_regularization(seed=2, points=1000, pairs=10_000, tol_scale=1.0):
     mid = reg.eval_vec(0.5 * (p + q))
     conv_viol = float(np.max(mid - 0.5 * (reg.eval_vec(p) + reg.eval_vec(q))))
 
-    tol = 1e-12 * tol_scale
+    tol = 1e-12
     passed = (exact_gap == 0.0 and coincide_gap == 0.0
               and lip_viol <= tol and conv_viol <= tol)
     return _report(3, "regularization", t0, passed, L=L, exact_gap=exact_gap,
@@ -274,11 +274,11 @@ def crit_regularization(seed=2, points=1000, pairs=10_000, tol_scale=1.0):
 # ---------------------------------------------------------------------------
 # criterion 4: extended nonlinearity H
 
-def crit_h_properties(seed=3, tol_scale=1.0):
+def crit_h_properties(seed=3):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     reg = regularize(CovarianceModel.sk(1.0))
-    tol = 1e-4 * tol_scale
+    tol = 1e-4
     worst = {"monotone": 0.0, "lower": 0.0, "convex": 0.0,
              "coarsen": 0.0, "bruteforce": 0.0}
     xibar0 = reg(0.0)
@@ -342,7 +342,7 @@ def _random_cone_scalars(rng, n, scale=1.5):
 
 # criterion 5: hopf = hopf_lax, plus the linear closed form
 
-def crit_variational(seed=4, instances=100, tol_scale=1.0):
+def crit_variational(seed=4, instances=100):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     model = CovarianceModel.sk(1.0)
@@ -368,7 +368,7 @@ def crit_variational(seed=4, instances=100, tol_scale=1.0):
         hj = ConePoint(j, h.values)
         closed = x.inner(hj) + t * bold_xi(hj, reg)
         worst_lin = max(worst_lin, abs(hopf_lax(psi, model, j, t, x) - closed))
-    tol, tol_lin = 1e-4 * tol_scale, 1e-6 * tol_scale
+    tol, tol_lin = 1e-4, 1e-6
     return _report(5, "variational-agreement", t0,
                    worst <= tol and worst_lin <= tol_lin,
                    worst_hopf_gap=worst, worst_linear_gap=worst_lin,
@@ -377,7 +377,7 @@ def crit_variational(seed=4, instances=100, tol_scale=1.0):
 
 # criterion 6: 1d reduction
 
-def crit_1d_reduction(seed=5, instances=100, tol_scale=1.0):
+def crit_1d_reduction(seed=5, instances=100):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     model = CovarianceModel.sk(1.0)
@@ -396,7 +396,7 @@ def crit_1d_reduction(seed=5, instances=100, tol_scale=1.0):
         a = hopf_lax_1d(psi, model, j, t, x, rng=rng)
         b = hopf_lax(psi, model, j, t, x)
         worst = max(worst, abs(a - b))
-    tol = 1e-4 * tol_scale
+    tol = 1e-4
     return _report(6, "1d-reduction", t0, worst <= tol,
                    instances=instances, worst_gap=worst, tol=tol)
 
@@ -433,12 +433,12 @@ def _fd_vs_hopf_lax(phi, model, dx, T, x_lim=2.0):
     return gap
 
 
-def crit_pde_oracle(seed=6, tol_scale=1.0):
+def crit_pde_oracle(seed=6):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     model = CovarianceModel.sk(1.0)
     dx, T = 1.0 / 400, 1.0
-    tol = 10.0 * dx * (1.0 + T) * tol_scale
+    tol = 10.0 * dx * (1.0 + T)
     worst = 0.0
     for _ in range(10):
         worst = max(worst, _fd_vs_hopf_lax(_random_pwl_profile(rng), model, dx, T))
@@ -452,7 +452,7 @@ def crit_pde_oracle(seed=6, tol_scale=1.0):
                    richardson_ratio=ratio)
 
 
-def crit_comparison(seed=7, tol_scale=1.0):
+def crit_comparison(seed=7):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     model = CovarianceModel.sk(1.0)
@@ -467,7 +467,7 @@ def crit_comparison(seed=7, tol_scale=1.0):
                      for t in fd.times])
     u = FdSurface(fd.times, xs, vals, "hopf_lax")
     v = FdSurface(fd.times, xs, fd.values[:, sub], "fd_oracle")
-    tol = 10.0 * dx * (1.0 + T) * tol_scale
+    tol = 10.0 * dx * (1.0 + T)
     rep = comparison_check(u, v, L=1.0, model=model, tol=tol)
     # negative control: subtracting c t from the second solution must
     # push the penalized max strictly after t = 0
@@ -483,7 +483,7 @@ def crit_comparison(seed=7, tol_scale=1.0):
 # ---------------------------------------------------------------------------
 # criterion 9: convergence rate
 
-def crit_rate(seed=8, tol_scale=1.0):
+def crit_rate(seed=8):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     model = CovarianceModel.sk(1.0)
@@ -491,7 +491,7 @@ def crit_rate(seed=8, tol_scale=1.0):
     pts = seeded_test_points(seed, count=32, radius=4.0, fine=128)
     psi = _random_softplus(rng, lip_target=1.0)
     study = rate_study(psi, model, chain, pts)
-    slope_ok = study.slope <= -0.4 * tol_scale
+    slope_ok = study.slope <= -0.4
 
     lin = InitialCondition.separable(lambda r: 0.3 * np.asarray(r, float),
                                      lip=0.3, name="factoring-linear")
@@ -506,7 +506,7 @@ def crit_rate(seed=8, tol_scale=1.0):
 # ---------------------------------------------------------------------------
 # criterion 10: Fenchel-Moreau harness
 
-def crit_fm(seed=9, tol_scale=1.0):
+def crit_fm(seed=9):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     convex_fail = []
@@ -521,8 +521,7 @@ def crit_fm(seed=9, tol_scale=1.0):
             c = np.sort(rng.uniform(0.0, 1.0, n))
             fn = lambda x: float(np.sum(w * c * x))
         g = GridFunction.from_callable(j, fn, x_max=2.0, steps=9)
-        rep = fm_verify(g, tol=None if tol_scale == 1.0 else
-                        5.0 * g.step * 2.0 * tol_scale)
+        rep = fm_verify(g)
         if not rep["pass"]:
             convex_fail.append(rep)
     witnessed = 0
@@ -545,7 +544,7 @@ def crit_fm(seed=9, tol_scale=1.0):
 # ---------------------------------------------------------------------------
 # criterion 11: Lipschitz audits
 
-def crit_lipschitz(seed=10, tol_scale=1.0):
+def crit_lipschitz(seed=10):
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     model = CovarianceModel.sk(1.0)
@@ -558,7 +557,7 @@ def crit_lipschitz(seed=10, tol_scale=1.0):
                for _ in range(6)]
     surf = solve_surface(psi, model, j16, times, samples,
                          method="hopf_lax_separable")
-    audits.append(lipschitz_audit(surf, psi, model, slack=1.01 * tol_scale))
+    audits.append(lipschitz_audit(surf, psi, model))
     # linear data through the generic route
     j3 = Partition.uniform(3)
     h = StepPath(j3, np.array([0.2, 0.5, 0.9]))
@@ -567,12 +566,11 @@ def crit_lipschitz(seed=10, tol_scale=1.0):
                 for _ in range(5)]
     surf_lin = solve_surface(psi_lin, model, j3, times, samples3,
                              method="hopf_lax")
-    audits.append(lipschitz_audit(surf_lin, psi_lin, model,
-                                  slack=1.01 * tol_scale))
+    audits.append(lipschitz_audit(surf_lin, psi_lin, model))
     # convex separable data through the dual route
     psi_q = InitialCondition.quadratic_monotone(0.4, 0.3, 1.0)
     surf_q = solve_surface(psi_q, model, j3, times, samples3, method="hopf")
-    audits.append(lipschitz_audit(surf_q, psi_q, model, slack=1.01 * tol_scale))
+    audits.append(lipschitz_audit(surf_q, psi_q, model))
     passed = all(a["pass"] for a in audits)
     return _report(11, "lipschitz-audits", t0, passed, audits=audits)
 
@@ -584,7 +582,7 @@ def _half_measure():
     return DiscreteMeasure(np.array([0.0, 0.3]), np.array([0.0, 0.5, 1.0]))
 
 
-def crit_spin_glass(seed=11, replicas=1000, tol_scale=1.0, threads=1):
+def crit_spin_glass(seed=11, replicas=1000, threads=1):
     t0 = time.perf_counter()
     beta = 0.5
     details = {}
@@ -643,7 +641,7 @@ def _run_cli(args):
     return cli.main(args)
 
 
-def crit_determinism(seed=12, tol_scale=1.0, threads=4):
+def crit_determinism(seed=12, threads=4):
     t0 = time.perf_counter()
     config = {
         "N_list": [4, 6], "beta": 0.5, "t_list": [0.25],
@@ -679,13 +677,13 @@ CRITERIA = {
 }
 
 
-def run_all(seed=0, criteria=None, replicas=1000, tol_scale=1.0, threads=1):
+def run_all(seed=0, criteria=None, replicas=1000, threads=1):
     """Run the requested criteria (all by default) and collect reports."""
     wanted = sorted(CRITERIA) if criteria is None else [int(c) for c in criteria]
     reports = []
     for c in wanted:
         fn = CRITERIA[c]
-        kwargs = {"seed": seed + c, "tol_scale": tol_scale}
+        kwargs = {"seed": seed + c}
         if c == 12:
             kwargs.update(replicas=replicas, threads=threads)
         if c == 13:

@@ -98,7 +98,7 @@ def parse_xi(obj: dict) -> CovarianceModel:
 # ---------------------------------------------------------------------------
 # runners; each returns (exit_code, summary string)
 
-def run_solve(config: dict, out: Path, seed: int, threads: int, tol_scale: float):
+def run_solve(config: dict, out: Path, seed: int, threads: int):
     _check_keys(config, {"psi", "xi", "partition", "times", "samples", "method"},
                 "solve config")
     psi = parse_psi(config["psi"])
@@ -115,7 +115,7 @@ def run_solve(config: dict, out: Path, seed: int, threads: int, tol_scale: float
     return 0, f"solve: {len(rows)} values via {method}"
 
 
-def run_converge(config: dict, out: Path, seed: int, threads: int, tol_scale: float):
+def run_converge(config: dict, out: Path, seed: int, threads: int):
     _check_keys(config, {"psi", "xi", "levels", "points", "radius", "slope_max"},
                 "converge config")
     psi = parse_psi(config["psi"])
@@ -136,11 +136,11 @@ def run_converge(config: dict, out: Path, seed: int, threads: int, tol_scale: fl
                                  f"({'pass' if passed else 'FAIL'})"
 
 
-def run_fm_verify(config: dict, out: Path, seed: int, threads: int, tol_scale: float):
+def run_fm_verify(config: dict, out: Path, seed: int, threads: int):
     _check_keys(config, {"function", "tol"}, "fm-verify config")
     g = GridFunction.from_json(config["function"])
     tol = config.get("tol")
-    report = fm_verify(g, None if tol is None else float(tol) * tol_scale)
+    report = fm_verify(g, None if tol is None else float(tol))
     with open(out / "fm_verify.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -148,7 +148,7 @@ def run_fm_verify(config: dict, out: Path, seed: int, threads: int, tol_scale: f
     return (0 if report["pass"] else 2), f"fm-verify: {report}"
 
 
-def run_compare(config: dict, out: Path, seed: int, threads: int, tol_scale: float):
+def run_compare(config: dict, out: Path, seed: int, threads: int):
     _check_keys(config, {"xi", "psi", "T", "dx", "slope_cap", "x_max", "tol"},
                 "compare config")
     model = parse_xi(config["xi"])
@@ -168,7 +168,7 @@ def run_compare(config: dict, out: Path, seed: int, threads: int, tol_scale: flo
                      for t in fd.times])
     u = FdSurface(fd.times, xs, vals, "hopf_lax")
     v = FdSurface(fd.times, xs, fd.values[:, sub], "fd_oracle")
-    tol = float(config.get("tol", 10.0 * dx * (1.0 + T))) * tol_scale
+    tol = float(config.get("tol", 10.0 * dx * (1.0 + T)))
     rep = comparison_check(u, v, L=cap, model=model, tol=tol)
     rows = [(t, x, u.values[ti, xi_], v.values[ti, xi_])
             for ti, t in enumerate(u.times) for xi_, x in enumerate(xs)]
@@ -181,7 +181,7 @@ def run_compare(config: dict, out: Path, seed: int, threads: int, tol_scale: flo
                                      f"({'pass' if rep.passed else 'FAIL'})"
 
 
-def run_spinglass(config: dict, out: Path, seed: int, threads: int, tol_scale: float):
+def run_spinglass(config: dict, out: Path, seed: int, threads: int):
     _check_keys(config, {"N_list", "beta", "t_list", "measure", "cascade",
                          "replicas", "hj_level"}, "spinglass config")
     measure = DiscreteMeasure.from_json(config["measure"])
@@ -223,13 +223,13 @@ def run_spinglass(config: dict, out: Path, seed: int, threads: int, tol_scale: f
                                    f"bound {'pass' if all_pass else 'FAIL'}"
 
 
-def run_accept(config: dict, out: Path, seed: int, threads: int, tol_scale: float):
+def run_accept(config: dict, out: Path, seed: int, threads: int):
     from . import acceptance
     _check_keys(config, {"criteria", "replicas"}, "accept config")
     wanted = config.get("criteria")
     reports = acceptance.run_all(seed=seed, criteria=wanted,
                                  replicas=int(config.get("replicas", 1000)),
-                                 tol_scale=tol_scale, threads=threads)
+                                 threads=threads)
     rows = [(r["criterion"], r["name"], int(r["pass"]), r["seconds"]) for r in reports]
     write_csv(out / "accept.csv", ["criterion", "name", "pass", "seconds"], rows)
     with open(out / "accept.json", "w") as fh:
@@ -249,8 +249,16 @@ RUNNERS = {"solve": run_solve, "converge": run_converge,
            "spinglass": run_spinglass, "accept": run_accept}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, since exit status 2 means a check failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conehj",
         description="Cone Hamilton-Jacobi experiments: variational solvers, "
                     "convergence studies, conjugation checks, and the SK "
@@ -260,7 +268,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--tol-scale", type=float, default=1.0)
     args = parser.parse_args(argv)
     logging.basicConfig(level=os.environ.get("CONEHJ_LOG", "WARNING").upper())
     try:
@@ -275,7 +282,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         code, summary = RUNNERS[args.command](config, out, args.seed,
-                                              args.threads, args.tol_scale)
+                                              args.threads)
     except KeyError as exc:
         print(f"error: missing config key {exc}", file=sys.stderr)
         return 1

@@ -6,8 +6,7 @@ the finite-dimensional space H^j = (S^D)^{|j|} with the cell-width
 weighted inner product, the cone C^j of PSD-ordered increasing tuples,
 and its dual cone of tuples with PSD weighted tail sums.  Step paths on
 finite grids stand in for general L^2 elements; cell averaging
-(projection), step embedding (lift) and their composition (coarsening)
-move data between levels.
+(projection) and step embedding (lift) move data between levels.
 """
 
 from __future__ import annotations
@@ -294,14 +293,6 @@ class ConePoint:
 
     __rmul__ = __mul__
 
-    def to_json(self):
-        return {"partition": self.partition.to_json(), "coords": self.coords.tolist()}
-
-    @classmethod
-    def from_json(cls, obj) -> "ConePoint":
-        return cls(Partition.from_json(obj["partition"]),
-                   np.asarray(obj["coords"], dtype=float))
-
 
 def _cone_point(partition: Partition, coords: np.ndarray) -> ConePoint:
     """ConePoint without re-validation.
@@ -357,21 +348,6 @@ def is_in_dual(x: ConePoint, tol=None) -> bool:
     w = x.partition.widths
     tails = np.cumsum((w[:, None, None] * c)[::-1], axis=0)[::-1]
     return _all_psd(tails, tol)
-
-
-def boundary_class(x: ConePoint, tol=None) -> str:
-    """Classify x in C^j as 'interior' or 'boundary' (D = 1 only).
-
-    Boundary means x_k = x_{k-1} for some k, with x_0 = 0.
-    """
-    if x.dim != 1:
-        raise UnsupportedOperationError(
-            "boundary classification is only defined here for D = 1")
-    v = x.scalars
-    if tol is None:
-        tol = 1e-9 * (1.0 + np.abs(v).max(initial=0.0))
-    diffs = np.diff(np.concatenate(([0.0], v)))
-    return "boundary" if np.any(np.abs(diffs) <= tol) else "interior"
 
 
 def rearrange_sharp(x: ConePoint) -> ConePoint:
@@ -467,11 +443,6 @@ class StepPath:
 
     __rmul__ = __mul__
 
-    def to_json(self):
-        return {"partition": self.partition.to_json(),
-                "values": self.values.tolist(),
-                "role": self.role}
-
     @classmethod
     def from_json(cls, obj) -> "StepPath":
         return cls(Partition.from_json(obj["partition"]),
@@ -511,11 +482,6 @@ def lift_lj(x: ConePoint, role=None) -> StepPath:
     elif role not in _ROLES:
         raise InvalidInputError(f"unknown role tag {role!r}")
     return _step_path(x.partition, x.coords, role)
-
-
-def coarsen(path: StepPath, j: Partition) -> StepPath:
-    """Conditional expectation of ``path`` on the cells of ``j``: l_j p_j."""
-    return lift_lj(project_pj(path, j), role=path.role)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .cones import ConePoint, InvalidInputError, Partition, UnsupportedOperationError
+from .cones import InvalidInputError, Partition
 
 
 def monotone_lattice(n: int, axis: np.ndarray) -> np.ndarray:
@@ -137,7 +137,7 @@ def _dual_ge(nodes: np.ndarray, w: np.ndarray, i: int, tol: float = 1e-12):
     return np.all(tails >= -tol, axis=1)
 
 
-def dual_increasing_check(g: GridFunction, tol: float = 1e-12):
+def dual_increasing_check(g: GridFunction):
     """Scan grid pairs ordered by the dual cone for g(x) >= g(x').
 
     Returns (ok, counterexample); the counterexample is a pair of node
@@ -147,7 +147,7 @@ def dual_increasing_check(g: GridFunction, tol: float = 1e-12):
     v = g.values
     for i in range(g.nodes.shape[0]):
         mask = _dual_ge(g.nodes, w, i)
-        bad = mask & (v > v[i] + tol) & np.isfinite(v) & np.isfinite(v[i])
+        bad = mask & (v > v[i] + 1e-12) & np.isfinite(v) & np.isfinite(v[i])
         if bad.any():
             k = int(np.argmax(bad))
             return False, {"x": g.nodes[i].tolist(), "x_prime": g.nodes[k].tolist(),
@@ -155,7 +155,7 @@ def dual_increasing_check(g: GridFunction, tol: float = 1e-12):
     return True, None
 
 
-def convexity_check(g: GridFunction, tol: float = 1e-9):
+def convexity_check(g: GridFunction):
     """Midpoint convexity over all grid pairs whose midpoint is on-grid."""
     fin = g.finite_mask()
     nd, v = g.nodes[fin], g.values[fin]
@@ -169,7 +169,7 @@ def convexity_check(g: GridFunction, tol: float = 1e-9):
             mid = index.get(tuple(s[k] // 2))
             if mid is None:
                 continue
-            if mid > 0.5 * (v[i] + v[k]) + tol:
+            if mid > 0.5 * (v[i] + v[k]) + 1e-9:
                 return False, {"x": nd[i].tolist(), "y": nd[k].tolist(),
                                "g_mid": float(mid),
                                "avg": float(0.5 * (v[i] + v[k]))}
@@ -203,47 +203,3 @@ def fm_verify(g: GridFunction, tol: float = None) -> dict:
             "overshoot": overshoot,
             "tol": float(tol),
             "witness": g.nodes[fin][i].tolist()}
-
-
-def full_rank_interior_box(x: ConePoint):
-    """Interior box inside C^j ∩ (x - (C^j)*) when the top coordinate is positive.
-
-    D = 1 only.  Returns (center, radius) with center the delta-spaced
-    ramp (delta, 2 delta, ...), or None when the top coordinate vanishes
-    (the feasible set then has empty interior).
-    """
-    if x.dim != 1:
-        raise UnsupportedOperationError("interior box construction requires D = 1")
-    v = x.scalars
-    if not (np.all(v >= 0) and np.all(np.diff(v) >= 0)):
-        raise InvalidInputError("x must lie in the cone")
-    if v[-1] <= 0:
-        return None
-    w = x.partition.widths
-    n = v.size
-    tails = np.cumsum((w * v)[::-1])[::-1]
-    if tails[-1] <= 0:
-        return None
-    ramp_tails = np.cumsum((w * np.arange(1, n + 1))[::-1])[::-1]
-    delta = 0.5 * float(np.min(tails / ramp_tails))
-    center = ConePoint(x.partition, delta * np.arange(1, n + 1))
-    radius = delta / (4.0 * n)
-    return center, radius
-
-
-def box_feasible(x: ConePoint, center: ConePoint, radius: float,
-                 corners_only: bool = True, tol: float = 1e-12) -> bool:
-    """Check that the sup-ball around ``center`` stays inside C^j ∩ (x - (C^j)*)."""
-    from itertools import product
-    w = x.partition.widths
-    n = center.partition.size
-    c = center.scalars
-    xv = x.scalars
-    for signs in product((-1.0, 1.0), repeat=n):
-        y = c + radius * np.array(signs)
-        if y[0] <= tol or np.any(np.diff(y) <= tol):
-            return False
-        tails = np.cumsum((w * (xv - y))[::-1])[::-1]
-        if np.any(tails < -tol):
-            return False
-    return True

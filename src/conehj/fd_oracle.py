@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import InvalidInputError
+from .cones import InvalidInputError, UnsupportedOperationError
 from .nonlinearity import CovarianceModel, regularize
 
 
@@ -27,6 +27,8 @@ def xibar_deriv_sup(model: CovarianceModel, lo: float, hi: float) -> float:
     differences at the endpoints bound the derivative.
     """
     reg = regularize(model)
+    if reg.D != 1:
+        raise UnsupportedOperationError("fd_oracle is implemented for D = 1 only")
     eps = 1e-7
     cands = []
     for p in (lo, hi):

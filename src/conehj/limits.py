@@ -20,22 +20,6 @@ from .solvers import (KIND_SEPARABLE, InitialCondition, SolutionSurface,
                       hopf_lax, hopf_lax_separable)
 
 
-def lift_restrict(f_j, j: Partition, j_fine: Partition):
-    """Wrap a coarse-level solver as a function of fine-level states.
-
-    ``f_j`` maps (t, x in C^j) to a value; the result maps
-    (t, x in C^{j_fine}) to f_j(t, p_j l_{j_fine} x).
-    """
-    if not j_fine.refines(j):
-        raise InvalidInputError("partitions are not nested")
-
-    def restricted(t: float, x: ConePoint) -> float:
-        coarse = project_pj(lift_lj(x), j)
-        return f_j(t, coarse)
-
-    return restricted
-
-
 def _solve(psi: InitialCondition, model: CovarianceModel, j: Partition,
            t: float, x: ConePoint) -> float:
     if psi.kind == KIND_SEPARABLE:
@@ -101,12 +85,13 @@ def rate_study(psi: InitialCondition, model: CovarianceModel, chain,
 
 
 def seeded_test_points(seed: int, count: int = 32, radius: float = 4.0,
-                       fine: int = 128, times=(0.25, 0.5, 1.0)):
+                       fine: int = 128):
     """Deterministic monotone step paths in the ball of the given radius.
 
-    Returns (t, mu) pairs; mu lives on a fine uniform grid so every
-    chain level is a strict coarsening.
+    Returns (t, mu) pairs with t cycling through 0.25, 0.5 and 1; mu lives
+    on a fine uniform grid so every chain level is a strict coarsening.
     """
+    times = (0.25, 0.5, 1.0)
     rng = np.random.default_rng(seed)
     jf = Partition.uniform(fine)
     out = []
@@ -119,13 +104,15 @@ def seeded_test_points(seed: int, count: int = 32, radius: float = 4.0,
 
 
 def lipschitz_audit(surface: SolutionSurface, psi: InitialCondition,
-                    model: CovarianceModel, slack: float = 1.01) -> dict:
+                    model: CovarianceModel) -> dict:
     """Observed difference quotients of a surface versus the formula bounds.
 
     Spatial quotients are taken in both the H^j norm (bound lip_h) and
     the weighted l1 norm (bound lip_l1); time quotients are bounded by
-    the sup of |xibar| over slopes up to lip_l1.
+    the sup of |xibar| over slopes up to lip_l1.  Each bound gets 1 %
+    slack.
     """
+    slack = 1.01
     samples = surface.samples
     vals = surface.values
     sup_h = sup_l1 = 0.0

@@ -81,9 +81,6 @@ class CovarianceModel:
             raise UnsupportedOperationError("deriv requires D = 1")
         return sum(c * p * r ** (p - 1) for p, c in self.poly.items())
 
-    def to_json(self):
-        return {"D": self.D, "poly": {str(p): c for p, c in self.poly.items()}}
-
     @classmethod
     def from_json(cls, obj) -> "CovarianceModel":
         return cls(D=int(obj.get("D", 1)),
@@ -298,17 +295,15 @@ def _pav(k: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.repeat(means, sizes)
 
 
-def h_eval_bruteforce(kappa: ConePoint, reg: Regularization,
-                      x_max: float = None, steps: int = 60,
-                      zoom_rounds: int = 5) -> float:
+def h_eval_bruteforce(kappa: ConePoint, reg: Regularization) -> float:
     """Grid search over the feasible set; oracle for tiny D = 1 problems.
 
-    A global scan locates a grid minimizer, then each zoom round re-grids
-    a shrinking box around the incumbent.  The zoom is local: on a
-    non-uniform partition a thin cell lets the first scan settle far from
-    the optimum (breaks [0.085159, 1], kappa = [0.44484187, 1.30300528]
-    gave 2.44198 against the exact 2.23446), so only uniform partitions
-    with |j| <= 3 are accepted.
+    A global scan (60 points per axis) locates a grid minimizer, then 5
+    zoom rounds re-grid a shrinking box around the incumbent.  The zoom
+    is local: on a non-uniform partition a thin cell lets the first scan
+    settle far from the optimum (breaks [0.085159, 1], kappa =
+    [0.44484187, 1.30300528] gave 2.44198 against the exact 2.23446), so
+    only uniform partitions with |j| <= 3 are accepted.
     """
     if kappa.dim != 1:
         raise UnsupportedOperationError("brute force oracle requires D = 1")
@@ -320,8 +315,8 @@ def h_eval_bruteforce(kappa: ConePoint, reg: Regularization,
     n = k.size
     if n > 3:
         raise UnsupportedOperationError("brute force oracle requires |j| <= 3")
-    if x_max is None:
-        x_max = max(2.0, 2.0 * np.abs(k).max(initial=0.0) + 1.0)
+    x_max = max(2.0, 2.0 * np.abs(k).max(initial=0.0) + 1.0)
+    steps = 60
     tail_k = np.cumsum((w * k)[::-1])[::-1]
     tails_mat = np.triu(np.ones((n, n))).T
 
@@ -339,7 +334,7 @@ def h_eval_bruteforce(kappa: ConePoint, reg: Regularization,
 
     best, arg = scan([np.linspace(0.0, x_max, steps)] * n)
     pad = 2.0 * x_max / (steps - 1)
-    for _ in range(zoom_rounds):
+    for _ in range(5):
         axes = [np.linspace(max(0.0, arg[i] - pad), arg[i] + pad, steps)
                 for i in range(n)]
         val, cand = scan(axes)

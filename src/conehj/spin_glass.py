@@ -138,10 +138,6 @@ class FreeEnergyEstimate:
     N: int
     t: float
 
-    def to_json(self):
-        return {"mean": self.mean, "se": self.se, "replicas": self.replicas,
-                "N": self.N, "t": self.t}
-
 
 def _sign_matrix(N: int) -> np.ndarray:
     bits = np.arange(2 ** N)[:, None] >> np.arange(N)[None, :]
@@ -224,13 +220,15 @@ def _log_cosh(x):
     return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
 
 
-def one_spin_psi(measure: DiscreteMeasure, grid_points: int = 601) -> float:
+def one_spin_psi(measure: DiscreteMeasure) -> float:
     """psi(rho) = q_K - E log sum_alpha nu_alpha cosh(sqrt(2) w(alpha)).
 
     Computed by the backward cascade recursion
     Y_{k-1}(w) = (1/zeta_k) log E_z exp(zeta_k Y_k(w + sqrt(dq_k) z))
-    with Gauss-Hermite quadrature and cubic-spline tabulation per level.
+    with Gauss-Hermite quadrature and cubic-spline tabulation on 601
+    points per level.
     """
+    grid_points = 601
     q = measure.atoms[:, 0, 0]
     zetas = measure.levels[1:-1]
     K = q.size - 1

@@ -84,6 +84,36 @@ def test_matrix_xi_exits_1_with_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_compare_with_a_matrix_xi_exits_1(tmp_path, capsys):
+    cfg = {"psi": {"kind": "softplus",
+                   "profile": {"weights": [0.5], "thresholds": [0.5],
+                               "scales": [0.5]}},
+           "xi": {"poly": {"2": 1.0}, "D": 2}}
+    assert _run(tmp_path, "compare", cfg) == 1
+    assert capsys.readouterr().err == \
+        "error: fd_oracle is implemented for D = 1 only\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],                                          # no --config
+    ["solve", "--config", "c.json", "--tol-scale", "2"],  # unknown flag
+    ["bogus", "--config", "c.json"],                    # unknown command
+], ids=["missing-config", "unknown-flag", "unknown-command"])
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert any(ln.startswith("error: ")
+               for ln in capsys.readouterr().err.splitlines())
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: conehj" in capsys.readouterr().out
+
+
 def test_missing_config_key_exits_1(tmp_path, capsys):
     cfg = {k: v for k, v in SOLVE_CONFIG.items() if k != "times"}
     assert _run(tmp_path, "solve", cfg) == 1

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conehj import (ConePoint, DiscreteMeasure, InvalidInputError, Partition,
-                    StepPath, UnsupportedOperationError, boundary_class,
-                    coarsen, is_in_cone, is_in_dual, lift_lj,
-                    measure_to_quantile, project_pj, quantile_to_measure,
-                    rearrange_sharp, wasserstein_p)
+                    StepPath, UnsupportedOperationError, is_in_cone,
+                    is_in_dual, lift_lj, measure_to_quantile, project_pj,
+                    quantile_to_measure, rearrange_sharp, wasserstein_p)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +140,6 @@ def test_dual_pairing_nonnegative():
         assert x.inner(d) >= -1e-12
 
 
-def test_boundary_class():
-    j = Partition.uniform(3)
-    assert boundary_class(ConePoint(j, [0.1, 0.2, 0.3])) == "interior"
-    assert boundary_class(ConePoint(j, [0.0, 0.2, 0.3])) == "boundary"
-    assert boundary_class(ConePoint(j, [0.1, 0.1, 0.3])) == "boundary"
-
-
 # ---------------------------------------------------------------------------
 # projection / lift
 
@@ -275,7 +267,7 @@ def test_projection_preserves_cone_and_dual():
 
 def test_coarsen_is_conditional_expectation():
     path = StepPath(Partition.uniform(4), [1.0, 3.0, 5.0, 7.0])
-    c = coarsen(path, Partition.uniform(2))
+    c = lift_lj(project_pj(path, Partition.uniform(2)))
     assert c.partition.size == 2
     np.testing.assert_allclose(c.values[:, 0, 0], [2.0, 6.0])
 
@@ -351,8 +343,6 @@ def test_cone_point_arithmetic_and_json():
     np.testing.assert_allclose((x - y).scalars, [0.5, 1.5])
     np.testing.assert_allclose((2.0 * x).scalars, [2.0, 4.0])
     assert x.inner(y) == pytest.approx(0.5 * (0.5 + 1.0))
-    rt = ConePoint.from_json(x.to_json())
-    np.testing.assert_allclose(rt.coords, x.coords)
 
 
 def test_step_path_inner_across_grids():
@@ -379,8 +369,6 @@ def test_public_constructors_reject_wrong_cell_counts_and_roles():
         ConePoint(j, [1.0, 2.0])
     with pytest.raises(InvalidInputError):
         StepPath(j, np.zeros((4, 2, 2)))
-    with pytest.raises(InvalidInputError):
-        ConePoint.from_json({"partition": {"uniform": 3}, "coords": [1.0]})
     with pytest.raises(InvalidInputError):
         StepPath(j, [1.0, 2.0, 3.0], role="not-a-role")
     with pytest.raises(InvalidInputError):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conehj import (ConePoint, GridFunction, InvalidInputError, Partition,
-                    dual_increasing_check, fm_verify, full_rank_interior_box,
-                    mono_conjugate, monotone_lattice)
-from conehj.conjugates import box_feasible, convexity_check
+from conehj import (GridFunction, InvalidInputError, Partition,
+                    dual_increasing_check, fm_verify, mono_conjugate,
+                    monotone_lattice)
+from conehj.conjugates import convexity_check
 
 
 def test_monotone_lattice_counts():
@@ -123,19 +123,3 @@ def test_fm_verify_refuses_nonmonotone_with_witness():
     assert not rep["pass"]
     assert rep["refused"] == "dual_increasing"
     assert rep["witness"] is not None
-
-
-def test_interior_box_is_feasible():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        n = int(rng.integers(1, 5))
-        j = Partition.uniform(n)
-        x = ConePoint(j, np.cumsum(rng.uniform(0.1, 1.0, n)))
-        center, radius = full_rank_interior_box(x)
-        assert radius > 0
-        assert box_feasible(x, center, radius)
-
-
-def test_interior_box_empty_at_zero():
-    x = ConePoint(Partition.uniform(2), [0.0, 0.0])
-    assert full_rank_interior_box(x) is None

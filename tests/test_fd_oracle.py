@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conehj import (CovarianceModel, FdGrid, FdSurface, InvalidInputError,
-                    comparison_check, fd_solve, hopf_lax_pointwise, regularize)
+                    UnsupportedOperationError, comparison_check, fd_solve,
+                    hopf_lax_pointwise, regularize)
 from conehj.fd_oracle import xibar_deriv_sup
 
 MODEL = CovarianceModel.sk(1.0)
@@ -15,6 +16,20 @@ def test_deriv_sup_at_convex_endpoints():
     # xibar' in slope: 2r on the quadratic branch, 8 on the affine branch
     assert xibar_deriv_sup(MODEL, 0.0, 1.0) == pytest.approx(2.0, abs=1e-5)
     assert xibar_deriv_sup(MODEL, 0.0, 5.0) == pytest.approx(8.0, abs=1e-5)
+
+
+def test_matrix_models_are_refused_for_d_1_only():
+    matrix = CovarianceModel(D=2, poly={2: 1.0})
+    grid = FdGrid.make(MODEL, 1.0, 0.01, 1.0)
+    surf = FdSurface(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                     np.zeros((2, 2)), "zero")
+    for call in (lambda: FdGrid.make(matrix, 1.0, 0.01, 1.0),
+                 lambda: grid.validate(matrix),
+                 lambda: comparison_check(surf, surf, L=1.0, model=matrix,
+                                          tol=0.0)):
+        with pytest.raises(UnsupportedOperationError,
+                           match="fd_oracle is implemented for D = 1 only"):
+            call()
 
 
 def test_grid_cfl_guard():

@@ -1,12 +1,16 @@
-"""Every module of the package uses each name it imports (``__init__`` re-exports)."""
+"""Every module of the package uses each name it imports, and every name
+that ``__init__`` re-exports has a caller outside the tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "conehj"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "conehj"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CALLERS = MODULES + sorted((ROOT / "demos").glob("*.py")) \
+    + sorted((ROOT / "bench").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -30,3 +34,28 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unreferenced_exports(init_source: str, caller_sources) -> list:
+    exported = {a.asname or a.name
+                for node in ast.walk(ast.parse(init_source))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    referenced = set()
+    for source in caller_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(exported - referenced)
+
+
+def test_export_detector_flags_a_name_no_caller_uses():
+    init = "from .cones import lift_lj, project_pj, rearrange_sharp\n"
+    callers = ["x = project_pj(path, j)\n", "y = cones.rearrange_sharp(x)\n"]
+    assert _unreferenced_exports(init, callers) == ["lift_lj"]
+
+
+def test_every_export_has_a_caller_outside_tests():
+    callers = [p.read_text() for p in CALLERS]
+    assert _unreferenced_exports((SRC / "__init__.py").read_text(), callers) == []

@@ -5,7 +5,7 @@ import pytest
 
 from conehj import (ConePoint, CovarianceModel, InitialCondition,
                     InvalidInputError, Partition, StepPath, hopf_lax_separable,
-                    lift_lj, lift_restrict, lipschitz_audit, project_pj,
+                    lift_lj, lipschitz_audit, project_pj,
                     rate_study, seeded_test_points, solve_surface)
 
 MODEL = CovarianceModel.sk(1.0)
@@ -13,28 +13,6 @@ MODEL = CovarianceModel.sk(1.0)
 
 def _softplus():
     return InitialCondition.softplus([0.5, 0.5], [0.3, 1.1], [0.4, 0.7])
-
-
-def test_lift_restrict_requires_nesting():
-    with pytest.raises(InvalidInputError):
-        lift_restrict(lambda t, x: 0.0, Partition.uniform(3),
-                      Partition.uniform(4))
-
-
-def test_lift_restrict_evaluates_on_coarse_average():
-    jc, jf = Partition.uniform(2), Partition.uniform(4)
-    seen = {}
-
-    def f(t, x):
-        seen["x"] = x
-        return float(x.scalars.sum())
-
-    g = lift_restrict(f, jc, jf)
-    x_fine = ConePoint(jf, [1.0, 1.0, 3.0, 3.0])
-    val = g(0.5, x_fine)
-    assert seen["x"].partition == jc
-    np.testing.assert_allclose(seen["x"].scalars, [1.0, 3.0])
-    assert val == pytest.approx(4.0)
 
 
 def test_seeded_test_points_deterministic_and_monotone():

@@ -2,13 +2,13 @@
 
 Each row monkeypatches one kernel that an acceptance criterion calls and
 runs the criterion at a reduced size, which must then report
-``pass=False``.
+``pass=False``; with the true kernels the same run passes.
 """
 
 import numpy as np
 import pytest
 
-from conehj import acceptance, bold_xi, is_in_cone, solvers
+from conehj import ConePoint, acceptance, bold_xi, is_in_cone, solvers
 from conehj.nonlinearity import Regularization, h_eval, regularize, xi_star_vec
 
 
@@ -24,6 +24,12 @@ def _h_shifted_off_cone(kappa, reg):
     return h_eval(kappa, reg) + (0.0 if is_in_cone(kappa) else 1e-3)
 
 
+def _rearrange_one_swap_short(x):
+    s = np.sort(x.scalars)
+    s[-2:] = s[-2:][::-1]   # the last two entries swapped back
+    return ConePoint(x.partition, s)
+
+
 def _regularize_l_off(model):
     return Regularization(model, regularize(model).L * (1.0 + 1e-6))
 
@@ -32,9 +38,15 @@ def _xi_star_shifted(reg, r):
     return xi_star_vec(reg, r) + 1e-3
 
 
+def _hopf_lax_1d_shifted(*args, **kwargs):
+    return solvers.hopf_lax_1d(*args, **kwargs) + 2e-4
+
+
 CONTROLS = [
     # (criterion, its reduced-size arguments, module holding the kernel,
     #  kernel name, wrong kernel)
+    (acceptance.crit_rearrangement, {"seed": 2, "cases": 300}, acceptance,
+     "rearrange_sharp", _rearrange_one_swap_short),
     (acceptance.crit_h_properties, {"seed": 4}, acceptance, "h_eval",
      _h_sorted_without_pooling),
     (acceptance.crit_h_properties, {"seed": 4}, acceptance, "h_eval",
@@ -43,7 +55,13 @@ CONTROLS = [
      _regularize_l_off),
     (acceptance.crit_variational, {"seed": 5, "instances": 6}, solvers,
      "xi_star_vec", _xi_star_shifted),
+    (acceptance.crit_1d_reduction, {"seed": 6, "instances": 6}, acceptance,
+     "hopf_lax_1d", _hopf_lax_1d_shifted),
 ]
+REDUCED_RUNS = []   # each (criterion, arguments) pair once
+for _crit, _args, *_ in CONTROLS:
+    if (_crit, _args) not in REDUCED_RUNS:
+        REDUCED_RUNS.append((_crit, _args))
 
 
 @pytest.mark.parametrize("crit, args, module, name, wrong", CONTROLS,
@@ -53,3 +71,10 @@ def test_wrong_kernel_fails_its_gate(monkeypatch, crit, args, module, name, wron
     monkeypatch.setattr(module, name, wrong)
     rep = crit(**args)
     assert not rep["pass"], rep
+
+
+@pytest.mark.parametrize("crit, args", REDUCED_RUNS,
+                         ids=[f"{c.__name__}-{a['seed']}" for c, a in REDUCED_RUNS])
+def test_true_kernels_pass_the_reduced_run(crit, args):
+    rep = crit(**args)
+    assert rep["pass"], rep
