@@ -475,12 +475,12 @@ def project_pj(path: StepPath, j: Partition) -> ConePoint:
     return _cone_point(j, out)
 
 
-def lift_lj(x: ConePoint, role=None) -> StepPath:
-    """Step path taking value x_k on [t_{k-1}, t_k) (map l_j)."""
-    if role is None:
-        role = ROLE_MONOTONE if is_in_cone(x) else ROLE_GENERIC
-    elif role not in _ROLES:
-        raise InvalidInputError(f"unknown role tag {role!r}")
+def lift_lj(x: ConePoint) -> StepPath:
+    """Step path taking value x_k on [t_{k-1}, t_k) (map l_j).
+
+    Tagged monotone when x lies in the cone, generic otherwise.
+    """
+    role = ROLE_MONOTONE if is_in_cone(x) else ROLE_GENERIC
     return _step_path(x.partition, x.coords, role)
 
 
