@@ -35,10 +35,9 @@ print(f"fd vs variational at T={T}: max gap {gap:.2e} "
 
 # --- quantified comparison --------------------------------------------
 vals = np.array([hopf_lax_pointwise(phi, model, float(t), xs) for t in fd.times])
-u = FdSurface(fd.times, xs, vals, "variational")
+u = FdSurface(fd.times, xs, vals)
 v = FdSurface(fd.times, xs,
-              np.array([np.interp(xs, fd.xs, row) for row in fd.values]),
-              "fd")
+              np.array([np.interp(xs, fd.xs, row) for row in fd.values]))
 rep = comparison_check(u, v, L=1.0, model=model, tol=10 * dx * (1 + T))
 print(f"comparison check: pass={rep.passed}, argmax t*={rep.t_star}, "
       f"margin={rep.margin:.2e}")

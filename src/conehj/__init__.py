@@ -16,7 +16,7 @@ from .nonlinearity import (CovarianceModel, Regularization, bold_xi, h_eval,
 from .solvers import (InitialCondition, SolutionSurface, hopf, hopf_lax,
                       hopf_lax_1d, hopf_lax_pointwise, hopf_lax_separable,
                       solve_surface)
-from .spin_glass import (Cascade, CascadeSpec, FreeEnergyEstimate, SkInstance,
+from .spin_glass import (CascadeSpec, FreeEnergyEstimate, SkInstance,
                          bound_check, free_energy, moment_normalization,
                          one_spin_initial_condition, one_spin_psi,
                          sample_cascade)

@@ -21,7 +21,8 @@ from .cones import (ConePoint, DiscreteMeasure, Partition, StepPath,
                     measure_to_quantile, project_pj, rearrange_sharp,
                     refinement_index)
 from .conjugates import GridFunction, fm_verify
-from .fd_oracle import FdGrid, FdSurface, comparison_check, fd_solve
+from .fd_oracle import (FdGrid, FdSurface, comparison_check, fd_solve,
+                        fd_vs_hopf_lax)
 from .limits import lipschitz_audit, rate_study, seeded_test_points
 from .nonlinearity import (CovarianceModel, bold_xi, h_eval,
                            h_eval_bruteforce, regularize)
@@ -238,8 +239,9 @@ def crit_rearrangement(seed=1, cases=10_000):
 # ---------------------------------------------------------------------------
 # criterion 3: regularization
 
-def crit_regularization(seed=2, points=1000, pairs=10_000):
+def crit_regularization(seed=2):
     t0 = time.perf_counter()
+    points, pairs = 1000, 10_000
     rng = np.random.default_rng(seed)
     reg = regularize(CovarianceModel.sk(1.0))
     L = reg.L
@@ -420,10 +422,10 @@ def _random_pwl_profile(rng):
     return phi
 
 
-def _fd_vs_hopf_lax(phi, model, dx, T, x_lim=2.0):
+def _fd_vs_hopf_lax(phi, model, dx, T):
     grid = FdGrid.make(model, x_max=5.0, dx=dx, slope_cap=1.0)
     fd = fd_solve(phi, model, grid, T)
-    xs = fd.xs[fd.xs <= x_lim][::8]
+    xs = fd.xs[fd.xs <= 2.0][::8]
     gap = 0.0
     for ti in (len(fd.times) // 2, len(fd.times) - 1):
         t = float(fd.times[ti])
@@ -457,21 +459,12 @@ def crit_comparison(seed=7):
     rng = np.random.default_rng(seed)
     model = CovarianceModel.sk(1.0)
     dx, T = 1.0 / 400, 1.0
-    phi = _random_pwl_profile(rng)
-    grid = FdGrid.make(model, x_max=5.0, dx=dx, slope_cap=1.0)
-    fd = fd_solve(phi, model, grid, T)
-    sub = slice(0, fd.xs.size, 10)
-    xs = fd.xs[sub]
-    vals = np.array([hopf_lax_pointwise(phi, model, float(t), xs,
-                                        scan=513, zoom_rounds=7)
-                     for t in fd.times])
-    u = FdSurface(fd.times, xs, vals, "hopf_lax")
-    v = FdSurface(fd.times, xs, fd.values[:, sub], "fd_oracle")
+    u, v = fd_vs_hopf_lax(_random_pwl_profile(rng), model, 5.0, dx, T, 1.0)
     tol = 10.0 * dx * (1.0 + T)
     rep = comparison_check(u, v, L=1.0, model=model, tol=tol)
     # negative control: subtracting c t from the second solution must
     # push the penalized max strictly after t = 0
-    drift = FdSurface(u.times, xs, u.values - 1.0 * u.times[:, None], "drift")
+    drift = FdSurface(u.times, u.xs, u.values - 1.0 * u.times[:, None])
     neg = comparison_check(u, drift, L=1.0, model=model, tol=tol)
     passed = rep.passed and rep.t_star == 0.0 \
         and (not neg.passed) and neg.margin > 0.0
@@ -494,7 +487,7 @@ def crit_rate(seed=8):
     slope_ok = study.slope <= -0.4
 
     lin = InitialCondition.separable(lambda r: 0.3 * np.asarray(r, float),
-                                     lip=0.3, name="factoring-linear")
+                                     lip=0.3)
     study_lin = rate_study(lin, model, chain, pts)
     flat_ok = float(study_lin.errors.max()) <= 1e-9
     return _report(9, "convergence-rate", t0, slope_ok and flat_ok,

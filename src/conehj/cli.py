@@ -24,11 +24,10 @@ from .cones import (ConePoint, DiscreteMeasure, InvalidInputError, Partition,
                     StepPath, UnsupportedOperationError, measure_to_quantile,
                     project_pj)
 from .conjugates import GridFunction, fm_verify
-from .fd_oracle import FdGrid, FdSurface, comparison_check, fd_solve
+from .fd_oracle import comparison_check, fd_vs_hopf_lax
 from .limits import rate_study, seeded_test_points
 from .nonlinearity import CovarianceModel
-from .solvers import (InitialCondition, hopf_lax_1d, hopf_lax_pointwise,
-                      solve_surface)
+from .solvers import InitialCondition, hopf_lax_1d, solve_surface
 from .spin_glass import (CascadeSpec, SkInstance, bound_check, free_energy,
                          one_spin_initial_condition)
 
@@ -62,6 +61,8 @@ def write_sidecar(path: Path, config: dict, seed: int, extra=None):
 
 
 def _check_keys(obj: dict, allowed, where: str):
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{where} must be a JSON object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise InvalidInputError(f"unknown keys {sorted(unknown)} in {where}; "
@@ -75,8 +76,8 @@ def parse_psi(obj: dict) -> InitialCondition:
     _check_keys(obj, {"kind", "h", "profile", "slope", "curvature", "cap"}, "psi")
     kind = obj.get("kind")
     if kind == "linear":
-        h = StepPath.from_json(obj["h"])
-        return InitialCondition.linear(h)
+        _check_keys(obj["h"], {"partition", "values"}, "psi.h")
+        return InitialCondition.linear(StepPath.from_json(obj["h"]))
     if kind == "quadratic-monotone":
         return InitialCondition.quadratic_monotone(
             obj.get("slope", 0.5), obj.get("curvature", 0.5), obj.get("cap", 1.0))
@@ -137,10 +138,8 @@ def run_converge(config: dict, out: Path, seed: int, threads: int):
 
 
 def run_fm_verify(config: dict, out: Path, seed: int, threads: int):
-    _check_keys(config, {"function", "tol"}, "fm-verify config")
-    g = GridFunction.from_json(config["function"])
-    tol = config.get("tol")
-    report = fm_verify(g, None if tol is None else float(tol))
+    _check_keys(config, {"function"}, "fm-verify config")
+    report = fm_verify(GridFunction.from_json(config["function"]))
     with open(out / "fm_verify.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -149,29 +148,19 @@ def run_fm_verify(config: dict, out: Path, seed: int, threads: int):
 
 
 def run_compare(config: dict, out: Path, seed: int, threads: int):
-    _check_keys(config, {"xi", "psi", "T", "dx", "slope_cap", "x_max", "tol"},
-                "compare config")
+    _check_keys(config, {"xi", "psi", "T", "dx", "x_max"}, "compare config")
     model = parse_xi(config["xi"])
     psi = parse_psi(config["psi"])
     if psi.kind != "separable":
         raise InvalidInputError("compare requires a separable psi profile")
     T = float(config.get("T", 1.0))
     dx = float(config.get("dx", 1.0 / 400))
-    cap = float(config.get("slope_cap", psi.lip_l1))
     x_max = float(config.get("x_max", 5.0))
-    grid = FdGrid.make(model, x_max, dx, cap)
-    fd = fd_solve(psi.phi, model, grid, T)
-    sub = slice(0, fd.xs.size, max(1, fd.xs.size // 200))
-    xs = fd.xs[sub]
-    vals = np.array([hopf_lax_pointwise(psi.phi, model, float(t), xs,
-                                        scan=513, zoom_rounds=7)
-                     for t in fd.times])
-    u = FdSurface(fd.times, xs, vals, "hopf_lax")
-    v = FdSurface(fd.times, xs, fd.values[:, sub], "fd_oracle")
-    tol = float(config.get("tol", 10.0 * dx * (1.0 + T)))
-    rep = comparison_check(u, v, L=cap, model=model, tol=tol)
+    u, v = fd_vs_hopf_lax(psi.phi, model, x_max, dx, T, psi.lip_l1)
+    rep = comparison_check(u, v, L=psi.lip_l1, model=model,
+                           tol=10.0 * dx * (1.0 + T))
     rows = [(t, x, u.values[ti, xi_], v.values[ti, xi_])
-            for ti, t in enumerate(u.times) for xi_, x in enumerate(xs)]
+            for ti, t in enumerate(u.times) for xi_, x in enumerate(u.xs)]
     write_csv(out / "compare.csv", ["t", "x", "hopf_lax", "fd"], rows)
     with open(out / "compare.json", "w") as fh:
         json.dump(rep.to_json(), fh, indent=2, sort_keys=True)
@@ -184,6 +173,7 @@ def run_compare(config: dict, out: Path, seed: int, threads: int):
 def run_spinglass(config: dict, out: Path, seed: int, threads: int):
     _check_keys(config, {"N_list", "beta", "t_list", "measure", "cascade",
                          "replicas", "hj_level"}, "spinglass config")
+    _check_keys(config["measure"], {"atoms", "levels"}, "spinglass.measure")
     measure = DiscreteMeasure.from_json(config["measure"])
     casc = config.get("cascade", {})
     _check_keys(casc, {"M"}, "spinglass.cascade")

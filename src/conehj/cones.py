@@ -46,14 +46,12 @@ def default_psd_tol(a):
     return 1e-9 * (1.0 + float(np.linalg.norm(a)))
 
 
-def is_psd(a, tol=None):
-    """True iff the symmetric matrix ``a`` has min eigenvalue >= -tol."""
+def is_psd(a):
+    """True iff ``a`` has min eigenvalue >= -default_psd_tol(a)."""
     a = sym(a)
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("non-finite entries")
-    if tol is None:
-        tol = default_psd_tol(a)
-    return float(np.linalg.eigvalsh(a)[0]) >= -tol
+    return float(np.linalg.eigvalsh(a)[0]) >= -default_psd_tol(a)
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +327,13 @@ def _all_psd(mats: np.ndarray, tol: float) -> bool:
     return bool(np.all(np.linalg.eigvalsh(mats)[:, 0] >= -tol))
 
 
-def is_in_cone(x: ConePoint, tol=None) -> bool:
+def is_in_cone(x: ConePoint) -> bool:
     """Membership in C^j: 0 <= x_1 <= ... <= x_{|j|} in the PSD order."""
     c = x.coords
-    if tol is None:
-        tol = default_psd_tol(c)
     diffs = np.empty_like(c)
     diffs[0] = c[0]
     np.subtract(c[1:], c[:-1], out=diffs[1:])
-    return _all_psd(diffs, tol)
+    return _all_psd(diffs, default_psd_tol(c))
 
 
 def is_in_dual(x: ConePoint, tol=None) -> bool:
@@ -366,30 +362,17 @@ def rearrange_sharp(x: ConePoint) -> ConePoint:
 # ---------------------------------------------------------------------------
 # step paths
 
-ROLE_GENERIC = "generic"
-ROLE_MONOTONE = "monotone"
-ROLE_DUAL = "dual-certificate"
-_ROLES = (ROLE_GENERIC, ROLE_MONOTONE, ROLE_DUAL)
-
-
 @dataclass(frozen=True, eq=False)
 class StepPath:
-    """Piecewise-constant map [0,1) -> S^D on a support grid.
-
-    Monotone-tagged paths represent cone elements; dual-certificate
-    paths represent elements of the dual cone C*.
-    """
+    """Piecewise-constant map [0,1) -> S^D on a support grid."""
 
     partition: Partition
     values: np.ndarray
-    role: str = ROLE_GENERIC
 
     def __post_init__(self):
         v = _coerce_coords(self.values)
         if v.shape[0] != self.partition.size:
             raise InvalidInputError("one value per partition cell required")
-        if self.role not in _ROLES:
-            raise InvalidInputError(f"unknown role tag {self.role!r}")
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
 
@@ -397,28 +380,20 @@ class StepPath:
     def dim(self) -> int:
         return int(self.values.shape[1])
 
-    @classmethod
-    def constant(cls, a, role=ROLE_GENERIC) -> "StepPath":
-        return cls(Partition.uniform(1), sym(a)[None], role)
-
     def refine_to(self, grid: Partition) -> "StepPath":
         """Re-express on a refining grid (exact for step functions)."""
         if grid == self.partition:
             return self
         if not grid.refines(self.partition):
             raise InvalidInputError("target grid must refine the support grid")
-        return _step_path(grid, self.values[refinement_index(self.partition, grid)],
-                          self.role)
-
-    def merge_with(self, other: "StepPath"):
-        """Both paths re-expressed on the union grid."""
-        g = self.partition.union(other.partition)
-        return self.refine_to(g), other.refine_to(g)
+        return _step_path(grid, self.values[refinement_index(self.partition, grid)])
 
     def _merge_same_dim(self, other: "StepPath"):
+        """Both paths re-expressed on the union grid."""
         if self.dim != other.dim:
             raise InvalidInputError("step paths have different matrix dimension")
-        return self.merge_with(other)
+        g = self.partition.union(other.partition)
+        return self.refine_to(g), other.refine_to(g)
 
     def inner(self, other: "StepPath") -> float:
         a, b = self._merge_same_dim(other)
@@ -432,31 +407,29 @@ class StepPath:
 
     def __add__(self, other):
         a, b = self._merge_same_dim(other)
-        return _step_path(a.partition, a.values + b.values, ROLE_GENERIC)
+        return _step_path(a.partition, a.values + b.values)
 
     def __sub__(self, other):
         a, b = self._merge_same_dim(other)
-        return _step_path(a.partition, a.values - b.values, ROLE_GENERIC)
+        return _step_path(a.partition, a.values - b.values)
 
     def __mul__(self, s: float):
-        return _step_path(self.partition, self.values * float(s), self.role)
+        return _step_path(self.partition, self.values * float(s))
 
     __rmul__ = __mul__
 
     @classmethod
     def from_json(cls, obj) -> "StepPath":
         return cls(Partition.from_json(obj["partition"]),
-                   np.asarray(obj["values"], dtype=float),
-                   obj.get("role", ROLE_GENERIC))
+                   np.asarray(obj["values"], dtype=float))
 
 
-def _step_path(partition: Partition, values: np.ndarray, role: str) -> StepPath:
+def _step_path(partition: Partition, values: np.ndarray) -> StepPath:
     """StepPath without re-validation; the same contract as ``_cone_point``."""
     p = object.__new__(StepPath)
     values.setflags(write=False)
     object.__setattr__(p, "partition", partition)
     object.__setattr__(p, "values", values)
-    object.__setattr__(p, "role", role)
     return p
 
 
@@ -476,12 +449,8 @@ def project_pj(path: StepPath, j: Partition) -> ConePoint:
 
 
 def lift_lj(x: ConePoint) -> StepPath:
-    """Step path taking value x_k on [t_{k-1}, t_k) (map l_j).
-
-    Tagged monotone when x lies in the cone, generic otherwise.
-    """
-    role = ROLE_MONOTONE if is_in_cone(x) else ROLE_GENERIC
-    return _step_path(x.partition, x.coords, role)
+    """Step path taking value x_k on [t_{k-1}, t_k) (map l_j)."""
+    return _step_path(x.partition, x.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +507,7 @@ class DiscreteMeasure:
 
 def measure_to_quantile(m: DiscreteMeasure) -> StepPath:
     """Quantile path: value q_k on [zeta_k, zeta_{k+1})."""
-    return StepPath(Partition(m.levels[1:]), m.atoms, ROLE_MONOTONE)
+    return StepPath(Partition(m.levels[1:]), m.atoms)
 
 
 def quantile_to_measure(path: StepPath) -> DiscreteMeasure:

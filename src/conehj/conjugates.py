@@ -10,7 +10,9 @@ empirically with a grid-resolution tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 
@@ -36,37 +38,41 @@ def monotone_increments(n: int) -> np.ndarray:
 class GridFunction:
     """Real (or +inf) values on the monotone lattice in C^j ∩ [0, x_max]^n.
 
-    ``nodes`` has shape (P, |j|); entries per node are nondecreasing.
-    Scalar coordinates only (D = 1).
+    ``values[i]`` belongs to row i of ``nodes``, the lattice of
+    nondecreasing |j|-tuples drawn from ``axis``.  Scalar coordinates
+    only (D = 1).
     """
 
     partition: Partition
     axis: np.ndarray
-    nodes: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.axis, dtype=float)
-        nd = np.asarray(self.nodes, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if a.ndim != 1 or not np.all(np.diff(a) > 0) or a[0] != 0.0:
             raise InvalidInputError("axis must be strictly increasing from 0")
-        if nd.shape != (v.size, self.partition.size):
-            raise InvalidInputError("nodes/values shape mismatch")
-        if np.any(np.diff(nd, axis=1) < 0) or np.any(nd[:, 0] < 0):
-            raise InvalidInputError("grid nodes must lie in the cone")
-        for arr, name in ((a, "axis"), (nd, "nodes"), (v, "values")):
+        n = self.partition.size
+        if v.shape != (comb(a.size + n - 1, n),):
+            raise InvalidInputError("one value per lattice node required")
+        for arr, name in ((a, "axis"), (v, "values")):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """The lattice, shape (P, |j|); entries per node are nondecreasing."""
+        nd = monotone_lattice(self.partition.size, self.axis)
+        nd.setflags(write=False)
+        return nd
 
     @classmethod
     def from_callable(cls, j: Partition, fn, x_max: float = 2.0,
                       steps: int = 11) -> "GridFunction":
         """Tabulate ``fn`` (vector of coordinates -> real) on the lattice."""
         axis = np.linspace(0.0, x_max, steps)
-        nodes = monotone_lattice(j.size, axis)
-        vals = np.array([fn(x) for x in nodes], dtype=float)
-        return cls(j, axis, nodes, vals)
+        vals = np.array([fn(x) for x in monotone_lattice(j.size, axis)])
+        return cls(j, axis, vals)
 
     @property
     def step(self) -> float:
@@ -103,14 +109,15 @@ class GridFunction:
 
     @classmethod
     def from_json(cls, obj) -> "GridFunction":
+        if not isinstance(obj, dict):
+            raise InvalidInputError("grid function must be a JSON object")
         unknown = set(obj) - {"partition", "axis", "values"}
         if unknown:
             raise InvalidInputError(f"unknown grid function keys {sorted(unknown)}")
         j = Partition.from_json(obj["partition"])
         axis = np.asarray(obj["axis"], dtype=float)
-        nodes = monotone_lattice(j.size, axis)
         vals = np.array([np.inf if v == "inf" else float(v) for v in obj["values"]])
-        return cls(j, axis, nodes, vals)
+        return cls(j, axis, vals)
 
 
 def mono_conjugate(g: GridFunction) -> GridFunction:
@@ -130,11 +137,11 @@ def mono_conjugate(g: GridFunction) -> GridFunction:
     return replace(g, values=out)
 
 
-def _dual_ge(nodes: np.ndarray, w: np.ndarray, i: int, tol: float = 1e-12):
+def _dual_ge(nodes: np.ndarray, w: np.ndarray, i: int):
     """Boolean mask of nodes x' with nodes[i] - x' in the dual cone."""
     d = nodes[i] - nodes  # (P, n)
     tails = np.cumsum((d * w)[:, ::-1], axis=1)[:, ::-1]
-    return np.all(tails >= -tol, axis=1)
+    return np.all(tails >= -1e-12, axis=1)
 
 
 def dual_increasing_check(g: GridFunction):
@@ -176,12 +183,12 @@ def convexity_check(g: GridFunction):
     return True, None
 
 
-def fm_verify(g: GridFunction, tol: float = None) -> dict:
+def fm_verify(g: GridFunction) -> dict:
     """Empirical biconjugation test g** = g on the effective domain.
 
     Dual-increasingness and convexity are checked first; a failing check
-    aborts with a diagnostic instead of a gap report.  The default
-    tolerance is 5 * (grid step) * (Lip(g) + Lip(g*)).
+    aborts with a diagnostic instead of a gap report.  The tolerance is
+    5 * (grid step) * (Lip(g) + Lip(g*)).
     """
     ok, ce = dual_increasing_check(g)
     if not ok:
@@ -191,8 +198,7 @@ def fm_verify(g: GridFunction, tol: float = None) -> dict:
         return {"pass": False, "refused": "convex", "witness": ce}
     gs = mono_conjugate(g)
     gss = mono_conjugate(gs)
-    if tol is None:
-        tol = 5.0 * g.step * (g.lipschitz_estimate() + gs.lipschitz_estimate())
+    tol = 5.0 * g.step * (g.lipschitz_estimate() + gs.lipschitz_estimate())
     fin = g.finite_mask()
     gaps = np.abs(gss.values[fin] - g.values[fin])
     i = int(np.argmax(gaps))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .cones import InvalidInputError, UnsupportedOperationError
 from .nonlinearity import CovarianceModel, regularize
+from .solvers import hopf_lax_pointwise
 
 
 def xibar_deriv_sup(model: CovarianceModel, lo: float, hi: float) -> float:
@@ -73,15 +74,6 @@ class FdSurface:
     times: np.ndarray
     xs: np.ndarray
     values: np.ndarray
-    provenance: str
-
-    def at(self, t: float, x: float) -> float:
-        """Bilinear interpolation inside the tabulated rectangle."""
-        ti = np.searchsorted(self.times, t) - 1
-        ti = int(np.clip(ti, 0, self.times.size - 2))
-        a = (t - self.times[ti]) / (self.times[ti + 1] - self.times[ti])
-        row = (1 - a) * self.values[ti] + a * self.values[ti + 1]
-        return float(np.interp(x, self.xs, row))
 
 
 def fd_solve(phi, model: CovarianceModel, grid: FdGrid, T: float) -> FdSurface:
@@ -119,7 +111,7 @@ def fd_solve(phi, model: CovarianceModel, grid: FdGrid, T: float) -> FdSurface:
         # one-sided forward difference at x = 0: no boundary data needed
         up[0] = u[0] + dt * reg((u[1] - u[0]) / grid.dx)
         u = up
-    return FdSurface(np.asarray(times), xs, np.asarray(rows), "fd_oracle")
+    return FdSurface(np.asarray(times), xs, np.asarray(rows))
 
 
 @dataclass(frozen=True)
@@ -137,6 +129,23 @@ class ComparisonReport:
     def to_json(self):
         return {"M": self.M, "R": self.R, "V": self.V, "t_star": self.t_star,
                 "x_star": self.x_star, "margin": self.margin, "pass": self.passed}
+
+
+def fd_vs_hopf_lax(phi, model: CovarianceModel, x_max: float, dx: float,
+                   T: float, slope_cap: float):
+    """The Hopf-Lax and Lax-Friedrichs surfaces that ``comparison_check`` compares.
+
+    Solves on [0, x_max] with spacing ``dx`` up to time ``T``, keeps every
+    max(1, size // 200)-th node, and tabulates the per-coordinate Hopf-Lax
+    value there at each snapshot time.  Returns (hopf_lax, fd).
+    """
+    fd = fd_solve(phi, model, FdGrid.make(model, x_max, dx, slope_cap), T)
+    sub = slice(0, fd.xs.size, max(1, fd.xs.size // 200))
+    xs = fd.xs[sub]
+    vals = np.array([hopf_lax_pointwise(phi, model, float(t), xs,
+                                        scan=513, zoom_rounds=7)
+                     for t in fd.times])
+    return FdSurface(fd.times, xs, vals), FdSurface(fd.times, xs, fd.values[:, sub])
 
 
 def comparison_check(u: FdSurface, v: FdSurface, L: float,

@@ -44,12 +44,12 @@ class RefinementStudy:
 
 
 def rate_study(psi: InitialCondition, model: CovarianceModel, chain,
-               test_points, fit_levels: int = 3) -> RefinementStudy:
+               test_points) -> RefinementStudy:
     """Measure e_n = max |f_{j_n -> j_{n+1}} - f_{j_{n+1}}| / (t + |x|) per gap.
 
     ``chain`` is a nested list of partitions (each refining the last);
     ``test_points`` is a list of (t, mu) with mu a StepPath.  The decay
-    exponent is fitted by least squares on the last ``fit_levels`` gaps.
+    exponent is fitted by least squares on the last three gaps.
     """
     chain = list(chain)
     if len(chain) < 3:
@@ -71,7 +71,7 @@ def rate_study(psi: InitialCondition, model: CovarianceModel, chain,
         errors.append(worst)
     sizes = np.asarray(sizes, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    tail_s, tail_e = sizes[-fit_levels:], errors[-fit_levels:]
+    tail_s, tail_e = sizes[-3:], errors[-3:]
     good = tail_e > 1e-13
     if good.sum() >= 2:
         A = np.vstack([np.log(tail_s[good]), np.ones(good.sum())]).T

@@ -54,23 +54,21 @@ class InitialCondition:
     h: StepPath = None
     phi: object = None
     fn: object = None
-    name: str = ""
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def linear(cls, h: StepPath, name: str = "linear") -> "InitialCondition":
+    def linear(cls, h: StepPath) -> "InitialCondition":
         mono = bool(is_in_cone(ConePoint(h.partition, h.values)))
         return cls(KIND_LINEAR,
                    lip_l1=float(np.abs(h.values).max(initial=0.0)),
                    lip_h=h.norm(), convex=True, dual_increasing=mono,
-                   h=h, name=name)
+                   h=h)
 
     @classmethod
-    def separable(cls, phi, lip: float, convex: bool = True,
-                  name: str = "separable") -> "InitialCondition":
-        """psi(mu) = int phi(mu(s)) ds with phi nondecreasing, lip-Lipschitz."""
+    def separable(cls, phi, lip: float) -> "InitialCondition":
+        """psi(mu) = int phi(mu(s)) ds with phi convex, nondecreasing, lip-Lipschitz."""
         return cls(KIND_SEPARABLE, lip_l1=float(lip), lip_h=float(lip),
-                   convex=convex, dual_increasing=True, phi=phi, name=name)
+                   convex=True, dual_increasing=True, phi=phi)
 
     @classmethod
     def softplus(cls, weights, thresholds, scales) -> "InitialCondition":
@@ -86,11 +84,11 @@ class InitialCondition:
             r = np.asarray(r, dtype=float)[..., None]
             return np.sum(a * tau * np.logaddexp(0.0, (r - th) / tau), axis=-1)
 
-        return cls.separable(phi, lip=float(a.sum()), name="softplus")
+        return cls.separable(phi, lip=float(a.sum()))
 
     @classmethod
-    def quadratic_monotone(cls, slope: float, curvature: float, cap: float,
-                           name: str = "quadratic-monotone") -> "InitialCondition":
+    def quadratic_monotone(cls, slope: float, curvature: float,
+                           cap: float) -> "InitialCondition":
         """Huber profile: quadratic up to ``cap`` then linear; keeps psi Lipschitz."""
         a, b, c = float(slope), float(curvature), float(cap)
 
@@ -99,14 +97,13 @@ class InitialCondition:
             quad = a * r + 0.5 * b * np.minimum(r, c) ** 2
             return quad + b * c * np.maximum(r - c, 0.0)
 
-        return cls.separable(phi, lip=a + b * c, convex=True, name=name)
+        return cls.separable(phi, lip=a + b * c)
 
     @classmethod
-    def custom(cls, fn, lip_l1: float, lip_h: float = None, convex: bool = False,
-               dual_increasing: bool = True, name: str = "custom") -> "InitialCondition":
-        return cls(KIND_CUSTOM, lip_l1=float(lip_l1),
-                   lip_h=float(lip_l1 if lip_h is None else lip_h),
-                   convex=convex, dual_increasing=dual_increasing, fn=fn, name=name)
+    def custom(cls, fn, lip_l1: float, convex: bool = False,
+               dual_increasing: bool = True) -> "InitialCondition":
+        return cls(KIND_CUSTOM, lip_l1=float(lip_l1), lip_h=float(lip_l1),
+                   convex=convex, dual_increasing=dual_increasing, fn=fn)
 
     # -- evaluation ---------------------------------------------------
     def __call__(self, path: StepPath) -> float:
@@ -139,7 +136,6 @@ class SolutionSurface:
     times: np.ndarray
     samples: tuple
     values: np.ndarray  # shape (len(times), len(samples))
-    provenance: str
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -439,4 +435,4 @@ def solve_surface(psi: InitialCondition, model: CovarianceModel, j: Partition,
     for si, x in enumerate(samples):
         for ti, t in enumerate(times):
             vals[ti, si] = routes[method](psi, model, j, float(t), x)
-    return SolutionSurface(j, times, samples, vals, provenance=method)
+    return SolutionSurface(j, times, samples, vals)

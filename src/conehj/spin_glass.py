@@ -25,7 +25,6 @@ from scipy.special import logsumexp
 
 from .cones import (DiscreteMeasure, InvalidInputError, StepPath,
                     UnsupportedOperationError, quantile_to_measure)
-from .nonlinearity import CovarianceModel
 from .solvers import InitialCondition
 
 
@@ -57,51 +56,28 @@ class CascadeSpec:
         return cls(tuple(m.levels[1:-1]), M)
 
 
-@dataclass(frozen=True)
-class Cascade:
-    """Sampled, truncated cascade: leaf weights plus ancestor bookkeeping.
+def sample_cascade(spec: CascadeSpec, rng: np.random.Generator) -> np.ndarray:
+    """Leaf weights: top-M arrivals of u_m = Gamma_m^(-1/zeta) per node.
 
-    ``ancestors[k]`` maps each leaf to its depth-(k+1) node id; node ids
-    at depth k run over range(node_counts[k]).  For K = 0 there is a
-    single leaf of weight 1.
-    """
-
-    weights: np.ndarray
-    ancestors: tuple
-    node_counts: tuple
-
-
-def sample_cascade(spec: CascadeSpec, rng: np.random.Generator) -> Cascade:
-    """Top-M arrivals of the Poisson process u_m = Gamma_m^(-1/zeta) per node.
-
-    Leaf weights are normalized products along root-to-leaf paths.
+    Leaf weights are normalized products along root-to-leaf paths.  The
+    tree is full M-ary with leaves in depth-first order, so the M^(K-1-k)
+    consecutive leaves from i M^(K-1-k) on share their depth-(k+1)
+    ancestor i.  For K = 0 there is a single leaf of weight 1.
     """
     if spec.K == 0:
-        return Cascade(np.array([1.0]), (), ())
+        return np.array([1.0])
     log_u = np.zeros(1)  # log product along paths, per current-depth node
-    node_counts = []
-    for k, zeta in enumerate(spec.zetas):
-        n_parents = log_u.size
-        gaps = rng.exponential(1.0, size=(n_parents, spec.M))
+    for zeta in spec.zetas:
+        gaps = rng.exponential(1.0, size=(log_u.size, spec.M))
         gamma = np.cumsum(gaps, axis=1)
         child_log_u = -np.log(gamma) / zeta  # decreasing arrivals per parent
         log_u = (log_u[:, None] + child_log_u).ravel()
-        node_counts.append(log_u.size)
-    # ancestor ids: with a full M-ary layout, leaf i has depth-(k+1)
-    # ancestor i // M^(K-1-k)
-    P = log_u.size
-    anc = []
-    for k in range(spec.K):
-        stride = spec.M ** (spec.K - 1 - k)
-        anc.append(np.arange(P) // stride)
-    w = np.exp(log_u - logsumexp(log_u))
-    return Cascade(w, tuple(anc), tuple(node_counts))
+    return np.exp(log_u - logsumexp(log_u))
 
 
 def pd_squared_weight(spec: CascadeSpec, rng: np.random.Generator) -> float:
     """sum of squared leaf weights for one cascade draw (K = 1 identity check)."""
-    c = sample_cascade(spec, rng)
-    return float(np.sum(c.weights ** 2))
+    return float(np.sum(sample_cascade(spec, rng) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +101,6 @@ class SkInstance:
         if self.N < 1 or self.t < 0 or self.beta < 0:
             raise InvalidInputError("need N >= 1, t >= 0, beta >= 0")
 
-    @property
-    def model(self) -> CovarianceModel:
-        return CovarianceModel.sk(self.beta)
-
 
 @dataclass(frozen=True)
 class FreeEnergyEstimate:
@@ -148,18 +120,20 @@ def _replica_value(inst: SkInstance, spec: CascadeSpec, S: np.ndarray,
                    rng: np.random.Generator) -> float:
     N, beta, t = inst.N, inst.beta, inst.t
     q = inst.measure.atoms[:, 0, 0]
-    casc = sample_cascade(spec, rng)
-    P = casc.weights.size
+    weights = sample_cascade(spec, rng)
+    P = weights.size
     # external field per leaf and spin: sqrt(q0) at the root plus
-    # sqrt(q_k - q_{k-1}) at each tree level
+    # sqrt(q_k - q_{k-1}) at each tree level, one draw per depth-(k+1)
+    # node spread over the leaves below it
     W = np.sqrt(q[0]) * rng.standard_normal(N)[None, :] * np.ones((P, 1))
     for k in range(spec.K):
-        z = rng.standard_normal((casc.node_counts[k], N))
-        W = W + np.sqrt(q[k + 1] - q[k]) * z[casc.ancestors[k]]
+        z = rng.standard_normal((spec.M ** (k + 1), N))
+        below = np.repeat(z, spec.M ** (spec.K - 1 - k), axis=0)
+        W = W + np.sqrt(q[k + 1] - q[k]) * below
     G = rng.standard_normal((N, N))
     energy = np.sqrt(beta / N) * np.einsum("si,ij,sj->s", S, G, S)
     A = np.sqrt(2.0 * t) * energy[:, None] + np.sqrt(2.0) * (S @ W.T) \
-        + np.log(casc.weights)[None, :]
+        + np.log(weights)[None, :]
     lse = logsumexp(A)
     return -(lse - N * np.log(2.0)) / N + t * beta + q[-1]
 
@@ -269,7 +243,7 @@ def one_spin_initial_condition() -> InitialCondition:
         return one_spin_psi(quantile_to_measure(mono))
 
     return InitialCondition.custom(fn, lip_l1=1.0, convex=False,
-                                   dual_increasing=True, name="sk-one-spin")
+                                   dual_increasing=True)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,64 @@ def test_matrix_xi_exits_1_with_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# the benchmark's softplus profile, Lipschitz 0.9, at a small size
+COMPARE_CONFIG = {
+    "psi": {"kind": "softplus",
+            "profile": {"weights": [0.4, 0.5], "thresholds": [0.3, 1.2],
+                        "scales": [0.4, 0.8]}},
+    "xi": {"poly": {"2": 1.0}},
+    "T": 0.25, "dx": 0.02, "x_max": 1.0,
+}
+
+
+def test_compare_passes_and_tabulates_every_node(tmp_path):
+    assert _run(tmp_path, "compare", COMPARE_CONFIG) == 0
+    rep = json.loads((tmp_path / "compare.json").read_text())
+    assert rep["pass"] is True
+    assert rep["margin"] <= 10.0 * 0.02 * (1.0 + 0.25)
+    lines = (tmp_path / "compare.csv").read_text().strip().splitlines()
+    assert lines[0] == "t,x,hopf_lax,fd"
+    pairs = [tuple(ln.split(",")[:2]) for ln in lines[1:]]
+    ts, xs = {t for t, _ in pairs}, {x for _, x in pairs}
+    assert len(xs) == 51  # x = 0, 0.02, ..., 1
+    assert sorted(pairs) == sorted((t, x) for t in ts for x in xs)
+
+
+def _linear_h(**extra):
+    h = {"partition": {"uniform": 2}, "values": [0.2, 0.5], **extra}
+    return dict(SOLVE_CONFIG, psi={"kind": "linear", "h": h},
+                method="hopf_lax")
+
+
+FM_CONFIG = {"function": {"partition": {"uniform": 1}, "axis": [0.0, 1.0],
+                          "values": [0.0, 1.0]}}
+SPINGLASS_MEASURE = {"atoms": [[[0.0]], [[0.3]]], "levels": [0.0, 0.5, 1.0]}
+SPINGLASS_CONFIG = {"N_list": [2], "beta": 0.5, "t_list": [0.25],
+                    "measure": SPINGLASS_MEASURE, "cascade": {"M": 8},
+                    "replicas": 4, "hj_level": 2}
+
+
+@pytest.mark.parametrize("command, config, expected", [
+    ("compare", dict(COMPARE_CONFIG, tol=1e9), "'tol'"),
+    ("compare", dict(COMPARE_CONFIG, slope_cap=0.9), "'slope_cap'"),
+    ("fm-verify", dict(FM_CONFIG, tol=1e9), "'tol'"),
+    ("solve", _linear_h(role="dual-certificate"), "'role'"),
+    ("spinglass", dict(SPINGLASS_CONFIG,
+                       measure=dict(SPINGLASS_MEASURE, bogus=7)), "'bogus'"),
+    ("solve", dict(SOLVE_CONFIG, psi={"kind": "linear", "h": 5}),
+     "psi.h must be a JSON object"),
+    ("fm-verify", {"function": 5}, "grid function must be a JSON object"),
+    ("solve", [SOLVE_CONFIG], "solve config must be a JSON object"),
+], ids=["compare-tol", "compare-slope-cap", "fm-verify-tol", "psi-h-role",
+        "spinglass-measure", "psi-h-not-an-object", "function-not-an-object",
+        "config-not-an-object"])
+def test_removed_keys_and_bad_nested_objects_exit_1(tmp_path, capsys,
+                                                     command, config, expected):
+    assert _run(tmp_path, command, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+
+
 def test_compare_with_a_matrix_xi_exits_1(tmp_path, capsys):
     cfg = {"psi": {"kind": "softplus",
                    "profile": {"weights": [0.5], "thresholds": [0.5],

@@ -369,8 +369,6 @@ def test_public_constructors_reject_wrong_cell_counts_and_roles():
         ConePoint(j, [1.0, 2.0])
     with pytest.raises(InvalidInputError):
         StepPath(j, np.zeros((4, 2, 2)))
-    with pytest.raises(InvalidInputError):
-        StepPath(j, [1.0, 2.0, 3.0], role="not-a-role")
 
 
 def test_derived_points_are_read_only_and_symmetric():

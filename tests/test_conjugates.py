@@ -31,7 +31,7 @@ def test_grid_function_from_callable():
 
 def test_grid_function_json_round_trip_with_inf():
     j = Partition.uniform(1)
-    g = GridFunction(j, np.linspace(0, 2, 5), np.linspace(0, 2, 5)[:, None],
+    g = GridFunction(j, np.linspace(0, 2, 5),
                      np.array([0.0, 1.0, np.inf, 2.0, 3.0]))
     rt = GridFunction.from_json(g.to_json())
     np.testing.assert_array_equal(rt.values, g.values)

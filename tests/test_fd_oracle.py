@@ -22,7 +22,7 @@ def test_matrix_models_are_refused_for_d_1_only():
     matrix = CovarianceModel(D=2, poly={2: 1.0})
     grid = FdGrid.make(MODEL, 1.0, 0.01, 1.0)
     surf = FdSurface(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                     np.zeros((2, 2)), "zero")
+                     np.zeros((2, 2)))
     for call in (lambda: FdGrid.make(matrix, 1.0, 0.01, 1.0),
                  lambda: grid.validate(matrix),
                  lambda: comparison_check(surf, surf, L=1.0, model=matrix,
@@ -78,27 +78,17 @@ def test_fd_converges_to_variational_solution():
     assert np.abs(got - ref).max() <= 10.0 * grid.dx * 2.0
 
 
-def test_surface_interpolation():
-    times = np.array([0.0, 1.0])
-    xs = np.array([0.0, 1.0])
-    vals = np.array([[0.0, 1.0], [2.0, 3.0]])
-    s = FdSurface(times, xs, vals, "test")
-    assert s.at(0.0, 0.5) == pytest.approx(0.5)
-    assert s.at(0.5, 0.0) == pytest.approx(1.0)
-    assert s.at(1.0, 1.0) == pytest.approx(3.0)
-
-
 def _toy_surfaces():
     times = np.linspace(0.0, 1.0, 9)
     xs = np.linspace(0.0, 4.0, 41)
     base = 0.5 * xs[None, :] + 0.2 * times[:, None]
-    u = FdSurface(times, xs, base, "u")
+    u = FdSurface(times, xs, base)
     return times, xs, u
 
 
 def test_comparison_passes_for_ordered_pair():
     times, xs, u = _toy_surfaces()
-    v = FdSurface(times, xs, u.values + 0.01, "v")  # v >= u everywhere
+    v = FdSurface(times, xs, u.values + 0.01)  # v >= u everywhere
     rep = comparison_check(u, v, L=1.0, model=MODEL, tol=1e-9)
     assert rep.passed and rep.t_star == 0.0
 
@@ -107,7 +97,7 @@ def test_comparison_negative_control_fails():
     times, xs, u = _toy_surfaces()
     # the drift must outrun the penalty cone M (|x| + V t - R)_+ near
     # t = 0, so it is taken large relative to the cone speed
-    drift = FdSurface(times, xs, u.values - 10.0 * times[:, None], "drift")
+    drift = FdSurface(times, xs, u.values - 10.0 * times[:, None])
     rep = comparison_check(u, drift, L=1.0, model=MODEL, tol=1e-3)
     assert not rep.passed
     assert rep.margin > 0
@@ -116,14 +106,14 @@ def test_comparison_negative_control_fails():
 
 def test_comparison_requires_matching_grids():
     times, xs, u = _toy_surfaces()
-    other = FdSurface(times, xs[:-1], u.values[:, :-1], "w")
+    other = FdSurface(times, xs[:-1], u.values[:, :-1])
     with pytest.raises(InvalidInputError):
         comparison_check(u, other, L=1.0, model=MODEL, tol=1e-3)
 
 
 def test_comparison_report_json():
     times, xs, u = _toy_surfaces()
-    v = FdSurface(times, xs, u.values, "v")
+    v = FdSurface(times, xs, u.values)
     rep = comparison_check(u, v, L=1.0, model=MODEL, tol=1e-9)
     blob = rep.to_json()
     assert blob["pass"] is True

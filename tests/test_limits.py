@@ -62,8 +62,7 @@ def test_restriction_error_definition():
     f_restr = hopf_lax_separable(psi, MODEL, jc, t, x_coarse)
     direct = abs(f_restr - f_fine) / (t + x_fine.norm())
     study = rate_study(psi, MODEL,
-                       [jc, jf, Partition.uniform(16)], [(t, mu)],
-                       fit_levels=2)
+                       [jc, jf, Partition.uniform(16)], [(t, mu)])
     assert study.errors[0] == pytest.approx(direct, rel=1e-12)
 
 
@@ -88,6 +87,6 @@ def test_lipschitz_audit_flags_fabricated_surface():
     samples = (ConePoint(j, [0.0, 0.0]), ConePoint(j, [0.1, 0.1]))
     # a fake surface with a spatial jump far beyond lip bounds
     vals = np.array([[0.0, 5.0], [0.0, 5.0]])
-    surf = SolutionSurface(j, np.array([0.0, 1.0]), samples, vals, "fake")
+    surf = SolutionSurface(j, np.array([0.0, 1.0]), samples, vals)
     rep = lipschitz_audit(surf, psi, MODEL)
     assert not rep["pass"]

@@ -8,7 +8,8 @@ runs the criterion at a reduced size, which must then report
 import numpy as np
 import pytest
 
-from conehj import ConePoint, acceptance, bold_xi, is_in_cone, solvers
+from conehj import (ConePoint, acceptance, bold_xi, conjugates, is_in_cone,
+                    solvers)
 from conehj.nonlinearity import Regularization, h_eval, regularize, xi_star_vec
 
 
@@ -42,6 +43,10 @@ def _hopf_lax_1d_shifted(*args, **kwargs):
     return solvers.hopf_lax_1d(*args, **kwargs) + 2e-4
 
 
+def _dual_increasing_accepts_all(g):
+    return True, None
+
+
 CONTROLS = [
     # (criterion, its reduced-size arguments, module holding the kernel,
     #  kernel name, wrong kernel)
@@ -57,6 +62,8 @@ CONTROLS = [
      "xi_star_vec", _xi_star_shifted),
     (acceptance.crit_1d_reduction, {"seed": 6, "instances": 6}, acceptance,
      "hopf_lax_1d", _hopf_lax_1d_shifted),
+    (acceptance.crit_fm, {"seed": 10}, conjugates, "dual_increasing_check",
+     _dual_increasing_accepts_all),
 ]
 REDUCED_RUNS = []   # each (criterion, arguments) pair once
 for _crit, _args, *_ in CONTROLS:

@@ -331,7 +331,6 @@ def test_solve_surface_runs_the_named_route(route):
     surf = solve_surface(psi, MODEL, j, times, samples, method=route.__name__)
     direct = [[route(psi, MODEL, j, t, x) for x in samples] for t in times]
     np.testing.assert_array_equal(surf.values, direct)
-    assert surf.provenance == route.__name__
 
 
 @pytest.mark.parametrize("route", (hopf_lax, hopf, hopf_lax_1d),

@@ -32,26 +32,24 @@ def test_cascade_spec_for_measure():
 
 
 def test_trivial_cascade_single_leaf():
-    c = sample_cascade(CascadeSpec(()), np.random.default_rng(0))
-    np.testing.assert_array_equal(c.weights, [1.0])
+    w = sample_cascade(CascadeSpec(()), np.random.default_rng(0))
+    np.testing.assert_array_equal(w, [1.0])
 
 
 def test_cascade_weights_normalized_and_sorted_arrivals():
     rng = np.random.default_rng(1)
-    c = sample_cascade(CascadeSpec((0.5,), M=64), rng)
-    assert c.weights.shape == (64,)
-    assert c.weights.sum() == pytest.approx(1.0)
+    w = sample_cascade(CascadeSpec((0.5,), M=64), rng)
+    assert w.shape == (64,)
+    assert w.sum() == pytest.approx(1.0)
     # arrivals u_m are decreasing per node, so leaf weights are sorted
-    assert np.all(np.diff(c.weights) <= 1e-15)
+    assert np.all(np.diff(w) <= 1e-15)
 
 
 def test_two_level_cascade_shape():
     rng = np.random.default_rng(2)
-    c = sample_cascade(CascadeSpec((0.3, 0.7), M=8), rng)
-    assert c.weights.shape == (64,)
-    assert c.weights.sum() == pytest.approx(1.0)
-    np.testing.assert_array_equal(c.ancestors[0], np.arange(64) // 8)
-    np.testing.assert_array_equal(c.ancestors[1], np.arange(64))
+    w = sample_cascade(CascadeSpec((0.3, 0.7), M=8), rng)
+    assert w.shape == (64,)
+    assert w.sum() == pytest.approx(1.0)
 
 
 def test_pd_squared_weight_identity():
