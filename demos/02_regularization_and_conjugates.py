@@ -15,7 +15,7 @@ from conehj import (CovarianceModel, GridFunction, Partition, fm_verify,
 
 model = CovarianceModel.sk(1.0)          # xi(r) = r^2
 reg = regularize(model)
-print(f"Lipschitz constant on the trace ball: L = {reg.L}")
+print(f"Lipschitz constant of xi on [-2, 2]: L = {reg.L}")
 
 for a in (0.5, 1.0, 1.1716, 1.5, 3.0):
     print(f"  xibar({a:5.3f}) = {reg(a):8.4f}   (xi = {model(a):8.4f})")

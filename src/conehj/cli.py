@@ -92,7 +92,7 @@ def parse_psi(obj: dict) -> InitialCondition:
 
 
 def parse_xi(obj: dict) -> CovarianceModel:
-    _check_keys(obj, {"poly", "D"}, "xi")
+    _check_keys(obj, {"poly"}, "xi")
     return CovarianceModel.from_json(obj)
 
 

@@ -16,25 +16,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import InvalidInputError, UnsupportedOperationError
+from .cones import InvalidInputError
 from .nonlinearity import CovarianceModel, regularize
 from .solvers import hopf_lax_pointwise
 
 
 def xibar_deriv_sup(model: CovarianceModel, lo: float, hi: float) -> float:
-    """sup of |xibar'| over slopes in [lo, hi] (D = 1).
+    """sup of |xibar'| over slopes in [lo, hi].
 
-    xibar is convex, so the sup sits at an endpoint; one-sided
-    differences at the endpoints bound the derivative.
+    xibar is convex, so the sup sits at an endpoint.  There it is the
+    larger one-sided |slope| of the active branch of max(xi, affine):
+    |xi'(p)| where xi is active and p <= 2, 2L where the affine branch is
+    active or p >= 2, and both at the seam.
     """
-    reg = regularize(model)
-    if reg.D != 1:
-        raise UnsupportedOperationError("fd_oracle is implemented for D = 1 only")
-    eps = 1e-7
+    cap = regularize(model).slope_cap
     cands = []
     for p in (lo, hi):
-        cands.append(abs(reg(p + eps) - reg(p)) / eps)
-        cands.append(abs(reg(p) - reg(p - eps)) / eps)
+        affine = model(0.0) + cap * (p - 1.0)
+        if p <= 2.0 and model(p) >= affine:
+            cands.append(abs(model.deriv(p)))
+        if p >= 2.0 or affine >= model(p):
+            cands.append(cap)
     return float(max(cands))
 
 
@@ -107,7 +109,7 @@ def fd_solve(phi, model: CovarianceModel, grid: FdGrid, T: float) -> FdSurface:
         left = u[:-1]
         right = np.concatenate((u[2:], [ghost_hi]))
         slope = (right - left) / (2.0 * grid.dx)
-        up[1:] = 0.5 * (right + left) + dt * reg.eval_vec(slope)
+        up[1:] = 0.5 * (right + left) + dt * reg(slope)
         # one-sided forward difference at x = 0: no boundary data needed
         up[0] = u[0] + dt * reg((u[1] - u[0]) / grid.dx)
         u = up

@@ -133,7 +133,7 @@ def lipschitz_audit(surface: SolutionSurface, psi: InitialCondition,
         gap = np.abs(vals[ti + 1] - vals[ti]).max()
         sup_t = max(sup_t, float(gap / dt))
     slopes = np.linspace(0.0, psi.lip_l1, 256)
-    time_bound = float(np.max(np.abs(regularize(model).eval_vec(slopes))))
+    time_bound = float(np.max(np.abs(regularize(model)(slopes))))
     report = {
         "spatial_h": sup_h, "spatial_h_bound": psi.lip_h,
         "spatial_l1": sup_l1, "spatial_l1_bound": psi.lip_l1,

@@ -1,14 +1,12 @@
 """Covariance nonlinearities and their regularized / conjugated forms.
 
-A covariance model xi is a polynomial with nonnegative coefficients
-(scalar argument for D = 1, trace polynomial for D > 1).  The
-regularization xibar extends xi from the unit ball of the PSD cone to a
-globally Lipschitz, proper and convex function by competing it against
-an affine function of the trace; ``regularize`` builds it once per
-model.  Its monotone conjugate xibar*(r) = sup_{s >= 0} {r s - xibar(s)}
-drives the Hopf-Lax routes, and H extends the integrated
-nonlinearity off the cone as an infimum over dominating monotone
-points.
+A covariance model xi is a polynomial in a scalar argument with
+nonnegative coefficients.  The regularization xibar extends xi from
+[0, 1] to a globally Lipschitz, proper and convex function by competing
+it against an affine function; ``regularize`` builds it once per model.
+Its monotone conjugate xibar*(r) = sup_{s >= 0} {r s - xibar(s)} drives
+the Hopf-Lax routes, and H extends the integrated nonlinearity off the
+cone as an infimum over dominating monotone points.
 """
 
 from __future__ import annotations
@@ -21,20 +19,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cones import (ConePoint, InvalidInputError, UnsupportedOperationError,
-                    is_in_cone, sym)
+                    is_in_cone)
 
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Covariance function xi.
+    """Covariance function xi(r) = sum_p beta_p^2 r^p.
 
-    ``poly`` maps exponent p >= 2 to the coefficient beta_p^2 >= 0.  For
-    D = 1 the model is xi(r) = sum_p beta_p^2 r^p; for D > 1 it is the
-    trace polynomial xi(a) = sum_p beta_p^2 tr(a^p).  Polynomial models
-    with nonnegative coefficients are convex and proper on the PSD cone.
+    ``poly`` maps exponent p >= 2 to the coefficient beta_p^2 >= 0, so xi
+    is convex and nondecreasing on [0, inf).
     """
 
-    D: int = 1
     poly: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -50,25 +45,10 @@ class CovarianceModel:
     @classmethod
     def sk(cls, beta: float = 1.0) -> "CovarianceModel":
         """Sherrington-Kirkpatrick covariance xi(r) = beta r^2."""
-        return cls(D=1, poly={2: beta})
+        return cls(poly={2: beta})
 
-    def __call__(self, a) -> float:
-        if self.D == 1:
-            r = float(np.asarray(a).reshape(()) if np.ndim(a) == 0 else
-                      np.asarray(a).reshape(-1)[0] if np.size(a) == 1 else np.nan)
-            if np.isnan(r):
-                raise InvalidInputError("D = 1 model expects a scalar argument")
-            return sum(c * r ** p for p, c in self.poly.items())
-        m = sym(a)
-        if m.shape[0] != self.D:
-            raise InvalidInputError(f"expected a {self.D}x{self.D} matrix")
-        evals = np.linalg.eigvalsh(m)
-        return float(sum(c * np.sum(evals ** p) for p, c in self.poly.items()))
-
-    def eval_vec(self, r: np.ndarray) -> np.ndarray:
-        """Vectorized scalar evaluation (D = 1)."""
-        if self.D != 1:
-            raise UnsupportedOperationError("eval_vec requires D = 1")
+    def __call__(self, r) -> np.ndarray:
+        """xi(r), elementwise over an array (0-d for a scalar r)."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         for p, c in self.poly.items():
@@ -76,70 +56,45 @@ class CovarianceModel:
         return out
 
     def deriv(self, r: float) -> float:
-        """xi'(r) for D = 1 models."""
-        if self.D != 1:
-            raise UnsupportedOperationError("deriv requires D = 1")
+        """xi'(r)."""
         return sum(c * p * r ** (p - 1) for p, c in self.poly.items())
 
     @classmethod
     def from_json(cls, obj) -> "CovarianceModel":
-        return cls(D=int(obj.get("D", 1)),
-                   poly={int(p): float(c) for p, c in obj["poly"].items()})
+        return cls(poly={int(p): float(c) for p, c in obj["poly"].items()})
 
     @cached_property
     def _regularization(self) -> "Regularization":
-        # L, the sup of the gradient's spectral norm over B_tr(2D), is
-        # attained at a rank-one matrix with the full trace budget
-        radius = 2.0 * self.D
-        return Regularization(self, float(sum(c * p * radius ** (p - 1)
-                                              for p, c in self.poly.items())))
+        # the largest |xi'| on [-2, 2] sits at 2, as the coefficients are >= 0
+        return Regularization(self, float(self.deriv(2.0)))
 
 
 @dataclass(frozen=True)
 class Regularization:
-    """Globally Lipschitz extension of xi from the unit ball of S^D_+.
+    """Globally Lipschitz extension of xi from [0, 1].
 
-    On the trace ball B_tr(2D) the value is max(xi(a), xi(0) + 2L(tr(a) - D));
-    outside it is the affine branch alone.  L is the sup of the gradient
-    norm of xi over B_tr(2D).  For D = 1 the seam data of the monotone
-    conjugate is computed on first use (see ``xi_star_vec``).
+    xibar(r) = max(xi(r), xi(0) + 2L(r - 1)) for r <= 2 and the affine
+    branch alone beyond, with L = xi'(2) the largest |xi'| on [-2, 2].
+    The seam data of the monotone conjugate is computed on first use
+    (see ``xi_star_vec``).
     """
 
     base: CovarianceModel
     L: float
 
     @property
-    def D(self) -> int:
-        return self.base.D
-
-    @property
     def slope_cap(self) -> float:
-        """Maximal slope along PSD directions (per unit trace): 2L."""
+        """Slope of the affine branch: 2L."""
         return 2.0 * self.L
 
-    def __call__(self, a) -> float:
-        if self.D == 1:
-            r = float(np.asarray(a).reshape(-1)[0])
-            affine = self.base(0.0) + 2.0 * self.L * (r - 1.0)
-            return max(self.base(r), affine) if r <= 2.0 else affine
-        m = sym(a)
-        tr = float(np.trace(m))
-        affine = self.base(np.zeros((self.D, self.D))) + 2.0 * self.L * (tr - self.D)
-        if tr <= 2.0 * self.D:
-            return max(self.base(m), affine)
-        return affine
-
-    def eval_vec(self, r: np.ndarray) -> np.ndarray:
-        if self.D != 1:
-            raise UnsupportedOperationError("eval_vec requires D = 1")
+    def __call__(self, r) -> np.ndarray:
+        """xibar(r), elementwise over an array (0-d for a scalar r)."""
         r = np.asarray(r, dtype=float)
         affine = self.base(0.0) + 2.0 * self.L * (r - 1.0)
-        return np.where(r <= 2.0, np.maximum(self.base.eval_vec(r), affine), affine)
+        return np.where(r <= 2.0, np.maximum(self.base(r), affine), affine)
 
     @cached_property
     def _seam(self) -> "_Seam":
-        if self.D != 1:
-            raise UnsupportedOperationError("monotone conjugation requires D = 1")
         model = self.base
         terms = {p: c for p, c in model.poly.items() if c > 0.0}
         s0 = _seam_point(self)
@@ -149,7 +104,7 @@ class Regularization:
 
 
 class _Seam(NamedTuple):
-    """Where xibar leaves xi (D = 1): xibar = xi on [0, s0], affine beyond."""
+    """Where xibar leaves xi: xibar = xi on [0, s0], affine beyond."""
 
     s0: float
     r0: float  # xi'(s0), the slope where the conjugate leaves xi's own
@@ -161,8 +116,7 @@ class _Seam(NamedTuple):
 def regularize(model: CovarianceModel) -> Regularization:
     """The Lipschitz regularization of ``model``, built once per model object.
 
-    L is exact: the gradient bound over B_tr(2D) is sum_p c_p p (2D)^(p-1)
-    for polynomial models.
+    L = xi'(2) = sum_p c_p p 2^(p-1) is exact for polynomial models.
     """
     if not isinstance(model, CovarianceModel):
         raise InvalidInputError("regularize takes the CovarianceModel xi")
@@ -176,8 +130,7 @@ def _seam_point(reg: Regularization) -> float:
     s = 2, so the crossing is unique on [1, 2].
     """
     model = reg.base
-    aff = lambda s: model(0.0) + 2.0 * reg.L * (s - 1.0)
-    g = lambda s: model(s) - aff(s)
+    g = lambda s: model(s) - (model(0.0) + 2.0 * reg.L * (s - 1.0))
     if g(1.0) <= 0.0:
         return 1.0
     lo, hi = 1.0, 2.0
@@ -249,8 +202,7 @@ def xi_star_vec(reg: Regularization, r: np.ndarray) -> np.ndarray:
 
 def bold_xi(x: ConePoint, model) -> float:
     """Integrated nonlinearity sum_k w_k xi(x_k) of a cone point."""
-    w = x.partition.widths
-    return float(sum(wk * model(xk) for wk, xk in zip(w, x.coords)))
+    return float(sum(x.partition.widths * model(x.scalars)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +224,9 @@ def h_eval(kappa: ConePoint, reg: Regularization) -> float:
     """
     if is_in_cone(kappa):
         return bold_xi(kappa, reg)
-    if kappa.dim != 1:
-        raise UnsupportedOperationError(
-            "H off the cone is implemented for D = 1 only")
     w = kappa.partition.widths
     x = np.maximum(_pav(kappa.scalars, w), 0.0)
-    return float(w @ reg.eval_vec(x))
+    return float(w @ reg(x))
 
 
 def _pav(k: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -305,8 +254,6 @@ def h_eval_bruteforce(kappa: ConePoint, reg: Regularization) -> float:
     [0.44484187, 1.30300528] gave 2.44198 against the exact 2.23446), so
     only uniform partitions with |j| <= 3 are accepted.
     """
-    if kappa.dim != 1:
-        raise UnsupportedOperationError("brute force oracle requires D = 1")
     if not kappa.partition.is_uniform:
         raise UnsupportedOperationError(
             "brute force oracle requires a uniform partition")
@@ -328,7 +275,7 @@ def h_eval_bruteforce(kappa: ConePoint, reg: Regularization) -> float:
             ok &= X[:, i] >= X[:, i - 1] - 1e-12
         ok &= np.all((X * w) @ tails_mat >= tail_k - 1e-12, axis=1)
         X = X[ok]
-        vals = np.sum(w * reg.eval_vec(X), axis=1)
+        vals = np.sum(w * reg(X), axis=1)
         i = int(np.argmin(vals))
         return float(vals[i]), X[i]
 

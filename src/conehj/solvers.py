@@ -155,12 +155,12 @@ def _require(psi: InitialCondition, model: CovarianceModel, x: ConePoint,
              t: float, route: str, name: str = "x"):
     """Preconditions shared by every route.
 
-    xi is a CovarianceModel, xi and the point have D = 1, psi is
+    xi is a CovarianceModel, the point has D = 1, psi is
     dual-increasing, the point lies in the cone and t >= 0.
     """
     if not isinstance(model, CovarianceModel):
         raise InvalidInputError(f"{route} takes the CovarianceModel xi")
-    if model.D != 1 or x.dim != 1:
+    if x.dim != 1:
         raise UnsupportedOperationError(f"{route} is implemented for D = 1 only")
     if not psi.dual_increasing:
         raise InvalidInputError(f"{route} requires a dual-increasing psi")
@@ -358,7 +358,7 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     xv = x.scalars
     if psi.kind == KIND_LINEAR:
         hj = project_pj(psi.h, j).scalars
-        return float(w @ (xv * hj + t * model.eval_vec(hj)))
+        return float(w @ (xv * hj + t * model(hj)))
     if psi.kind != KIND_SEPARABLE:
         raise UnsupportedOperationError(
             "hopf supports linear and separable psi")
@@ -367,7 +367,7 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     # differences in (z, x_k) make the per-coordinate suprema jointly
     # attainable on the cone for monotone x
     best = _zoom_argmax(
-        lambda z: xv[:, None] * z - _phi_conjugate_vec(psi, z) + t * model.eval_vec(z),
+        lambda z: xv[:, None] * z - _phi_conjugate_vec(psi, z) + t * model(z),
         xv.shape, cap, [1025] + [257] * 6)
     return float(np.sum(w * best))
 

@@ -114,6 +114,7 @@ def test_10_fenchel_moreau_checks():
     _check(rep, 300.0)
     assert rep["convex_failures"] == 0
     assert rep["nonmonotone_witnessed"] == 10
+    assert rep["overshoot"] <= 1e-12 and rep["closed_form_gap"] <= 1e-12
 
 
 def test_11_lipschitz_audits():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conehj import (CovarianceModel, FdGrid, FdSurface, InvalidInputError,
-                    UnsupportedOperationError, comparison_check, fd_solve,
-                    hopf_lax_pointwise, regularize)
+                    comparison_check, fd_solve, hopf_lax_pointwise, regularize)
 from conehj.fd_oracle import xibar_deriv_sup
 
 MODEL = CovarianceModel.sk(1.0)
@@ -14,22 +13,10 @@ REG = regularize(MODEL)
 
 def test_deriv_sup_at_convex_endpoints():
     # xibar' in slope: 2r on the quadratic branch, 8 on the affine branch
-    assert xibar_deriv_sup(MODEL, 0.0, 1.0) == pytest.approx(2.0, abs=1e-5)
-    assert xibar_deriv_sup(MODEL, 0.0, 5.0) == pytest.approx(8.0, abs=1e-5)
-
-
-def test_matrix_models_are_refused_for_d_1_only():
-    matrix = CovarianceModel(D=2, poly={2: 1.0})
-    grid = FdGrid.make(MODEL, 1.0, 0.01, 1.0)
-    surf = FdSurface(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                     np.zeros((2, 2)))
-    for call in (lambda: FdGrid.make(matrix, 1.0, 0.01, 1.0),
-                 lambda: grid.validate(matrix),
-                 lambda: comparison_check(surf, surf, L=1.0, model=matrix,
-                                          tol=0.0)):
-        with pytest.raises(UnsupportedOperationError,
-                           match="fd_oracle is implemented for D = 1 only"):
-            call()
+    assert xibar_deriv_sup(MODEL, 0.0, 1.0) == 2.0
+    assert xibar_deriv_sup(MODEL, 0.0, 5.0) == 8.0
+    # the slope ball of the comparison functional: |xi'(-8.7)| beats 2L
+    assert xibar_deriv_sup(MODEL, -8.7, 8.7) == 17.4
 
 
 def test_grid_cfl_guard():

@@ -5,11 +5,13 @@ runs the criterion at a reduced size, which must then report
 ``pass=False``; with the true kernels the same run passes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conehj import (ConePoint, acceptance, bold_xi, conjugates, is_in_cone,
-                    solvers)
+from conehj import (ConePoint, acceptance, bold_xi, cli, conjugates,
+                    is_in_cone, limits, solvers, spin_glass)
 from conehj.nonlinearity import Regularization, h_eval, regularize, xi_star_vec
 
 
@@ -18,7 +20,7 @@ def _h_sorted_without_pooling(kappa, reg):
     if is_in_cone(kappa):
         return bold_xi(kappa, reg)
     x = np.maximum(np.sort(kappa.scalars), 0.0)
-    return float(kappa.partition.widths @ reg.eval_vec(x))
+    return float(kappa.partition.widths @ reg(x))
 
 
 def _h_shifted_off_cone(kappa, reg):
@@ -47,6 +49,31 @@ def _dual_increasing_accepts_all(g):
     return True, None
 
 
+def _mono_conjugate_pairing_scaled(g):
+    # the pairing <x, y> taken 1.5 times
+    fin = g.finite_mask()
+    X = g.nodes[fin] * g.weights
+    vals = np.max(1.5 * g.nodes @ X.T - g.values[fin], axis=1)
+    return replace(g, values=vals)
+
+
+def _lipschitz_audit_halved(surface, psi, model):
+    halved = replace(psi, lip_l1=0.5 * psi.lip_l1, lip_h=0.5 * psi.lip_h)
+    return limits.lipschitz_audit(surface, halved, model)
+
+
+def _free_energy_reversed_when_threaded(inst, spec, replicas, seed, threads=1):
+    est = spin_glass.free_energy(inst, spec, replicas, seed, threads)
+    if threads <= 1:
+        return est
+    # the same replicas, summed from the last index down
+    S = spin_glass._sign_matrix(inst.N)
+    vals = [spin_glass._replica_value(inst, spec, S, np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(r,))))
+        for r in reversed(range(replicas))]
+    return replace(est, mean=float(sum(vals) / replicas))
+
+
 CONTROLS = [
     # (criterion, its reduced-size arguments, module holding the kernel,
     #  kernel name, wrong kernel)
@@ -64,6 +91,12 @@ CONTROLS = [
      "hopf_lax_1d", _hopf_lax_1d_shifted),
     (acceptance.crit_fm, {"seed": 10}, conjugates, "dual_increasing_check",
      _dual_increasing_accepts_all),
+    (acceptance.crit_fm, {"seed": 10}, conjugates, "mono_conjugate",
+     _mono_conjugate_pairing_scaled),
+    (acceptance.crit_lipschitz, {"seed": 11}, acceptance, "lipschitz_audit",
+     _lipschitz_audit_halved),
+    (acceptance.crit_determinism, {"seed": 13, "threads": 2}, cli,
+     "free_energy", _free_energy_reversed_when_threaded),
 ]
 REDUCED_RUNS = []   # each (criterion, arguments) pair once
 for _crit, _args, *_ in CONTROLS:

@@ -24,24 +24,21 @@ def test_sk_model_values():
     assert m(0.0) == 0.0
     assert m(2.0) == pytest.approx(2.0)
     assert m.deriv(1.0) == pytest.approx(1.0)
-
-
-def test_matrix_model_uses_eigenvalues():
-    m = CovarianceModel(D=2, poly={2: 1.0})
-    a = np.diag([1.0, 3.0])
-    assert m(a) == pytest.approx(1.0 + 9.0)
+    # an array is evaluated entrywise, as each scalar alone
+    rs = np.linspace(-1.0, 3.0, 41)
+    np.testing.assert_array_equal(m(rs), [m(r) for r in rs])
 
 
 def test_model_rejects_bad_poly():
     with pytest.raises(InvalidInputError):
-        CovarianceModel(D=1, poly={1: 1.0})
+        CovarianceModel(poly={1: 1.0})
     with pytest.raises(InvalidInputError):
-        CovarianceModel(D=1, poly={2: -1.0})
+        CovarianceModel(poly={2: -1.0})
 
 
 def test_model_json_round_trip():
-    rt = CovarianceModel.from_json({"D": 1, "poly": {"2": 0.5, "4": 0.25}})
-    assert rt == CovarianceModel(D=1, poly={2: 0.5, 4: 0.25})
+    rt = CovarianceModel.from_json({"poly": {"2": 0.5, "4": 0.25}})
+    assert rt == CovarianceModel(poly={2: 0.5, 4: 0.25})
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +47,18 @@ def test_model_json_round_trip():
 def test_regularization_closed_form_sk():
     reg = regularize(CovarianceModel.sk(1.0))
     assert reg.L == pytest.approx(4.0)
-    for a in np.linspace(-1, 4, 101):
+    xs = np.linspace(-1, 4, 101)
+    for a in xs:
         expected = max(a ** 2, 8.0 * (a - 1.0)) if a <= 2 else 8.0 * (a - 1.0)
         assert reg(a) == pytest.approx(expected, abs=0)
+    # the whole array in one call gives the same values
+    np.testing.assert_array_equal(reg(xs), [reg(a) for a in xs])
 
 
 def test_regularization_coincides_near_origin():
     reg = regularize(CovarianceModel.sk(1.0))
     xs = np.linspace(0.0, 1.0, 50)
-    np.testing.assert_array_equal(reg.eval_vec(xs), xs ** 2)
+    np.testing.assert_array_equal(reg(xs), xs ** 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -68,17 +68,6 @@ def test_regularization_lipschitz_and_convex(a, b):
     assert abs(reg(a) - reg(b)) <= reg.slope_cap * abs(a - b) + 1e-12
     mid = reg(0.5 * (a + b))
     assert mid <= 0.5 * (reg(a) + reg(b)) + 1e-12
-
-
-def test_regularization_matrix_branch():
-    reg = regularize(CovarianceModel(D=2, poly={2: 1.0}))
-    # on the trace ball the max of xi and the affine branch
-    a = 0.25 * np.eye(2)
-    assert reg(a) == pytest.approx(max(2 * 0.25 ** 2,
-                                       reg.slope_cap * (0.5 - 2.0)))
-    # the monotone conjugate is scalar only
-    with pytest.raises(UnsupportedOperationError):
-        xi_star_vec(reg, np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +106,7 @@ def test_conjugate_of_regularized_matches_oracle():
 
 
 def test_conjugate_mixed_quartic_matches_oracle():
-    model = CovarianceModel(D=1, poly={2: 0.5, 4: 0.25})
+    model = CovarianceModel(poly={2: 0.5, 4: 0.25})
     reg = regularize(model)
     rs = np.linspace(0.0, reg.slope_cap - 1e-6, 25)
     for r, v in zip(rs, xi_star_vec(reg, rs)):
@@ -155,7 +144,7 @@ def test_regularization_and_its_seam_are_built_once_per_model(monkeypatch):
     seam_point = nonlinearity._seam_point
     monkeypatch.setattr(nonlinearity, "_seam_point",
                         lambda reg: seams.append(reg) or seam_point(reg))
-    model = CovarianceModel(D=1, poly={2: 0.5, 3: 0.7})
+    model = CovarianceModel(poly={2: 0.5, 3: 0.7})
     reg = regularize(model)
     assert regularize(model) is reg
     for t in (0.25, 0.5):
@@ -163,7 +152,7 @@ def test_regularization_and_its_seam_are_built_once_per_model(monkeypatch):
         xi_star_vec(regularize(model), np.array([0.5, 1.0]))
     assert seams == [reg]
     # an equal model object gets its own regularization
-    assert regularize(CovarianceModel(D=1, poly={2: 0.5, 3: 0.7})) is not reg
+    assert regularize(CovarianceModel(poly={2: 0.5, 3: 0.7})) is not reg
     # the coefficients cannot change under the cached regularization
     with pytest.raises(TypeError):
         model.poly[2] = 2.0
@@ -178,7 +167,7 @@ ZERO_IDS = [f"True-poly{i}" for i in range(len(ZERO_POLYS))]
 
 
 def _kernel_reg(poly):
-    model = CovarianceModel(D=1, poly=poly)
+    model = CovarianceModel(poly=poly)
     return model, regularize(model)
 
 
@@ -329,7 +318,7 @@ def test_h_monotone_along_dual_directions():
 
 
 def test_h_matrix_dimension_unsupported_off_cone():
-    reg = regularize(CovarianceModel(D=2, poly={2: 1.0}))
+    reg = regularize(CovarianceModel.sk(1.0))
     j = Partition.uniform(1)
     off = ConePoint(j, -np.eye(2)[None])
     with pytest.raises(UnsupportedOperationError):

@@ -144,7 +144,7 @@ def test_linear_hopf_dominates_every_feasible_slope():
             z = np.sort(rng.uniform(0.0, 1.5, n))
             z *= rng.uniform() * min(1.0, np.min(tail(hj) / tail(z)))
             assert np.all(tail(hj - z) >= -1e-12)
-            assert value >= w @ (x.scalars * z + t * MODEL.eval_vec(z)) - 1e-12
+            assert value >= w @ (x.scalars * z + t * MODEL(z)) - 1e-12
 
 
 def test_hopf_requires_convexity():
@@ -240,7 +240,7 @@ def _reference_zoom(f, shape, top, scans):
 def test_zoom_matches_the_loop_it_replaced(seed):
     psi = _softplus_psi(seed)
     xv = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0, 5))
-    hopf_like = lambda z: xv[:, None] * z - psi.phi(z) + 0.7 * MODEL.eval_vec(z)
+    hopf_like = lambda z: xv[:, None] * z - psi.phi(z) + 0.7 * MODEL(z)
     for scans in ([1025] + [257] * 6, [257] * 6):
         np.testing.assert_array_equal(
             _zoom_argmax(hopf_like, xv.shape, psi.lip_l1, scans),
@@ -349,8 +349,8 @@ def test_routes_reject_matrix_models(route):
     j = Partition.uniform(2)
     psi = _softplus_psi(11)
     with pytest.raises(UnsupportedOperationError, match="D = 1"):
-        route(psi, CovarianceModel(D=2, poly={2: 1.0}), j, 0.5,
-              ConePoint(j, [0.3, 0.8]))
+        route(psi, MODEL, j, 0.5,
+              ConePoint(j, np.stack([0.3 * np.eye(2), 0.8 * np.eye(2)])))
 
 
 @pytest.mark.parametrize("wrong", [REG], ids=["regularization"])
