@@ -5,12 +5,18 @@ interaction with covariance N xi(sigma . tau / N), xi(r) = beta r^2, and
 to an ultrametric external field driven by a Poisson-Dirichlet cascade
 whose overlap law is a prescribed discrete monotone measure.  Spins are
 enumerated exactly (N <= 14); disorder replicas are independent seeded
-substreams so estimates are bit-reproducible at any thread count.
+substreams so estimates are bit-reproducible at any thread count.  A
+replica builds its 2^N x M^K exponent matrix in place and reduces it
+with one max-shift log-sum-exp (``_exp_shifted``, which also normalizes
+the cascade weights).  That matrix is held densely, one per thread, so
+``free_energy`` refuses a run that would hold more than 2 GiB of them.
 
 The t = 0 value tensorizes to a one-spin functional that is computed
-deterministically by a backward recursion over the cascade levels with
-Gauss-Hermite quadrature; it doubles as the initial condition for the
-variational solvers.
+deterministically by a backward recursion over the cascade levels; it
+doubles as the initial condition for the variational solvers.  Each
+level is a Gaussian mean taken by discrete convolution on one uniform
+lattice, so no level interpolates; a deviation below 1.25 lattice
+spacings takes a fourth-order Taylor rule with centred differences.
 """
 
 from __future__ import annotations
@@ -19,13 +25,25 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from scipy.interpolate import CubicSpline
-from scipy.special import logsumexp
 
 from .cones import (DiscreteMeasure, InvalidInputError, StepPath,
                     UnsupportedOperationError, quantile_to_measure)
 from .solvers import InitialCondition
+
+
+# ---------------------------------------------------------------------------
+# one log-sum-exp
+
+def _exp_shifted(a: np.ndarray) -> float:
+    """Overwrite a with exp(a - max a) and return max a.
+
+    The one log-sum-exp kernel: log sum exp(a) = max a + log sum(result),
+    with a single global shift and no temporaries.
+    """
+    m = float(a.max())
+    a -= m
+    np.exp(a, out=a)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +90,8 @@ def sample_cascade(spec: CascadeSpec, rng: np.random.Generator) -> np.ndarray:
         gamma = np.cumsum(gaps, axis=1)
         child_log_u = -np.log(gamma) / zeta  # decreasing arrivals per parent
         log_u = (log_u[:, None] + child_log_u).ravel()
-    return np.exp(log_u - logsumexp(log_u))
+    _exp_shifted(log_u)
+    return log_u / log_u.sum()
 
 
 def pd_squared_weight(spec: CascadeSpec, rng: np.random.Generator) -> float:
@@ -111,6 +130,9 @@ class FreeEnergyEstimate:
     t: float
 
 
+_MEMORY_CAP = 2 ** 31   # bytes of replica matrices held at once
+
+
 def _sign_matrix(N: int) -> np.ndarray:
     bits = np.arange(2 ** N)[:, None] >> np.arange(N)[None, :]
     return 1.0 - 2.0 * (bits & 1)
@@ -121,20 +143,22 @@ def _replica_value(inst: SkInstance, spec: CascadeSpec, S: np.ndarray,
     N, beta, t = inst.N, inst.beta, inst.t
     q = inst.measure.atoms[:, 0, 0]
     weights = sample_cascade(spec, rng)
-    P = weights.size
     # external field per leaf and spin: sqrt(q0) at the root plus
     # sqrt(q_k - q_{k-1}) at each tree level, one draw per depth-(k+1)
     # node spread over the leaves below it
-    W = np.sqrt(q[0]) * rng.standard_normal(N)[None, :] * np.ones((P, 1))
+    W = np.empty((weights.size, N))
+    W[:] = np.sqrt(q[0]) * rng.standard_normal(N)
     for k in range(spec.K):
         z = rng.standard_normal((spec.M ** (k + 1), N))
-        below = np.repeat(z, spec.M ** (spec.K - 1 - k), axis=0)
-        W = W + np.sqrt(q[k + 1] - q[k]) * below
+        W += np.repeat(np.sqrt(q[k + 1] - q[k]) * z,
+                       spec.M ** (spec.K - 1 - k), axis=0)
     G = rng.standard_normal((N, N))
-    energy = np.sqrt(beta / N) * np.einsum("si,ij,sj->s", S, G, S)
-    A = np.sqrt(2.0 * t) * energy[:, None] + np.sqrt(2.0) * (S @ W.T) \
-        + np.log(weights)[None, :]
-    lse = logsumexp(A)
+    energy = np.sqrt(beta / N) * np.sum((S @ G) * S, axis=1)
+    # A[s, leaf] = sqrt(2) S W^T + log weight + sqrt(2t) energy, built in place
+    A = S @ (np.sqrt(2.0) * W.T)
+    A += np.log(weights)
+    A += np.sqrt(2.0 * t) * energy[:, None]
+    lse = _exp_shifted(A) + np.log(A.sum())
     return -(lse - N * np.log(2.0)) / N + t * beta + q[-1]
 
 
@@ -144,10 +168,19 @@ def free_energy(inst: SkInstance, spec: CascadeSpec, replicas: int,
 
     Each replica draws its disorder from an independent substream keyed
     by (seed, replica index); results are reduced by index so the
-    estimate is identical under any thread count.
+    estimate is identical under any thread count.  A replica holds the
+    2^N x M^K exponent matrix densely, so a run whose threads would need
+    more than 2 GiB of it at once is refused before the first replica.
     """
     if tuple(inst.measure.levels[1:-1]) != spec.zetas:
         raise InvalidInputError("cascade ratios must match the measure levels")
+    per_thread = 8 * 2 ** inst.N * spec.M ** spec.K
+    workers = max(threads, 1)
+    if workers * per_thread > _MEMORY_CAP:
+        raise UnsupportedOperationError(
+            f"free_energy at N = {inst.N}, M = {spec.M}, K = {spec.K} needs "
+            f"about {per_thread:.2g} bytes per thread on {workers} "
+            f"thread(s), over the {_MEMORY_CAP / 2 ** 30:g} GiB cap")
     S = _sign_matrix(inst.N)
     vals = np.empty(replicas)
 
@@ -184,9 +217,11 @@ def moment_normalization(N: int, beta: float, t: float, replicas: int,
 # ---------------------------------------------------------------------------
 # deterministic one-spin functional (t = 0 tensorization)
 
-_GH_NODES, _GH_WEIGHTS = hermgauss(40)
-_Z_NODES = np.sqrt(2.0) * _GH_NODES          # standard-normal nodes
-_Z_WEIGHTS = _GH_WEIGHTS / np.sqrt(np.pi)
+_Z_MAX = 8.1         # Gaussian kernels are truncated at 8.1 deviations
+_HALF_POINTS = 300   # lattice spacing h: the widest reach spans 300 points
+_NARROW = 1.25       # a deviation below 1.25 h takes the Taylor rule
+_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0               # h^2 F''
+_D4 = np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0   # h^4 F''''
 
 
 def _log_cosh(x):
@@ -194,42 +229,69 @@ def _log_cosh(x):
     return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
 
 
+def _radius(s: float, h: float) -> int:
+    """Half-width in lattice points of ``_gauss_mean`` at deviation s."""
+    if s == 0.0:
+        return 0
+    if s < _NARROW * h:
+        return 3
+    return int(_Z_MAX * s / h)
+
+
+def _gauss_mean(F: np.ndarray, s: float, h: float) -> np.ndarray:
+    """E F(w + s z), z standard normal, on a lattice of spacing h.
+
+    The output lies on the same lattice, ``_radius(s, h)`` points
+    narrower on each side; ``one_spin_psi`` states the two rules.
+    """
+    r = _radius(s, h)
+    if r == 0:
+        return F
+    if s < _NARROW * h:
+        a = (s / h) ** 2
+        return (F[3:-3] + 0.5 * a * np.convolve(F, _D2, mode="valid")[1:-1]
+                + 0.125 * a * a * np.convolve(F, _D4, mode="valid"))
+    x = np.arange(-r, r + 1) * (h / s)
+    g = np.exp(-0.5 * x * x)
+    return np.convolve(F, g / g.sum(), mode="valid")
+
+
 def one_spin_psi(measure: DiscreteMeasure) -> float:
     """psi(rho) = q_K - E log sum_alpha nu_alpha cosh(sqrt(2) w(alpha)).
 
     Computed by the backward cascade recursion
-    Y_{k-1}(w) = (1/zeta_k) log E_z exp(zeta_k Y_k(w + sqrt(dq_k) z))
-    with Gauss-Hermite quadrature and cubic-spline tabulation on 601
-    points per level.
+    Y_K(w) = log cosh(sqrt(2) w),
+    Y_{k-1}(w) = (1/zeta_k) log E_z exp(zeta_k Y_k(w + sqrt(dq_k) z)),
+    psi = q_K - E_z Y_0(sqrt(q_0) z),
+    on one uniform lattice w = h (-n..n) with
+    h = (8.1 (sqrt(q_0) + sum_k sqrt(dq_k)) + 1) / 300.
+
+    Every Gaussian mean is ``_gauss_mean``, whose output stays on the same
+    lattice, narrower by its half-width, so no level interpolates; n is
+    the sum of those half-widths, so the last mean leaves the single value
+    at w = 0.  At deviation s >= 1.25 h the mean is a convolution with the
+    sampled Gaussian, normalized and truncated at 8.1 s.  Below that the
+    sampled kernel is too coarse for the trapezoid rule, and the mean is
+    the Taylor rule E F(w + s z) ~ F + (s^2/2) F'' + (s^4/8) F'''' with
+    centred 5- and 7-point differences; such steps come from nearly equal
+    atoms and from a tiny q_0.  dq_k = 0 leaves Y unchanged, which is
+    exact.  Against nested Gauss-Hermite quadrature the convolution is
+    off by about 1e-14 and the Taylor rule by up to 1.5e-10, just below
+    the switch.
     """
-    grid_points = 601
     q = measure.atoms[:, 0, 0]
     zetas = measure.levels[1:-1]
-    K = q.size - 1
-    zmax = float(np.abs(_Z_NODES).max())
-    sq = np.sqrt(np.maximum(np.diff(q), 0.0))  # sqrt(dq_k), k = 1..K
-    half = zmax * (np.sqrt(max(q[0], 0.0)) + np.concatenate(
-        ([0.0], np.cumsum(sq)))) + 1.0  # grid half-width needed per depth
-    w = np.linspace(-half[K], half[K], grid_points)
-    Y = _log_cosh(np.sqrt(2.0) * w)
-    for k in range(K, 0, -1):
-        wk = np.linspace(-half[k - 1], half[k - 1], grid_points)
-        if sq[k - 1] == 0.0:
-            Y = CubicSpline(w, Y)(wk)
-            w = wk
+    s = np.sqrt(np.maximum(np.diff(q, prepend=0.0), 0.0))  # sqrt(q_0), sqrt(dq_k)
+    h = (_Z_MAX * s.sum() + 1.0) / _HALF_POINTS
+    n = sum(_radius(v, h) for v in s)
+    Y = _log_cosh(np.sqrt(2.0) * h * np.arange(-n, n + 1))
+    for k in range(q.size - 1, 0, -1):
+        if s[k] == 0.0:
             continue
-        spline = CubicSpline(w, Y)
-        args = wk[:, None] + sq[k - 1] * _Z_NODES[None, :]
-        inner = zetas[k - 1] * spline(args)
-        m = inner.max(axis=1, keepdims=True)
-        Y = (np.log(np.exp(inner - m) @ _Z_WEIGHTS) + m[:, 0]) / zetas[k - 1]
-        w = wk
-    if q[0] > 0.0:
-        spline = CubicSpline(w, Y)
-        val = float(spline(np.sqrt(q[0]) * _Z_NODES) @ _Z_WEIGHTS)
-    else:
-        val = float(np.interp(0.0, w, Y))
-    return float(q[-1] - val)
+        inner = zetas[k - 1] * Y
+        m = inner.max()
+        Y = (np.log(_gauss_mean(np.exp(inner - m), s[k], h)) + m) / zetas[k - 1]
+    return float(q[-1] - _gauss_mean(Y, s[0], h)[0])
 
 
 def one_spin_initial_condition() -> InitialCondition:

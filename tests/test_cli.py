@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
 
-from conehj import GridFunction, Partition
+from conehj import GridFunction, Partition, spin_glass
 from conehj.cli import main
 
 SOLVE_CONFIG = {
@@ -257,6 +258,25 @@ def test_spinglass_artifacts_and_determinism(tmp_path):
     assert (tmp_path / "spinglass.csv").read_bytes() == first
     bound = json.loads((tmp_path / "spinglass_bound.json").read_text())
     assert bound["0.25"]["pass"]
+
+
+def test_spinglass_over_the_memory_cap_exits_1_at_once(tmp_path, capsys,
+                                                       monkeypatch):
+    # K = 2, M = 256, N = 14: 2^14 x 256^2 x 8 bytes per thread, refused
+    # before any replica runs
+    def no_replica(*args):
+        raise AssertionError("a replica ran past the memory guard")
+
+    monkeypatch.setattr(spin_glass, "_replica_value", no_replica)
+    cfg = {"N_list": [14], "beta": 0.5, "t_list": [0.25],
+           "measure": {"atoms": [[[0.0]], [[0.2]], [[0.5]]],
+                       "levels": [0.0, 0.3, 0.7, 1.0]},
+           "cascade": {"M": 256}, "replicas": 10, "hj_level": 2}
+    t0 = time.perf_counter()
+    assert _run(tmp_path, "spinglass", cfg) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "8.6e+09 bytes per thread" in err
 
 
 def test_values_use_17_significant_digits(tmp_path):

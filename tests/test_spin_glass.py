@@ -1,14 +1,22 @@
 """Cascade sampler, free-energy Monte Carlo, and the one-spin recursion."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
+from scipy import integrate
+from scipy.special import logsumexp
 
 from conehj import (CascadeSpec, CovarianceModel, DiscreteMeasure,
                     InvalidInputError, Partition, SkInstance, StepPath,
                     UnsupportedOperationError, bound_check, free_energy,
                     moment_normalization, one_spin_initial_condition,
                     one_spin_psi, sample_cascade)
-from conehj.spin_glass import FreeEnergyEstimate, pd_squared_weight
+from conehj import spin_glass
+from conehj.spin_glass import (FreeEnergyEstimate, _replica_value,
+                               _sign_matrix, pd_squared_weight)
 
 HALF = DiscreteMeasure(np.array([0.0, 0.3]), np.array([0.0, 0.5, 1.0]))
 
@@ -85,6 +93,63 @@ def test_free_energy_thread_determinism():
     assert a.mean == b.mean and a.se == b.se
 
 
+def _replica_value_reference(inst, spec, S, rng):
+    """One replica as first formulated: scipy's logsumexp for the cascade
+    and the exponent matrix, the field broadcast with np.ones and the
+    energy by einsum.  Draws in the same order as ``_replica_value``."""
+    N, beta, t = inst.N, inst.beta, inst.t
+    q = inst.measure.atoms[:, 0, 0]
+    weights = np.array([1.0])
+    if spec.K:
+        log_u = np.zeros(1)
+        for zeta in spec.zetas:
+            gaps = rng.exponential(1.0, size=(log_u.size, spec.M))
+            log_u = (log_u[:, None] - np.log(np.cumsum(gaps, axis=1)) / zeta).ravel()
+        weights = np.exp(log_u - logsumexp(log_u))
+    W = np.sqrt(q[0]) * rng.standard_normal(N)[None, :] * np.ones((weights.size, 1))
+    for k in range(spec.K):
+        z = rng.standard_normal((spec.M ** (k + 1), N))
+        W = W + np.sqrt(q[k + 1] - q[k]) * np.repeat(
+            z, spec.M ** (spec.K - 1 - k), axis=0)
+    G = rng.standard_normal((N, N))
+    energy = np.sqrt(beta / N) * np.einsum("si,ij,sj->s", S, G, S)
+    A = np.sqrt(2.0 * t) * energy[:, None] + np.sqrt(2.0) * (S @ W.T) \
+        + np.log(weights)[None, :]
+    return -(logsumexp(A) - N * np.log(2.0)) / N + t * beta + q[-1]
+
+
+REPLICA_GRID = list(itertools.product((0, 1, 2), (8, 64), (1, 4, 10),
+                                      (0.0, 0.3), (0.0, 0.1)))
+
+
+@pytest.mark.parametrize("K, M, N, t, q0", REPLICA_GRID)
+def test_replica_value_matches_the_reference_formulation(K, M, N, t, q0):
+    measure = DiscreteMeasure(q0 + np.array([0.0, 0.25, 0.6])[:K + 1],
+                              np.array([[0.0, 1.0], [0.0, 0.5, 1.0],
+                                        [0.0, 0.35, 0.7, 1.0]][K]))
+    inst = SkInstance(N, 0.5, t, measure)
+    spec = CascadeSpec.for_measure(measure, M=M)
+    S = _sign_matrix(N)
+    for r in range(3):
+        key = np.random.SeedSequence(7, spawn_key=(r,))
+        got = _replica_value(inst, spec, S, np.random.default_rng(key))
+        ref = _replica_value_reference(inst, spec, S, np.random.default_rng(key))
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def _no_replica(*args):
+    raise AssertionError("a replica ran past the memory guard")
+
+
+def test_free_energy_refuses_replica_matrices_over_2_gib(monkeypatch):
+    # 2^14 states x 8192 leaves x 8 bytes is 1 GiB per thread: one or two
+    # threads fit under the cap, three do not; refused before any replica
+    monkeypatch.setattr(spin_glass, "_replica_value", _no_replica)
+    inst = SkInstance(14, 0.5, 0.25, HALF)
+    with pytest.raises(UnsupportedOperationError, match=r"1\.1e\+09 bytes per thread"):
+        free_energy(inst, CascadeSpec((0.5,), M=8192), 10, seed=0, threads=3)
+
+
 def test_free_energy_requires_matching_levels():
     inst = SkInstance(4, 0.5, 0.25, HALF)
     with pytest.raises(InvalidInputError):
@@ -115,8 +180,68 @@ def test_one_spin_psi_delta_q_closed_form():
     w = w / np.sqrt(np.pi)
     expected = q - float(np.log(np.cosh(np.sqrt(2 * q) * z)) @ w)
     m = DiscreteMeasure.delta(q)
-    # spline tabulation limits accuracy to a few 1e-9
-    assert one_spin_psi(m) == pytest.approx(expected, abs=1e-7)
+    # both sides are exact to rounding: the lattice convolution and
+    # 60-node Gauss-Hermite on a function analytic near the real line
+    assert one_spin_psi(m) == pytest.approx(expected, abs=1e-12)
+
+
+def _nested_gauss_hermite_psi(measure, nodes):
+    """psi by nested Gauss-Hermite quadrature, with no lattice."""
+    q = measure.atoms[:, 0, 0]
+    zetas = measure.levels[1:-1]
+    x, wts = hermgauss(nodes)
+    z, wz = math.sqrt(2.0) * x, wts / math.sqrt(math.pi)
+
+    def Y(k, w):
+        if k == q.size - 1:
+            return np.logaddexp(math.sqrt(2.0) * w, -math.sqrt(2.0) * w) - math.log(2.0)
+        inner = zetas[k] * Y(k + 1, w[..., None] + math.sqrt(q[k + 1] - q[k]) * z)
+        m = inner.max(axis=-1)
+        return (np.log(np.exp(inner - m[..., None]) @ wz) + m) / zetas[k]
+
+    return float(q[-1] - Y(0, math.sqrt(q[0]) * z) @ wz)
+
+
+def _quad_psi(q):
+    """psi of the K = 0 measure delta_q by adaptive quadrature."""
+    a = math.sqrt(2.0 * q)
+
+    def f(z):
+        return (np.logaddexp(a * z, -a * z) - math.log(2.0)) \
+            * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    return q - integrate.quad(f, -np.inf, np.inf, epsabs=1e-15, limit=200)[0]
+
+
+def _one_spin_family(seed=2024, size=60):
+    """1-3 atoms; q0 = 0, tiny q0 in [1e-12, 1e-3], or q0 in [0, 0.8];
+    some neighbouring atoms only 1e-12 to 1e-2 apart."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(size):
+        n, kind = 1 + i % 3, (i // 3) % 4
+        q0 = [0.0, 10 ** rng.uniform(-12, -3), rng.uniform(0.0, 0.8),
+              rng.uniform(0.0, 0.8)][kind]
+        gaps = rng.uniform(0.05, 0.5, n - 1)
+        if kind == 3 and n > 1:
+            gaps[rng.integers(n - 1)] = 10 ** rng.uniform(-12, -2)
+        levels = np.sort(rng.uniform(0.05, 0.95, n - 1))
+        out.append(DiscreteMeasure(q0 + np.concatenate(([0.0], np.cumsum(gaps))),
+                                   np.concatenate(([0.0], levels, [1.0]))))
+    return out
+
+
+def test_one_spin_psi_matches_nested_quadrature():
+    family = _one_spin_family()
+    for m in family:
+        ref = _nested_gauss_hermite_psi(m, 200 if m.atoms.shape[0] <= 2 else 120)
+        assert abs(one_spin_psi(m) - ref) <= 1e-8, (m.atoms.ravel(), m.levels)
+    for m in family:
+        if m.atoms.shape[0] == 1:
+            q = float(m.atoms[0, 0, 0])
+            assert abs(one_spin_psi(m) - _quad_psi(q)) <= 1e-8, q
+    for q in (0.2, 0.8, 1.5):
+        assert abs(one_spin_psi(DiscreteMeasure.delta(q)) - _quad_psi(q)) <= 1e-8, q
 
 
 def test_one_spin_initial_condition_on_paths():
