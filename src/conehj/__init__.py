@@ -12,7 +12,7 @@ from .fd_oracle import (ComparisonReport, FdGrid, FdSurface, comparison_check,
 from .limits import (RefinementStudy, lipschitz_audit, rate_study,
                      seeded_test_points)
 from .nonlinearity import (CovarianceModel, Regularization, bold_xi, h_eval,
-                           h_eval_bruteforce, regularize, xi_star_vec)
+                           regularize, xi_star_vec)
 from .solvers import (InitialCondition, SolutionSurface, hopf, hopf_lax,
                       hopf_lax_1d, hopf_lax_pointwise, hopf_lax_separable,
                       solve_surface)

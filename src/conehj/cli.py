@@ -130,7 +130,7 @@ def run_converge(config: dict, out: Path, seed: int, threads: int):
     rows = [(int(s), e) for s, e in zip(study.sizes, study.errors)]
     write_csv(out / "converge.csv", ["level_size", "error"], rows)
     slope_max = float(config.get("slope_max", -0.4))
-    passed = study.slope <= slope_max or not np.isfinite(study.slope)
+    passed = study.slope <= slope_max
     summary = dict(study.to_json(), **{"pass": bool(passed)})
     write_sidecar(out / "converge.meta.json", config, seed, {"study": summary})
     return (0 if passed else 2), f"converge: slope {study.slope:.3f} " \

@@ -49,7 +49,8 @@ def rate_study(psi: InitialCondition, model: CovarianceModel, chain,
 
     ``chain`` is a nested list of partitions (each refining the last);
     ``test_points`` is a list of (t, mu) with mu a StepPath.  The decay
-    exponent is fitted by least squares on the last three gaps.
+    exponent is fitted by least squares on the last three gaps; it is NaN
+    when any error is not finite.
     """
     chain = list(chain)
     if len(chain) < 3:
@@ -66,14 +67,18 @@ def rate_study(psi: InitialCondition, model: CovarianceModel, chain,
             f_fine = _solve(psi, model, jf, t, x_fine)
             f_restricted = _solve(psi, model, jc, t, x_coarse)
             scale = t + x_fine.norm()
-            worst = max(worst, abs(f_restricted - f_fine) / max(scale, 1e-12))
+            # np.maximum keeps a NaN gap, which the builtin max drops
+            worst = float(np.maximum(
+                worst, abs(f_restricted - f_fine) / max(scale, 1e-12)))
         sizes.append(jc.size)
         errors.append(worst)
     sizes = np.asarray(sizes, dtype=float)
     errors = np.asarray(errors, dtype=float)
     tail_s, tail_e = sizes[-3:], errors[-3:]
     good = tail_e > 1e-13
-    if good.sum() >= 2:
+    if not np.all(np.isfinite(errors)):
+        slope, constant = np.nan, np.nan
+    elif good.sum() >= 2:
         A = np.vstack([np.log(tail_s[good]), np.ones(good.sum())]).T
         coef, *_ = np.linalg.lstsq(A, np.log(tail_e[good]), rcond=None)
         slope, logc = float(coef[0]), float(coef[1])

@@ -18,8 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cones import (ConePoint, InvalidInputError, UnsupportedOperationError,
-                    is_in_cone)
+from .cones import ConePoint, InvalidInputError, is_in_cone
 
 
 @dataclass(frozen=True)
@@ -243,49 +242,3 @@ def _pav(k: np.ndarray, w: np.ndarray) -> np.ndarray:
             sizes[-1] += size
     return np.repeat(means, sizes)
 
-
-def h_eval_bruteforce(kappa: ConePoint, reg: Regularization) -> float:
-    """Grid search over the feasible set; oracle for tiny D = 1 problems.
-
-    A global scan (60 points per axis) locates a grid minimizer, then 5
-    zoom rounds re-grid a shrinking box around the incumbent.  The zoom
-    is local: on a non-uniform partition a thin cell lets the first scan
-    settle far from the optimum (breaks [0.085159, 1], kappa =
-    [0.44484187, 1.30300528] gave 2.44198 against the exact 2.23446), so
-    only uniform partitions with |j| <= 3 are accepted.
-    """
-    if not kappa.partition.is_uniform:
-        raise UnsupportedOperationError(
-            "brute force oracle requires a uniform partition")
-    w = kappa.partition.widths
-    k = kappa.scalars
-    n = k.size
-    if n > 3:
-        raise UnsupportedOperationError("brute force oracle requires |j| <= 3")
-    x_max = max(2.0, 2.0 * np.abs(k).max(initial=0.0) + 1.0)
-    steps = 60
-    tail_k = np.cumsum((w * k)[::-1])[::-1]
-    tails_mat = np.triu(np.ones((n, n))).T
-
-    def scan(axes):
-        grids = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([g.ravel() for g in grids], axis=-1)
-        ok = X[:, 0] >= 0
-        for i in range(1, n):
-            ok &= X[:, i] >= X[:, i - 1] - 1e-12
-        ok &= np.all((X * w) @ tails_mat >= tail_k - 1e-12, axis=1)
-        X = X[ok]
-        vals = np.sum(w * reg(X), axis=1)
-        i = int(np.argmin(vals))
-        return float(vals[i]), X[i]
-
-    best, arg = scan([np.linspace(0.0, x_max, steps)] * n)
-    pad = 2.0 * x_max / (steps - 1)
-    for _ in range(5):
-        axes = [np.linspace(max(0.0, arg[i] - pad), arg[i] + pad, steps)
-                for i in range(n)]
-        val, cand = scan(axes)
-        if val < best:
-            best, arg = val, cand
-        pad = 4.0 * pad / (steps - 1)
-    return best

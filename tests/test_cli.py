@@ -242,6 +242,14 @@ def test_converge_on_linear_data_exits_0(tmp_path):
     assert meta["study"]["pass"]
 
 
+def test_accept_criterion_4_at_seed_1_exits_0(tmp_path):
+    # seed 1 runs criterion 4 at seed 5, whose kappa the grid search
+    # that was its reference missed by 6.8e-4
+    assert _run(tmp_path, "accept", {"criteria": [4]}, "--seed", "1") == 0
+    rep = json.loads((tmp_path / "accept.json").read_text())
+    assert [r["criterion"] for r in rep] == [4]
+
+
 def test_spinglass_artifacts_and_determinism(tmp_path):
     cfg = {
         "N_list": [2, 4],

@@ -1,12 +1,15 @@
 """Refinement studies and regularity audits across nested partitions."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conehj import (ConePoint, CovarianceModel, InitialCondition,
-                    InvalidInputError, Partition, StepPath, hopf_lax_separable,
-                    lift_lj, lipschitz_audit, project_pj,
-                    rate_study, seeded_test_points, solve_surface)
+                    InvalidInputError, Partition, StepPath, acceptance,
+                    hopf_lax_separable, lift_lj, limits, lipschitz_audit,
+                    project_pj, rate_study, seeded_test_points, solve_surface)
+from conehj.cli import main
 
 MODEL = CovarianceModel.sk(1.0)
 
@@ -43,6 +46,30 @@ def test_rate_study_exact_for_factoring_data():
     study = rate_study(lin, MODEL, chain, pts)
     assert float(study.errors.max()) <= 1e-10
     assert study.constant == 0.0
+
+
+def _nan_solve(*args):
+    return np.nan
+
+
+def test_nan_solutions_fail_the_rate_gate(monkeypatch):
+    # NaN errors once read as exact projective consistency (slope -inf)
+    monkeypatch.setattr(limits, "_solve", _nan_solve)
+    rep = acceptance.crit_rate()
+    assert not rep["pass"], rep
+    assert np.isnan(rep["slope"])
+
+
+def test_converge_on_nan_solutions_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(limits, "_solve", _nan_solve)
+    cfg = {"psi": {"kind": "softplus",
+                   "profile": {"weights": [0.5], "thresholds": [0.5],
+                               "scales": [0.5]}},
+           "xi": {"poly": {"2": 1.0}}, "levels": [4, 8, 16], "points": 4}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["converge", "--config", str(path),
+                 "--out", str(tmp_path)]) == 2
 
 
 def test_rate_study_needs_three_levels():

@@ -24,7 +24,12 @@ def _h_sorted_without_pooling(kappa, reg):
 
 
 def _h_shifted_off_cone(kappa, reg):
-    return h_eval(kappa, reg) + (0.0 if is_in_cone(kappa) else 1e-3)
+    return h_eval(kappa, reg) + (0.0 if is_in_cone(kappa) else 1e-6)
+
+
+def _xi_star_raised(reg, r):
+    # lowers only the bracket's lower side
+    return xi_star_vec(reg, r) + 1e-9
 
 
 def _rearrange_one_swap_short(x):
@@ -38,11 +43,15 @@ def _regularize_l_off(model):
 
 
 def _xi_star_shifted(reg, r):
-    return xi_star_vec(reg, r) + 1e-3
+    return xi_star_vec(reg, r) + 1e-8
 
 
 def _hopf_lax_1d_shifted(*args, **kwargs):
-    return solvers.hopf_lax_1d(*args, **kwargs) + 2e-4
+    return solvers.hopf_lax_1d(*args, **kwargs) + 1e-8
+
+
+def _hopf_lax_1d_nan(*args, **kwargs):
+    return np.nan
 
 
 def _dual_increasing_accepts_all(g):
@@ -83,12 +92,16 @@ CONTROLS = [
      _h_sorted_without_pooling),
     (acceptance.crit_h_properties, {"seed": 4}, acceptance, "h_eval",
      _h_shifted_off_cone),
+    (acceptance.crit_h_properties, {"seed": 4}, acceptance, "xi_star_vec",
+     _xi_star_raised),
     (acceptance.crit_regularization, {"seed": 4}, acceptance, "regularize",
      _regularize_l_off),
     (acceptance.crit_variational, {"seed": 5, "instances": 6}, solvers,
      "xi_star_vec", _xi_star_shifted),
     (acceptance.crit_1d_reduction, {"seed": 6, "instances": 6}, acceptance,
      "hopf_lax_1d", _hopf_lax_1d_shifted),
+    (acceptance.crit_1d_reduction, {"seed": 6, "instances": 6}, acceptance,
+     "hopf_lax_1d", _hopf_lax_1d_nan),
     (acceptance.crit_fm, {"seed": 10}, conjugates, "dual_increasing_check",
      _dual_increasing_accepts_all),
     (acceptance.crit_fm, {"seed": 10}, conjugates, "mono_conjugate",

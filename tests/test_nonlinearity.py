@@ -10,9 +10,9 @@ from scipy.optimize import brentq, minimize_scalar
 
 from conehj import (ConePoint, CovarianceModel, InvalidInputError, Partition,
                     UnsupportedOperationError, bold_xi, h_eval,
-                    h_eval_bruteforce, hopf_lax_pointwise, regularize,
-                    xi_star_vec)
+                    hopf_lax_pointwise, regularize, xi_star_vec)
 from conehj import nonlinearity
+from conehj.acceptance import _h_bracket
 from conehj.nonlinearity import _inv_deriv_vec
 
 
@@ -263,14 +263,24 @@ def test_h_on_cone_equals_bold_xi():
     assert h_eval(x, reg) == pytest.approx(bold_xi(x, reg))
 
 
-def test_h_off_cone_agrees_with_bruteforce():
-    reg = regularize(CovarianceModel.sk(1.0))
+@pytest.mark.parametrize("model", [CovarianceModel.sk(1.0),
+                                   CovarianceModel(poly={2: 0.5, 3: 0.3})],
+                         ids=["sk", "cubic"])
+def test_h_lies_in_its_weak_duality_bracket(model):
+    # lower <= H <= upper, and the bracket closes to rounding, on
+    # non-uniform partitions up to |j| = 8 with kappa on both sides of
+    # the seam
+    reg = regularize(model)
     rng = np.random.default_rng(1)
-    for _ in range(40):
-        n = int(rng.integers(1, 4))
-        kappa = ConePoint(Partition.uniform(n), rng.normal(0, 1.5, n))
-        assert h_eval(kappa, reg) == pytest.approx(
-            h_eval_bruteforce(kappa, reg), abs=1e-4)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        j = Partition(np.append(np.sort(rng.uniform(0.05, 0.95, n - 1)), 1.0))
+        kappa = ConePoint(j, rng.normal(0.0, 1.5, n))
+        h = h_eval(kappa, reg)
+        lower, upper = _h_bracket(kappa, reg)
+        scale = 1.0 + abs(h)
+        assert lower - 1e-12 * scale <= h <= upper + 1e-12 * scale
+        assert upper - lower <= 1e-12 * scale
 
 
 def test_h_off_cone_hand_values():
@@ -295,15 +305,13 @@ def test_h_is_below_every_feasible_point_on_non_uniform_partitions():
         assert h_eval(kappa, reg) <= bold_xi(x, reg) + 1e-12
 
 
-def test_bruteforce_rejects_non_uniform_partitions():
-    # a thin first cell let the zoom settle far from the optimum: it
-    # returned 2.44198 here, though kappa itself is feasible
+def test_h_on_a_thin_first_cell():
+    # kappa is nondecreasing and positive, so H is its own integrated
+    # xibar: 0.085159 * 0.44484187^2 + 0.914841 * 8 (1.30300528 - 1)
     reg = regularize(CovarianceModel.sk(1.0))
     kappa = ConePoint(Partition(np.array([0.085159, 1.0])),
                       [0.44484187, 1.30300528])
     assert h_eval(kappa, reg) == pytest.approx(2.23446, abs=1e-5)
-    with pytest.raises(UnsupportedOperationError):
-        h_eval_bruteforce(kappa, reg)
 
 
 def test_h_monotone_along_dual_directions():
@@ -323,10 +331,3 @@ def test_h_matrix_dimension_unsupported_off_cone():
     off = ConePoint(j, -np.eye(2)[None])
     with pytest.raises(UnsupportedOperationError):
         h_eval(off, reg)
-
-
-def test_bruteforce_requires_small_problems():
-    reg = regularize(CovarianceModel.sk(1.0))
-    kappa = ConePoint(Partition.uniform(4), [0.1, 0.2, 0.3, 0.4])
-    with pytest.raises(UnsupportedOperationError):
-        h_eval_bruteforce(kappa, reg)
