@@ -8,7 +8,7 @@ from .cones import (ConePoint, DiscreteMeasure, InvalidInputError, Partition,
 from .conjugates import (GridFunction, dual_increasing_check, fm_verify,
                          mono_conjugate, monotone_lattice)
 from .fd_oracle import (ComparisonReport, FdGrid, FdSurface, comparison_check,
-                        fd_solve)
+                        fd_solve, fd_vs_hopf_lax)
 from .limits import (RefinementStudy, lipschitz_audit, rate_study,
                      seeded_test_points)
 from .nonlinearity import (CovarianceModel, Regularization, bold_xi, h_eval,

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -48,6 +49,29 @@ def write_csv(path: Path, header, rows):
             w.writerow([_fmt(v) for v in row])
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by "nan", "inf" or "-inf"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def _write_json(path: Path, obj):
+    """Write obj as strict JSON: indented, sorted keys, a trailing newline.
+
+    Non-finite floats become the strings "nan", "inf" and "-inf", as
+    ``GridFunction.to_json`` writes "inf", so a strict parser reads every
+    artifact.
+    """
+    with open(path, "w") as fh:
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def write_sidecar(path: Path, config: dict, seed: int, extra=None):
     blob = json.dumps(config, sort_keys=True).encode()
     meta = {"config_sha256": hashlib.sha256(blob).hexdigest(),
@@ -55,9 +79,7 @@ def write_sidecar(path: Path, config: dict, seed: int, extra=None):
             "numpy": np.__version__}
     if extra:
         meta.update(extra)
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, meta)
 
 
 def _check_keys(obj: dict, allowed, where: str):
@@ -140,9 +162,7 @@ def run_converge(config: dict, out: Path, seed: int, threads: int):
 def run_fm_verify(config: dict, out: Path, seed: int, threads: int):
     _check_keys(config, {"function"}, "fm-verify config")
     report = fm_verify(GridFunction.from_json(config["function"]))
-    with open(out / "fm_verify.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "fm_verify.json", report)
     write_sidecar(out / "fm_verify.meta.json", config, seed)
     return (0 if report["pass"] else 2), f"fm-verify: {report}"
 
@@ -162,9 +182,7 @@ def run_compare(config: dict, out: Path, seed: int, threads: int):
     rows = [(t, x, u.values[ti, xi_], v.values[ti, xi_])
             for ti, t in enumerate(u.times) for xi_, x in enumerate(u.xs)]
     write_csv(out / "compare.csv", ["t", "x", "hopf_lax", "fd"], rows)
-    with open(out / "compare.json", "w") as fh:
-        json.dump(rep.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "compare.json", rep.to_json())
     write_sidecar(out / "compare.meta.json", config, seed)
     return (0 if rep.passed else 2), f"compare: margin {rep.margin:.2e} " \
                                      f"({'pass' if rep.passed else 'FAIL'})"
@@ -205,9 +223,7 @@ def run_spinglass(config: dict, out: Path, seed: int, threads: int):
         rep = bound_check(ests, f)
         reports[str(t)] = rep
         all_pass = all_pass and rep["pass"]
-    with open(out / "spinglass_bound.json", "w") as fh:
-        json.dump(reports, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "spinglass_bound.json", reports)
     write_sidecar(out / "spinglass.meta.json", config, seed)
     return (0 if all_pass else 2), f"spinglass: {len(rows)} estimates, " \
                                    f"bound {'pass' if all_pass else 'FAIL'}"
@@ -222,9 +238,7 @@ def run_accept(config: dict, out: Path, seed: int, threads: int):
                                  threads=threads)
     rows = [(r["criterion"], r["name"], int(r["pass"]), r["seconds"]) for r in reports]
     write_csv(out / "accept.csv", ["criterion", "name", "pass", "seconds"], rows)
-    with open(out / "accept.json", "w") as fh:
-        json.dump(reports, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_json(out / "accept.json", reports)
     write_sidecar(out / "accept.meta.json", config, seed)
     ok = all(r["pass"] for r in reports)
     for r in reports:

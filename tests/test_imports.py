@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every name
-that ``__init__`` re-exports has a caller outside the tests."""
+"""Every module of the package uses each name it imports, every name that
+``__init__`` re-exports has a caller outside the tests, and the number of
+settable values is pinned."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,33 @@ def test_export_detector_flags_a_name_no_caller_uses():
 def test_every_export_has_a_caller_outside_tests():
     callers = [p.read_text() for p in CALLERS]
     assert _unreferenced_exports((SRC / "__init__.py").read_text(), callers) == []
+
+
+def _settable_values(sources) -> int:
+    """Defaulted function parameters plus ``--flag`` arguments of argparse."""
+    count = 0
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                count += len(args.defaults)
+                count += sum(d is not None for d in args.kw_defaults)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add_argument" and node.args
+                  and isinstance(node.args[0], ast.Constant)
+                  and str(node.args[0].value).startswith("--")):
+                count += 1
+    return count
+
+
+def test_settable_value_counter():
+    source = "def f(a, b=1, *, c, d=None):\n    g = lambda r=2: r\n" \
+             "p.add_argument('command')\np.add_argument('--seed', default=0)\n"
+    assert _settable_values([source]) == 3
+
+
+def test_settable_values_are_pinned():
+    # a change that adds or removes a knob moves this pin in its own diff
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert _settable_values(sources) == 50

@@ -60,6 +60,13 @@ def test_nan_solutions_fail_the_rate_gate(monkeypatch):
     assert np.isnan(rep["slope"])
 
 
+def _strict_load(path):
+    """Parse a JSON file, refusing the bare NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_converge_on_nan_solutions_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(limits, "_solve", _nan_solve)
     cfg = {"psi": {"kind": "softplus",
@@ -70,6 +77,19 @@ def test_converge_on_nan_solutions_exits_2(tmp_path, monkeypatch):
     path.write_text(json.dumps(cfg))
     assert main(["converge", "--config", str(path),
                  "--out", str(tmp_path)]) == 2
+    study = _strict_load(tmp_path / "converge.meta.json")["study"]
+    assert study["slope"] == "nan" and study["errors"] == ["nan", "nan"]
+    assert study["pass"] is False
+
+
+def test_accept_json_from_a_nan_report_is_strict(tmp_path, monkeypatch):
+    monkeypatch.setattr(limits, "_solve", _nan_solve)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"criteria": [9]}))
+    assert main(["accept", "--config", str(path), "--out", str(tmp_path)]) == 2
+    report, = _strict_load(tmp_path / "accept.json")
+    assert report["slope"] == "nan" and report["pass"] is False
+    assert report["factoring_max_error"] == "nan"
 
 
 def test_rate_study_needs_three_levels():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conehj import (ConePoint, acceptance, bold_xi, cli, conjugates,
-                    is_in_cone, limits, solvers, spin_glass)
+                    fd_oracle, is_in_cone, limits, solvers, spin_glass)
 from conehj.nonlinearity import Regularization, h_eval, regularize, xi_star_vec
 
 
@@ -52,6 +52,18 @@ def _hopf_lax_1d_shifted(*args, **kwargs):
 
 def _hopf_lax_1d_nan(*args, **kwargs):
     return np.nan
+
+
+class _FluxRaised(Regularization):
+    """xibar (1 + 3e-3) as the Lax-Friedrichs flux; slope cap 2L unchanged."""
+
+    def __call__(self, r):
+        return (1.0 + 3e-3) * super().__call__(r)
+
+
+def _regularize_flux_raised(model):
+    # the gap stays under 10 dx (1 + T); the Richardson ratio falls to 1.15
+    return _FluxRaised(model, regularize(model).L)
 
 
 def _dual_increasing_accepts_all(g):
@@ -102,6 +114,8 @@ CONTROLS = [
      "hopf_lax_1d", _hopf_lax_1d_shifted),
     (acceptance.crit_1d_reduction, {"seed": 6, "instances": 6}, acceptance,
      "hopf_lax_1d", _hopf_lax_1d_nan),
+    (acceptance.crit_pde_oracle, {"seed": 7}, fd_oracle, "regularize",
+     _regularize_flux_raised),
     (acceptance.crit_fm, {"seed": 10}, conjugates, "dual_increasing_check",
      _dual_increasing_accepts_all),
     (acceptance.crit_fm, {"seed": 10}, conjugates, "mono_conjugate",

@@ -1,14 +1,17 @@
 """Variational solvers: route agreement, closed forms, and regularity."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from conehj import (ConePoint, CovarianceModel, InitialCondition,
                     InvalidInputError, Partition, StepPath,
-                    UnsupportedOperationError, bold_xi, hopf, hopf_lax,
-                    hopf_lax_1d, hopf_lax_pointwise, hopf_lax_separable,
-                    project_pj, regularize, solve_surface, xi_star_vec)
-from conehj.solvers import _phi_conjugate_vec, _zoom_argmax
+                    UnsupportedOperationError, acceptance, bold_xi, hopf,
+                    hopf_lax, hopf_lax_1d, hopf_lax_pointwise,
+                    hopf_lax_separable, project_pj, regularize, solve_surface,
+                    xi_star_vec)
+from conehj.solvers import _ZOOM, _phi_conjugate_vec, _zoom_argmax
 
 MODEL = CovarianceModel.sk(1.0)
 REG = regularize(MODEL)
@@ -205,25 +208,40 @@ def _counted(f):
 
 
 def test_zoom_finds_interior_maxima_to_the_ulp():
-    c = np.array([0.3, 1.0, np.pi / 2, 2.9])
+    c = np.array([1.0, np.pi / 2, 2.9])
     f, calls = _counted(lambda s: -(s - c[:, None]) ** 2)
-    best = _zoom_argmax(f, c.shape, 4.0, [2049] * 8)
+    best = _zoom_argmax(f, c.shape, 4.0)
     assert np.all(best <= 0.0) and np.all(best >= -np.spacing(c) ** 2)
-    # spacing 4 (4/2048)^(k-1) / 2048 reaches one ulp of c ~ 1 at round 6
-    assert len(calls) == 6
+    # spacing 4 * 2^-9 * 32^-k reaches one ulp of c >= 1 at round k = 9,
+    # so the last of the eleven rounds is skipped
+    assert len(calls) == len(_ZOOM) - 1 == 10
+    # below 1 the ulp is smaller: 0.3 needs all eleven rounds, whose last
+    # spacing 2^-57 is below its ulp 2^-54
+    c = np.array([0.3])
+    f, calls = _counted(lambda s: -(s - c[:, None]) ** 2)
+    best = _zoom_argmax(f, c.shape, 4.0)
+    assert np.all(best <= 0.0) and np.all(best >= -np.spacing(c) ** 2)
+    assert len(calls) == len(_ZOOM) == 11
 
 
 def test_zoom_keeps_every_round_while_windows_are_wide():
+    # spacing 2 * 2^-9 * 32^-k first reaches one ulp of 0.4 (2^-54) at the
+    # last round, k = 10
     c = np.array([0.4, 1.7])
     f, calls = _counted(lambda s: -np.abs(s - c[:, None]))
-    _zoom_argmax(f, c.shape, 2.0, [1025] + [257] * 6)
-    assert [shape[-1] for shape in calls] == [1025] + [257] * 6
+    _zoom_argmax(f, c.shape, 2.0)
+    assert [shape[-1] for shape in calls] == [513] + [129] * 10
 
 
 def _reference_zoom(f, shape, top, scans):
     """The zoom loop the three searches ran before sharing one helper."""
-    lo = np.zeros(shape)
-    hi = np.full(shape, top)
+    return _zoom_from(f, np.zeros(shape), np.full(shape, top), top, scans)
+
+
+def _zoom_from(f, lo, hi, top, scans):
+    """Best value of f in the last of len(scans) uniform scans, the first
+    over the windows [lo, hi] and each next one over two spacings either
+    side of the argmax, within [0, top]."""
     for scan in scans:
         grid = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, scan)
         vals = f(grid)
@@ -241,24 +259,119 @@ def test_zoom_matches_the_loop_it_replaced(seed):
     psi = _softplus_psi(seed)
     xv = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0, 5))
     hopf_like = lambda z: xv[:, None] * z - psi.phi(z) + 0.7 * MODEL(z)
-    for scans in ([1025] + [257] * 6, [257] * 6):
-        np.testing.assert_array_equal(
-            _zoom_argmax(hopf_like, xv.shape, psi.lip_l1, scans),
-            _reference_zoom(hopf_like, xv.shape, psi.lip_l1, scans))
-    # the early stop only skips rounds that re-grid below one ulp
     pointwise = lambda y: psi.phi(xv[:, None] + y) - xi_star_vec(REG, y)
-    np.testing.assert_allclose(
-        _zoom_argmax(pointwise, xv.shape, REG.slope_cap, [2049] * 8),
-        _reference_zoom(pointwise, xv.shape, REG.slope_cap, [2049] * 8),
-        rtol=4 * np.finfo(float).eps, atol=0.0)
+    # the early stop only skips rounds that re-grid below one ulp
+    for f, top in ((hopf_like, psi.lip_l1), (pointwise, REG.slope_cap)):
+        np.testing.assert_allclose(
+            _zoom_argmax(f, xv.shape, top),
+            _reference_zoom(f, xv.shape, top, _ZOOM),
+            rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_zoom_at_the_boundary_runs_all_rounds():
     # a centre at 0 has an ulp far below any spacing, so no early stop
     f, calls = _counted(lambda s: -s)
-    best = _zoom_argmax(f, (3,), 1.0, [2049] * 8)
+    best = _zoom_argmax(f, (3,), 1.0)
     np.testing.assert_array_equal(best, 0.0)
-    assert len(calls) == 8
+    assert len(calls) == len(_ZOOM) == 11
+
+
+# ---------------------------------------------------------------------------
+# the one schedule against dense references: a uniform scan of the whole
+# box, then zoom rounds over two spacings either side of its argmax
+
+def _profiles():
+    """The separable profiles that criteria 7, 9 and 11 draw at their
+    default seeds, criterion 11's Huber profile, the benchmark's softplus
+    and a near-tie of two peaks."""
+    rng = np.random.default_rng(6)
+    out = {f"c7-pwl{k}": InitialCondition.separable(
+        acceptance._random_pwl_profile(rng), lip=1.0) for k in range(10)}
+    out["c7-softplus"] = acceptance._random_softplus(rng, lip_target=0.9)
+    out["c9-softplus"] = acceptance._random_softplus(
+        np.random.default_rng(8), lip_target=1.0)
+    out["c9-linear"] = InitialCondition.separable(
+        lambda r: 0.3 * np.asarray(r, float), lip=0.3)
+    out["c11-softplus"] = acceptance._random_softplus(
+        np.random.default_rng(10), lip_target=1.0)
+    out["c11-huber"] = InitialCondition.quadratic_monotone(0.4, 0.3, 1.0)
+    out["bench-softplus"] = InitialCondition.softplus(
+        [0.4, 0.5], [0.3, 1.2], [0.4, 0.8])
+    # at x = 0, t = 1 the objective phi(y) - y^2 / 4 has local maxima at
+    # y = 0.5 and y = 1.5625, the second higher by 1.9e-4.  The first sits on
+    # a node of every first scan and the second halfway between two nodes
+    # of a 65-point one, so scans of 65 points or fewer settle on the lower
+    # peak, and the zoom's window around it does not reach the higher one.
+    # A 513-point scan (spacing 1/64) loses at most (1/128)^2 / 4 = 1.5e-5
+    # at either peak, wherever they fall.
+    out["two-peaks"] = InitialCondition.softplus(
+        [0.25, 0.53125], [0.0, 1.0309], [1e-3, 1e-3])
+    return out
+
+
+PROFILES = _profiles()
+DENSE_TIMES = (0.1, 0.25, 0.5, 1.0)
+
+
+def _chunked(phi, r, size=2 ** 14):
+    """phi on a long 1-D array, evaluated in fixed-size chunks to bound
+    the memory of the profiles' broadcast over a trailing term axis."""
+    return np.concatenate([phi(r[i:i + size]) for i in range(0, r.size, size)])
+
+
+@functools.cache
+def _dense_conjugate():
+    """xibar* at the 2^20 + 1 slopes 8 i / 2^20 that split [0, 8] evenly."""
+    return xi_star_vec(REG, np.arange(2 ** 20 + 1) * (REG.slope_cap / 2 ** 20))
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_hopf_lax_pointwise_matches_a_2_20_point_scan(name):
+    phi = PROFILES[name].phi
+    n = 2 ** 20
+    # 0.5 k is a multiple of every spacing 8t / 2^20 below, so at each t
+    # one lattice of phi serves the scans at all three x
+    xs = np.array([0.0, 0.5, 1.0])
+    buf = np.empty(n + 1)
+    for t in DENSE_TIMES:
+        top = REG.slope_cap * t
+        h = top / n
+        offsets = np.round(xs / h).astype(int)
+        lattice = _chunked(phi, np.arange(offsets[-1] + n + 1) * h)
+        pen = t * _dense_conjugate()
+        peak = h * np.array([np.argmax(np.subtract(lattice[m:m + n + 1], pen,
+                                                   out=buf)) for m in offsets])
+        # 256-fold narrower per round, down to 2^-48 h: kinks of phi need
+        # the maximizer to the last bit
+        ref = _zoom_from(
+            lambda y: phi(xs[:, None] + y) - t * xi_star_vec(REG, y / t),
+            np.maximum(peak - 2 * h, 0.0), np.minimum(peak + 2 * h, top), top,
+            [1025] * 6)
+        got = hopf_lax_pointwise(phi, MODEL, t, xs)
+        assert np.all(ref - got <= 1e-15), (t, ref - got)
+
+
+@pytest.mark.parametrize("name", ["bench-softplus", "c11-huber"])
+def test_hopf_matches_a_2_16_point_scan_of_its_outer_objective(name):
+    psi = PROFILES[name]
+    n = 2 ** 16
+    top = psi.lip_l1
+    h = top / n
+    z = np.arange(n + 1) * h
+    # phi* once for every x and t
+    conj = _phi_conjugate_vec(psi, z)
+    j = Partition.uniform(5)
+    xs = np.linspace(0.0, 2.0, 5)
+    for t in DENSE_TIMES:
+        peak = h * np.argmax(xs[:, None] * z - conj + t * MODEL(z), axis=1)
+        # the objective is C^1, so 32-fold rounds down to 2^-20 h suffice
+        ref = _zoom_from(
+            lambda s: xs[:, None] * s - _phi_conjugate_vec(psi, s)
+            + t * MODEL(s),
+            np.maximum(peak - 2 * h, 0.0), np.minimum(peak + 2 * h, top), top,
+            [129] * 4)
+        got = hopf(psi, MODEL, j, t, ConePoint(j, xs))
+        assert float(np.sum(j.widths * ref)) - got <= 1e-15, t
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +398,8 @@ def test_phi_conjugate_matches_the_zoom_it_replaced(seed):
     # scale of 64 rather than of the value (the Huber test covers that cap)
     psi = _softplus_psi(seed)
     z = np.linspace(0.0, 0.9, 1025).reshape(5, 205)
-    zoom = _zoom_argmax(lambda s: z[..., None] * s - psi.phi(s),
-                        z.shape, 64.0, [257] * 6)
+    zoom = _reference_zoom(lambda s: z[..., None] * s - psi.phi(s),
+                           z.shape, 64.0, [257] * 6)
     got = _phi_conjugate_vec(psi, z)
     assert got.shape == z.shape
     ulp = np.finfo(float).eps * np.maximum(1.0, np.abs(zoom))
