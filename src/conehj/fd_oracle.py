@@ -144,8 +144,7 @@ def fd_vs_hopf_lax(phi, model: CovarianceModel, x_max: float, dx: float,
     fd = fd_solve(phi, model, FdGrid.make(model, x_max, dx, slope_cap), T)
     sub = slice(0, fd.xs.size, max(1, fd.xs.size // 200))
     xs = fd.xs[sub]
-    vals = np.array([hopf_lax_pointwise(phi, model, float(t), xs)
-                     for t in fd.times])
+    vals = hopf_lax_pointwise(phi, model, fd.times[:, None], xs)
     return FdSurface(fd.times, xs, vals), FdSurface(fd.times, xs, fd.values[:, sub])
 
 

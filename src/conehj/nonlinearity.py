@@ -92,6 +92,11 @@ class Regularization:
         affine = self.base(0.0) + 2.0 * self.L * (r - 1.0)
         return np.where(r <= 2.0, np.maximum(self.base(r), affine), affine)
 
+    def deriv(self, r) -> np.ndarray:
+        """xibar'(r) for r >= 0: xi' up to the seam s0, the slope 2L beyond."""
+        r = np.asarray(r, dtype=float)
+        return np.where(r <= self._seam.s0, self.base.deriv(r), self.slope_cap)
+
     @cached_property
     def _seam(self) -> "_Seam":
         model = self.base

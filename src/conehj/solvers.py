@@ -20,11 +20,11 @@ suite exploits as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from .cones import (ConePoint, InvalidInputError, Partition, StepPath,
                     UnsupportedOperationError, is_in_cone, lift_lj, project_pj)
@@ -43,7 +43,8 @@ class InitialCondition:
     ``lip_l1`` bounds |psi(mu) - psi(nu)| by lip_l1 * |mu - nu|_{L^1};
     ``lip_h`` is the L^2 (H-norm) Lipschitz constant used by audits.
     Separable data psi(mu) = int phi(mu(s)) ds carry the scalar profile
-    ``phi`` (vectorized) for fast per-coordinate evaluation.
+    ``phi`` (vectorized) for fast per-coordinate evaluation, and its
+    derivative ``dphi`` where a closed form is known (``hopf`` needs it).
     """
 
     kind: str
@@ -53,6 +54,7 @@ class InitialCondition:
     dual_increasing: bool
     h: StepPath = None
     phi: object = None
+    dphi: object = None
     fn: object = None
 
     # -- constructors -------------------------------------------------
@@ -66,7 +68,14 @@ class InitialCondition:
 
     @classmethod
     def separable(cls, phi, lip: float) -> "InitialCondition":
-        """psi(mu) = int phi(mu(s)) ds with phi convex, nondecreasing, lip-Lipschitz."""
+        """psi(mu) = int phi(mu(s)) ds with phi convex, nondecreasing, lip-Lipschitz.
+
+        Nothing here checks those properties, and the separable routes
+        rely on them: their per-coordinate search bounds phi by its chords,
+        so a profile that is not convex can lose part of its range to a
+        wrong bound and return a wrong value.  That search raises only when
+        one of the midpoints it tests lies above its chord.
+        """
         return cls(KIND_SEPARABLE, lip_l1=float(lip), lip_h=float(lip),
                    convex=True, dual_increasing=True, phi=phi)
 
@@ -74,30 +83,53 @@ class InitialCondition:
     def softplus(cls, weights, thresholds, scales) -> "InitialCondition":
         """Softplus mixture phi(r) = sum_i a_i tau_i log(1 + e^((r - th_i) / tau_i)).
 
-        Increasing and convex, with Lipschitz constant sum_i a_i.
+        Increasing and convex for weights a_i >= 0 and scales tau_i > 0,
+        with Lipschitz constant sum_i a_i.
         """
         a = np.asarray(weights, dtype=float)
         th = np.asarray(thresholds, dtype=float)
         tau = np.asarray(scales, dtype=float)
+        if a.ndim != 1 or a.shape != th.shape or a.shape != tau.shape:
+            raise InvalidInputError(
+                "softplus weights, thresholds and scales must be lists of "
+                "one length")
+        if not (np.all(a >= 0.0) and np.all(tau > 0.0)
+                and np.all(np.isfinite(np.concatenate([a, th, tau])))):
+            raise InvalidInputError(
+                "softplus weights must be >= 0, scales > 0, all finite")
 
         def phi(r):
             r = np.asarray(r, dtype=float)[..., None]
             return np.sum(a * tau * np.logaddexp(0.0, (r - th) / tau), axis=-1)
 
-        return cls.separable(phi, lip=float(a.sum()))
+        def dphi(r):
+            r = np.asarray(r, dtype=float)[..., None]
+            return np.sum(a * special.expit((r - th) / tau), axis=-1)
+
+        return replace(cls.separable(phi, lip=float(a.sum())), dphi=dphi)
 
     @classmethod
     def quadratic_monotone(cls, slope: float, curvature: float,
                            cap: float) -> "InitialCondition":
-        """Huber profile: quadratic up to ``cap`` then linear; keeps psi Lipschitz."""
+        """Huber profile: quadratic up to ``cap`` then linear; keeps psi Lipschitz.
+
+        Increasing and convex for slope, curvature and cap >= 0.
+        """
         a, b, c = float(slope), float(curvature), float(cap)
+        if not all(v >= 0.0 and np.isfinite(v) for v in (a, b, c)):
+            raise InvalidInputError(
+                "quadratic-monotone slope, curvature and cap must be finite "
+                "and >= 0")
 
         def phi(r):
             r = np.asarray(r, dtype=float)
             quad = a * r + 0.5 * b * np.minimum(r, c) ** 2
             return quad + b * c * np.maximum(r - c, 0.0)
 
-        return cls.separable(phi, lip=a + b * c)
+        def dphi(r):
+            return a + b * np.minimum(np.asarray(r, dtype=float), c)
+
+        return replace(cls.separable(phi, lip=a + b * c), dphi=dphi)
 
     @classmethod
     def custom(cls, fn, lip_l1: float, convex: bool = False,
@@ -170,65 +202,90 @@ def _require(psi: InitialCondition, model: CovarianceModel, x: ConePoint,
         raise InvalidInputError("t must be nonnegative")
 
 
-# The one search schedule: a 513-point scan of the whole box, then
-# 129-point rounds over two spacings either side of the argmax, each
-# narrowing the window 32-fold.  Ten rounds bring the spacing to 2^-59 of
-# the box, below one ulp of any centre past 1/64 of it.
-_ZOOM = (513,) + (129,) * 10
+# A midpoint may lie above its chord by rounding only: this many ulp of the
+# larger end value.
+_CHORD_SLACK = 16 * np.finfo(float).eps
+# phi* is the sup over s in [0, _S_MAX] of zs - phi(s).
+_S_MAX = 64.0
+# Live intervals kept per entry and round, those of highest bound: on a flat
+# stretch every interval's bound exceeds the best value by about h^2 times
+# the curvature until h is near sqrt(ulp), so without a cap the live list
+# grows to millions of intervals per entry.
+_MAX_LIVE = 8
 
 
-def _zoom_argmax(f, shape, top: float) -> np.ndarray:
-    """Entrywise max over s in [0, top] of f, for an array of ``shape``.
+def _branch_and_bound(evaluate, bound, lo: np.ndarray, hi: np.ndarray):
+    """Entrywise max of an objective over [lo, hi], certified by interval bounds.
 
-    ``f`` maps grids with a trailing axis of candidate s to values.
-    Round i scans ``_ZOOM[i]`` uniform points of each entry's window,
-    then shrinks the window to two spacings either side of the argmax.
-    The zoom stops early once every spacing is at most one ulp of its
-    centre, when a further round could only re-grid the same floats.
-    Returns the best values of the last round.
+    Piyavskii-Shubert search.  ``evaluate(owner, y, left, right)`` gives,
+    for entries ``owner`` at points ``y``, a stack of rows: the objective,
+    a convex part of it, then whatever ``bound`` reads; ``left`` and
+    ``right`` are the rows at the ends of the interval that ``y`` bisects
+    (None at the ends of the box).  ``bound(owner, a, b, left, right)``
+    is an upper bound of the objective on each [a, b].  Each round bisects
+    every live interval, then drops each half whose bound is at most
+    best + ulp(max(1, |best|)) or that is two ulp wide, and keeps at most
+    ``_MAX_LIVE`` halves per entry, those of highest bound.  So an entry
+    costs its two ends and at most ``_MAX_LIVE`` midpoints a round, and
+    as each round halves the widths, down to two ulp, it ends within about
+    52 rounds.  An entry's intervals depend on its own values only, so its
+    result does not depend on the rest of the batch.
+
+    Returns the best values and the certified gaps: how far the bound of
+    any dropped interval exceeds its entry's best value, at least 0.
+    Raises InvalidInputError when a midpoint's convex part lies above its
+    chord beyond rounding.
     """
-    lo = np.zeros(shape)
-    hi = np.full(shape, top)
-    for scan in _ZOOM:
-        grid = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, scan)
-        vals = f(grid)
-        k = np.argmax(vals, axis=-1)[..., None]
-        best = np.take_along_axis(vals, k, axis=-1)[..., 0]
-        centers = np.take_along_axis(grid, k, axis=-1)[..., 0]
-        span = (hi - lo) / (scan - 1)
-        if np.all(span <= np.spacing(centers)):
+    owner = np.arange(lo.size)
+    a, b = lo.ravel(), hi.ravel()
+    left, right = evaluate(owner, a, None, None), evaluate(owner, b, None, None)
+    best = np.maximum(left[0], right[0])
+    top = np.full(best.shape, -np.inf)
+    live = b - a > 2.0 * np.spacing(b)
+    while True:
+        owner, a, b = owner[live], a[live], b[live]
+        if not owner.size:
             break
-        lo = np.maximum(centers - 2 * span, 0.0)
-        hi = np.minimum(centers + 2 * span, top)
-    return best
+        left, right = left[:, live], right[:, live]
+        m = 0.5 * (a + b)
+        mid = evaluate(owner, m, left, right)
+        chord = left[1] + (right[1] - left[1]) * ((m - a) / (b - a))
+        scale = np.maximum(np.abs(left[1]), np.abs(right[1]))
+        if np.any(mid[1] > chord + _CHORD_SLACK * scale):
+            raise InvalidInputError(
+                "the convex part of the objective lies above its chord: "
+                "the profile is not convex")
+        np.maximum.at(best, owner, mid[0])
+        owner = np.concatenate([owner, owner])
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        left = np.concatenate((left, mid), axis=1)
+        right = np.concatenate((mid, right), axis=1)
+        ub = bound(owner, a, b, left, right)
+        bar = best[owner]
+        live = (ub > bar + np.spacing(np.maximum(1.0, np.abs(bar)))) \
+            & (b - a > 2.0 * np.spacing(b))
+        live = _highest_bounds(owner, ub, live)
+        np.maximum.at(top, owner[~live], ub[~live])
+    return best.reshape(lo.shape), np.maximum(top - best, 0.0).reshape(lo.shape)
 
 
-def _golden_max(f, shape, top: float) -> np.ndarray:
-    """Entrywise max over s in [0, top] of f, concave in s, for an array of ``shape``.
+def _highest_bounds(owner: np.ndarray, ub: np.ndarray,
+                    live: np.ndarray) -> np.ndarray:
+    """``live`` narrowed to the ``_MAX_LIVE`` intervals of highest bound per owner.
 
-    ``f`` maps an array of ``shape`` of candidate s to values.  A
-    golden-section search keeps one interior point per iteration and
-    evaluates one new one; the result is the best value seen, including
-    f(0) and f(top), so maxima on the boundary are hit exactly.  The
-    search stops once every bracket is at most 4 ulp of max(1, its upper
-    end) wide, which from [0, 64] takes about 80 iterations.
+    Ties keep the earlier interval; the order of one owner's intervals
+    does not depend on the other owners, and neither does the choice.
     """
-    g = (np.sqrt(5.0) - 1.0) / 2.0
-    lo = np.zeros(shape)
-    hi = np.full(shape, float(top))
-    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
-    fc, fd = f(c), f(d)
-    best = np.maximum(np.maximum(f(lo), f(hi)), np.maximum(fc, fd))
-    while np.any(hi - lo > 4 * np.spacing(np.maximum(hi, 1.0))):
-        left = fc >= fd  # the max lies in [lo, d]; else in [c, hi]
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        s = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
-        fs = f(s)
-        c, d = np.where(left, s, d), np.where(left, c, s)
-        fc, fd = np.where(left, fs, fd), np.where(left, fc, fs)
-        best = np.maximum(best, fs)
-    return best
+    idx = np.flatnonzero(live)
+    if np.bincount(owner[idx]).max(initial=0) <= _MAX_LIVE:
+        return live
+    idx = idx[np.lexsort((-ub[idx], owner[idx]))]
+    group = owner[idx]
+    first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    rank = np.arange(idx.size) - np.repeat(first, np.diff(np.r_[first, idx.size]))
+    kept = np.zeros_like(live)
+    kept[idx[rank < _MAX_LIVE]] = True
+    return kept
 
 
 def _lattice_starts(score, n: int, ub: float, budget: int = 3000) -> list:
@@ -306,42 +363,102 @@ def hopf_lax_separable(psi: InitialCondition, model: CovarianceModel,
                        j: Partition, t: float, x: ConePoint) -> float:
     """Fast Hopf-Lax path for separable psi (any |j|).
 
-    The objective decouples per coordinate; monotone selection of the
+    The profile phi must be convex and nondecreasing (see
+    ``InitialCondition.separable``).  The objective decouples per
+    coordinate; monotone selection of the
     per-coordinate maximizers is feasible because the coupling term has
     increasing differences, so the unconstrained per-coordinate suprema
     attain the constrained value.
     """
+    return float(hopf_lax_separable_batch(psi, model, [(j, t, x)])[0])
+
+
+def hopf_lax_separable_batch(psi: InitialCondition, model: CovarianceModel,
+                             cases) -> np.ndarray:
+    """``hopf_lax_separable`` at each (j, t, x) of ``cases``.
+
+    Every coordinate of every case goes through one per-coordinate
+    search, whose entries do not depend on the rest of the batch, so each
+    value is the one ``hopf_lax_separable`` computes alone.
+    """
     if psi.kind != KIND_SEPARABLE:
         raise InvalidInputError("separable path requires a separable psi")
-    _require(psi, model, x, t, "hopf_lax_separable")
-    best = hopf_lax_pointwise(psi.phi, model, t, x.scalars)
-    return float(np.sum(j.widths * best))
+    for j, t, x in cases:
+        _require(psi, model, x, t, "hopf_lax_separable")
+    if not cases:
+        return np.empty(0)
+    sizes = [j.size for j, _, _ in cases]
+    best = hopf_lax_pointwise(
+        psi.phi, model, np.repeat([float(t) for _, t, _ in cases], sizes),
+        np.concatenate([x.scalars for _, _, x in cases]))
+    return np.array([float(np.sum(j.widths * b)) for (j, _, _), b
+                     in zip(cases, np.split(best, np.cumsum(sizes)[:-1]))])
 
 
-def hopf_lax_pointwise(phi, model: CovarianceModel, t: float,
+def hopf_lax_pointwise(phi, model: CovarianceModel, t,
                        xv: np.ndarray) -> np.ndarray:
-    """Per-coordinate sup_y {phi(x + y) - t xibar*(y / t)} over y in [0, 2Lt]."""
-    xv = np.asarray(xv, dtype=float)
+    """Entrywise sup_y {phi(x + y) - t xibar*(y / t)} over y in [0, 2Lt].
+
+    ``t`` broadcasts against ``xv``; entries with t = 0 are phi(x).  phi
+    must be convex: on [a, b] it lies under its chord of slope m, so the
+    objective lies under chord(y) - t xibar*(y / t), a concave function
+    whose max sits at the clamp of t xibar'(m) to [a, b].
+    """
     reg = regularize(model)
-    ub = reg.slope_cap * t
-    if ub == 0.0:
-        return phi(xv) - t * xi_star_vec(reg, np.zeros_like(xv))
-    return _zoom_argmax(
-        lambda y: phi(xv[:, None] + y) - t * xi_star_vec(reg, y / t),
-        xv.shape, ub)
+    t, xv = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                np.asarray(xv, dtype=float))
+    if np.any(t < 0.0):
+        raise InvalidInputError("t must be nonnegative")
+    out = np.array(phi(xv), dtype=float)
+    pos = t > 0.0
+    x, tt = xv[pos], t[pos]
+
+    def evaluate(owner, y, left, right):
+        p, t_o = phi(x[owner] + y), tt[owner]
+        return np.array([p - t_o * xi_star_vec(reg, y / t_o), p])
+
+    def bound(owner, a, b, left, right):
+        t_o = tt[owner]
+        slope = (right[1] - left[1]) / (b - a)
+        y = np.clip(t_o * reg.deriv(np.maximum(slope, 0.0)), a, b)
+        return left[1] + slope * (y - a) - t_o * xi_star_vec(reg, y / t_o)
+
+    out[pos], _ = _branch_and_bound(evaluate, bound, np.zeros_like(x),
+                                    reg.slope_cap * tt)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Hopf
 
-def _phi_conjugate_vec(psi: InitialCondition, z: np.ndarray) -> np.ndarray:
-    """Monotone conjugate of the separable profile: phi*(z) = sup_{s>=0} zs - phi(s).
+def _phi_conjugate(psi: InitialCondition, z: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray):
+    """Monotone conjugate phi*(z) = sup_{0 <= s <= 64} zs - phi(s), with its maximizer.
 
-    phi is convex, so zs - phi(s) is concave in s and one golden-section
-    search per entry finds the sup over [0, 64].
+    zs - phi(s) is concave, so its maximizer s* is where phi' crosses z.
+    A bisection on phi' keeps phi'(lo) < z unless lo = 0 and phi'(hi) >= z
+    unless hi = 64, so [lo, hi] must bracket the crossing on entry.  The
+    better end is then within (hi - lo) min(z - phi'(lo), phi'(hi) - z)
+    of phi*(z), as phi' is nondecreasing; each entry stops once that is
+    a sixteenth of an ulp of max(1, z hi), or once [lo, hi] is two ulp of
+    max(1, hi) wide.  Returns (phi*(z), maximizer, lo, hi); the final
+    brackets bound the crossing of any larger or smaller z from one side.
     """
-    z = np.asarray(z, dtype=float)
-    return _golden_max(lambda s: z * s - psi.phi(s), z.shape, 64.0)
+    dlo, dhi = psi.dphi(lo), psi.dphi(hi)
+    while True:
+        slack = (hi - lo) * np.minimum(z - dlo, dhi - z)
+        open_ = (slack > np.spacing(np.maximum(1.0, z * hi)) / 16) \
+            & (hi - lo > 2.0 * np.spacing(np.maximum(hi, 1.0)))
+        if not open_.any():
+            break
+        mid = 0.5 * (lo + hi)
+        d = psi.dphi(mid)
+        up, down = open_ & (d < z), open_ & (d >= z)
+        lo, dlo = np.where(up, mid, lo), np.where(up, d, dlo)
+        hi, dhi = np.where(down, mid, hi), np.where(down, d, dhi)
+    at_lo, at_hi = z * lo - psi.phi(lo), z * hi - psi.phi(hi)
+    take_hi = at_hi >= at_lo
+    return (np.where(take_hi, at_hi, at_lo), np.where(take_hi, hi, lo), lo, hi)
 
 
 def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
@@ -369,13 +486,38 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     if psi.kind != KIND_SEPARABLE:
         raise UnsupportedOperationError(
             "hopf supports linear and separable psi")
-    cap = psi.lip_l1
-    # per-coordinate objective x_k z - phi*(z) + t xi(z); increasing
-    # differences in (z, x_k) make the per-coordinate suprema jointly
-    # attainable on the cone for monotone x
-    best = _zoom_argmax(
-        lambda z: xv[:, None] * z - _phi_conjugate_vec(psi, z) + t * model(z),
-        xv.shape, cap)
+    if psi.dphi is None:
+        raise InvalidInputError("hopf needs the derivative of a separable profile")
+    # per-coordinate objective x_k z - phi*(z) + t xi(z) over [0, lip];
+    # increasing differences in (z, x_k) make the per-coordinate suprema
+    # jointly attainable on the cone for monotone x
+    def evaluate(owner, z, left, right):
+        # rows: objective, its convex part, phi*, the maximizer of phi*,
+        # and the bisection bracket, which bounds the maximizers between
+        s_lo = np.zeros_like(z) if left is None else left[4]
+        s_hi = np.full_like(z, _S_MAX) if right is None else right[5]
+        conj, s, s_lo, s_hi = _phi_conjugate(psi, z, s_lo, s_hi)
+        xz, txi = xv[owner] * z, t * model(z)
+        return np.array([xz - conj + txi, xz + txi, conj, s, s_lo, s_hi])
+
+    def bound(owner, a, b, left, right):
+        # x z + t xi(z) lies under its chord and -phi* under its tangent
+        # lines at a and b, -phi*(e) - s(e) (z - e): for any s >= 0,
+        # -phi*(z) <= phi(s) - zs, so the bound holds however accurate s is
+        slope = (right[1] - left[1]) / (b - a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (left[2] - right[2] + right[3] * b - left[3] * a) \
+                / (right[3] - left[3])
+        cross = np.clip(np.where(np.isfinite(cross), cross, a), a, b)
+
+        def upper(z):
+            return left[1] + slope * (z - a) + np.minimum(
+                -left[2] - left[3] * (z - a), -right[2] - right[3] * (z - b))
+
+        return np.maximum(np.maximum(upper(a), upper(b)), upper(cross))
+
+    best, _ = _branch_and_bound(evaluate, bound, np.zeros_like(xv),
+                                np.full_like(xv, psi.lip_l1))
     return float(np.sum(w * best))
 
 

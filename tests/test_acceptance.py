@@ -70,9 +70,13 @@ def test_05_variational_routes_agree():
 
 def test_05_shifted_conjugate_fails_the_gate(monkeypatch):
     # negative control: a phi* off by 1e-8 moves every hopf value by 1e-8
-    exact = solvers._phi_conjugate_vec
-    monkeypatch.setattr(solvers, "_phi_conjugate_vec",
-                        lambda psi, z: exact(psi, z) + 1e-8)
+    exact = solvers._phi_conjugate
+
+    def shifted(psi, z, lo, hi):
+        conj, s, lo, hi = exact(psi, z, lo, hi)
+        return conj + 1e-8, s, lo, hi
+
+    monkeypatch.setattr(solvers, "_phi_conjugate", shifted)
     rep = acceptance.crit_variational(instances=6)
     assert not rep["pass"], rep
     assert rep["worst_hopf_gap"] > rep["tol"]

@@ -115,6 +115,12 @@ def _linear_h(**extra):
                 method="hopf_lax")
 
 
+def _softplus(**profile):
+    psi = {"kind": "softplus",
+           "profile": dict(COMPARE_CONFIG["psi"]["profile"], **profile)}
+    return dict(COMPARE_CONFIG, psi=psi)
+
+
 FM_CONFIG = {"function": {"partition": {"uniform": 1}, "axis": [0.0, 1.0],
                           "values": [0.0, 1.0]}}
 SPINGLASS_MEASURE = {"atoms": [[[0.0]], [[0.3]]], "levels": [0.0, 0.5, 1.0]}
@@ -134,9 +140,16 @@ SPINGLASS_CONFIG = {"N_list": [2], "beta": 0.5, "t_list": [0.25],
      "psi.h must be a JSON object"),
     ("fm-verify", {"function": 5}, "grid function must be a JSON object"),
     ("solve", [SOLVE_CONFIG], "solve config must be a JSON object"),
+    # profiles that are not increasing and convex
+    ("compare", _softplus(weights=[-0.5, 1.0]), "weights must be >= 0"),
+    ("compare", _softplus(scales=[0.4, 0.0]), "scales > 0"),
+    ("compare", _softplus(thresholds=[0.3]), "lists of one length"),
+    ("solve", dict(SOLVE_CONFIG, psi=dict(SOLVE_CONFIG["psi"], curvature=-0.5)),
+     "must be finite and >= 0"),
 ], ids=["compare-tol", "compare-slope-cap", "fm-verify-tol", "psi-h-role",
         "spinglass-measure", "psi-h-not-an-object", "function-not-an-object",
-        "config-not-an-object"])
+        "config-not-an-object", "softplus-negative-weight",
+        "softplus-zero-scale", "softplus-lengths", "huber-negative-curvature"])
 def test_removed_keys_and_bad_nested_objects_exit_1(tmp_path, capsys,
                                                      command, config, expected):
     assert _run(tmp_path, command, config) == 1

@@ -48,8 +48,8 @@ def test_rate_study_exact_for_factoring_data():
     assert study.constant == 0.0
 
 
-def _nan_solve(*args):
-    return np.nan
+def _nan_solve(psi, model, cases):
+    return np.full(len(cases), np.nan)
 
 
 def test_nan_solutions_fail_the_rate_gate(monkeypatch):

@@ -1,6 +1,7 @@
 """Variational solvers: route agreement, closed forms, and regularity."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from conehj import (ConePoint, CovarianceModel, InitialCondition,
                     hopf_lax, hopf_lax_1d, hopf_lax_pointwise,
                     hopf_lax_separable, project_pj, regularize, solve_surface,
                     xi_star_vec)
-from conehj.solvers import _ZOOM, _phi_conjugate_vec, _zoom_argmax
+from conehj import solvers
+from conehj.solvers import _S_MAX, _branch_and_bound, _phi_conjugate
 
 MODEL = CovarianceModel.sk(1.0)
 REG = regularize(MODEL)
@@ -71,7 +73,7 @@ def test_all_routes_return_psi_at_time_zero():
 
 
 def test_separable_route_is_exact_at_time_zero():
-    # the per-coordinate search box is {0} at t = 0, so no t = 0 branch is needed
+    # t = 0 entries are phi(x) itself
     j = Partition.uniform(3)
     psi = _softplus_psi(1)
     x = ConePoint(j, [0.1, 0.3, 0.8])
@@ -158,6 +160,24 @@ def test_hopf_requires_convexity():
         hopf(psi, MODEL, j, 0.5, x)
 
 
+def test_hopf_needs_the_profile_derivative():
+    j = Partition.uniform(2)
+    psi = InitialCondition.separable(lambda r: 0.5 * np.asarray(r, float), lip=0.5)
+    with pytest.raises(InvalidInputError, match="derivative"):
+        hopf(psi, MODEL, j, 0.5, ConePoint(j, [0.1, 0.2]))
+
+
+@pytest.mark.parametrize("psi", [
+    InitialCondition.softplus([0.4, 0.5], [0.3, 1.2], [0.4, 0.8]),
+    InitialCondition.quadratic_monotone(0.4, 0.3, 1.0)],
+    ids=["softplus", "huber"])
+def test_profile_derivative_matches_central_differences(psi):
+    r = np.linspace(0.0, 3.0, 61) + 0.013  # off the Huber kink at r = 1
+    h = 1e-6
+    fd = (psi.phi(r + h) - psi.phi(r - h)) / (2 * h)
+    np.testing.assert_allclose(psi.dphi(r), fd, rtol=0.0, atol=1e-8)
+
+
 def test_hopf_rejects_custom_kind():
     j = Partition.uniform(2)
     psi = InitialCondition.custom(lambda p: 0.0, lip_l1=1.0, convex=True)
@@ -184,6 +204,8 @@ def test_negative_time_rejected():
         hopf_lax(psi, MODEL, j, -0.1, x)
     with pytest.raises(InvalidInputError, match="t must be nonnegative"):
         hopf_lax_1d(psi, MODEL, j, -0.1, x)
+    with pytest.raises(InvalidInputError, match="t must be nonnegative"):
+        hopf_lax_pointwise(psi.phi, MODEL, np.array([0.5, -0.1]), x.scalars)
 
 
 def test_separable_route_enforces_the_shared_preconditions():
@@ -196,46 +218,149 @@ def test_separable_route_enforces_the_shared_preconditions():
 
 
 # ---------------------------------------------------------------------------
-# the shared zoom search
+# the branch-and-bound kernel shared by both per-coordinate sups
 
-def _counted(f):
-    calls = []
+def _lipschitz_search(f, lo, hi):
+    """``_branch_and_bound`` on f(owner, s), 1-Lipschitz, with the
+    Piyavskii-Shubert bound (f(a) + f(b) + (b - a)) / 2 and no convex part."""
+    def evaluate(owner, s, left, right):
+        return np.stack([f(owner, s), np.zeros_like(s)])
 
-    def g(s):
-        calls.append(s.shape)
-        return f(s)
-    return g, calls
+    def bound(owner, a, b, left, right):
+        return 0.5 * (left[0] + right[0] + (b - a))
 
-
-def test_zoom_finds_interior_maxima_to_the_ulp():
-    c = np.array([1.0, np.pi / 2, 2.9])
-    f, calls = _counted(lambda s: -(s - c[:, None]) ** 2)
-    best = _zoom_argmax(f, c.shape, 4.0)
-    assert np.all(best <= 0.0) and np.all(best >= -np.spacing(c) ** 2)
-    # spacing 4 * 2^-9 * 32^-k reaches one ulp of c >= 1 at round k = 9,
-    # so the last of the eleven rounds is skipped
-    assert len(calls) == len(_ZOOM) - 1 == 10
-    # below 1 the ulp is smaller: 0.3 needs all eleven rounds, whose last
-    # spacing 2^-57 is below its ulp 2^-54
-    c = np.array([0.3])
-    f, calls = _counted(lambda s: -(s - c[:, None]) ** 2)
-    best = _zoom_argmax(f, c.shape, 4.0)
-    assert np.all(best <= 0.0) and np.all(best >= -np.spacing(c) ** 2)
-    assert len(calls) == len(_ZOOM) == 11
+    return _branch_and_bound(evaluate, bound, lo, hi)
 
 
-def test_zoom_keeps_every_round_while_windows_are_wide():
-    # spacing 2 * 2^-9 * 32^-k first reaches one ulp of 0.4 (2^-54) at the
-    # last round, k = 10
-    c = np.array([0.4, 1.7])
-    f, calls = _counted(lambda s: -np.abs(s - c[:, None]))
-    _zoom_argmax(f, c.shape, 2.0)
-    assert [shape[-1] for shape in calls] == [513] + [129] * 10
+def test_branch_and_bound_finds_a_kink_to_the_ulp():
+    # the bound of an interval that holds the kink is 0, so it is bisected
+    # until the best value is within ulp(1) of 0 or it is two ulp wide,
+    # with a midpoint within one ulp of c
+    c = np.array([0.3, 1.0, np.pi / 2, 2.9])
+    best, gap = _lipschitz_search(lambda owner, s: -np.abs(s - c[owner]),
+                                  np.zeros(4), np.full(4, 4.0))
+    ulp = np.spacing(np.maximum(1.0, c))
+    assert np.all(best <= 0.0) and np.all(best >= -ulp)
+    assert np.all(gap <= ulp)
 
 
-def _reference_zoom(f, shape, top, scans):
-    """The zoom loop the three searches ran before sharing one helper."""
-    return _zoom_from(f, np.zeros(shape), np.full(shape, top), top, scans)
+def test_branch_and_bound_finds_interior_maxima_to_the_ulp():
+    # phi(r) = c r: the maximizer y = 2ct is interior and the sup is
+    # cx + c^2 t, as xibar*(r) = r^2 / 4 below its seam slope 2 s0 > 2c
+    c, x = 0.5, np.array([0.0, 0.3, 1.0, np.pi / 2])
+    for t in (0.3, np.pi / 4, 1.0):
+        got = hopf_lax_pointwise(lambda r: c * r, MODEL, t, x)
+        exact = c * x + c * c * t
+        assert np.all(np.abs(got - exact) <= 2 * np.spacing(np.maximum(1.0, exact)))
+
+
+def test_branch_and_bound_is_exact_at_the_ends_of_the_box():
+    x = np.array([0.0, 0.3, 1.7])
+    for t in (0.25, 1.0):
+        # flat phi below 5: the objective -t xibar*(y / t) peaks at y = 0
+        got = hopf_lax_pointwise(lambda r: np.maximum(r - 5.0, 0.0), MODEL, t, x)
+        np.testing.assert_array_equal(got, 0.0)
+        # slope 2 beats the conjugate's slope s0 < 2 everywhere, so the
+        # objective increases up to the slope cap y = 2Lt
+        top = REG.slope_cap * t
+        got = hopf_lax_pointwise(lambda r: 2.0 * r, MODEL, t, x)
+        np.testing.assert_array_equal(
+            got, 2.0 * (x + top) - t * xi_star_vec(REG, top / t))
+
+
+def test_entries_are_bit_identical_alone_and_in_a_batch():
+    # each entry's intervals evolve from its own values only
+    phi = PROFILES["bench-softplus"].phi
+    t = np.array([0.0, 0.1, 0.5, 1.0])[:, None]
+    xs = np.linspace(0.0, 2.0, 7)
+    table = hopf_lax_pointwise(phi, MODEL, t, xs)
+    assert table.shape == (4, 7)
+    np.testing.assert_array_equal(table[0], phi(xs))
+    for i, ti in enumerate(t[:, 0]):
+        for k, xk in enumerate(xs):
+            alone = hopf_lax_pointwise(phi, MODEL, ti, np.array([xk]))
+            assert alone[0] == table[i, k], (ti, xk)
+
+
+def test_branch_and_bound_evaluates_phi_at_most_70_times_per_point():
+    profile = PROFILES["bench-softplus"]
+    sizes = []
+
+    def phi(r):
+        sizes.append(np.size(r))
+        return profile.phi(r)
+
+    xs = np.linspace(0.0, 5.0, 200)
+    for t in (0.1, 0.5, 1.0):
+        sizes.clear()
+        hopf_lax_pointwise(phi, MODEL, t, xs)
+        # one call for phi(x), then the two box ends and every midpoint
+        assert sum(sizes) <= 70 * xs.size, (t, sum(sizes) / xs.size)
+
+
+FLAT = InitialCondition.quadratic_monotone(0.0, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("route", ["hopf_lax_pointwise", "hopf"])
+def test_a_flat_objective_costs_at_most_max_live_midpoints_a_round(
+        route, monkeypatch):
+    # phi(r) = r^2 / 4 up to r = 2 at t = 1, x = 0: phi(y) - y^2 / 4 is 0 on
+    # [0, 2], and for hopf phi*(z) = z^2 = t xi(z) on [0, 1].  A width-h
+    # interval's bound is about h^2 / 16 (h^2 / 2 for hopf) above the best
+    # value, so it is dropped only once h < 6e-8 (2e-8), 27 halvings of
+    # the boxes [0, 8] and [0, 1]; each round bisects at most _MAX_LIVE
+    exact = solvers._branch_and_bound
+    seen = {}
+
+    def counted(evaluate, bound, lo, hi):
+        def tally(owner, y, left, right):
+            seen["points"] = seen.get("points", 0) + y.size
+            return evaluate(owner, y, left, right)
+
+        seen["best"], seen["gap"] = exact(tally, bound, lo, hi)
+        return seen["best"], seen["gap"]
+
+    monkeypatch.setattr(solvers, "_branch_and_bound", counted)
+    if route == "hopf":
+        j = Partition.uniform(1)
+        hopf(FLAT, MODEL, j, 1.0, ConePoint(j, [0.0]))
+    else:
+        hopf_lax_pointwise(FLAT.phi, MODEL, 1.0, np.array([0.0]))
+    assert seen["points"] <= 2 + 27 * solvers._MAX_LIVE
+    # the sup is 0: found to rounding, and within the certified gap
+    assert abs(seen["best"][0]) <= np.spacing(1.0)
+    assert 0.0 <= seen["gap"][0] and seen["best"][0] + seen["gap"][0] >= 0.0
+
+
+def test_branch_and_bound_keeps_the_intervals_of_highest_bound():
+    # per owner, the _MAX_LIVE live intervals of highest bound, ties to
+    # the earlier one, alike in a batch and alone
+    k = solvers._MAX_LIVE
+    owner = np.repeat([0, 1, 2], [k + 3, k, 2])
+    ub = np.arange(owner.size, dtype=float)[::-1] % 5
+    live = np.ones(owner.size, bool)
+    kept = solvers._highest_bounds(owner, ub, live)
+    for o in range(3):
+        mine = owner == o
+        alone = solvers._highest_bounds(np.zeros(mine.sum(), int), ub[mine],
+                                        live[mine])
+        np.testing.assert_array_equal(kept[mine], alone)
+        assert kept[mine].sum() == min(k, mine.sum())
+        assert ub[mine][kept[mine]].min() >= ub[mine][~kept[mine]].max(
+            initial=-np.inf)
+    # a 1-Lipschitz objective that is 0 everywhere: an interval's bound is
+    # half its width, so only the cap keeps the search from holding every
+    # interval down to width 2 ulp(1); what it drops shows in the gap
+    best, gap = _lipschitz_search(lambda owner, s: np.zeros_like(s),
+                                  np.zeros(2), np.array([1.0, 4.0]))
+    np.testing.assert_array_equal(best, 0.0)
+    assert np.all(gap > 0.0)
+
+
+def test_branch_and_bound_rejects_a_profile_above_its_chord():
+    with pytest.raises(InvalidInputError, match="not convex"):
+        hopf_lax_pointwise(lambda r: np.minimum(r, 1.0), MODEL, 1.0,
+                           np.array([0.0, 0.5]))
 
 
 def _zoom_from(f, lo, hi, top, scans):
@@ -255,30 +380,32 @@ def _zoom_from(f, lo, hi, top, scans):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_zoom_matches_the_loop_it_replaced(seed):
+def test_branch_and_bound_matches_the_zoom_it_replaced(seed):
+    # both sups against the zoom they replaced: a 513-point scan of the box,
+    # then ten 129-point rounds over two spacings either side of the argmax.
+    # The zoom keeps the largest rounding of thousands of values near the
+    # max, and the search stops within one ulp of its bounds, so allow
+    # 8 ulp of max(1, |value|) either way
     psi = _softplus_psi(seed)
     xv = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0, 5))
-    hopf_like = lambda z: xv[:, None] * z - psi.phi(z) + 0.7 * MODEL(z)
-    pointwise = lambda y: psi.phi(xv[:, None] + y) - xi_star_vec(REG, y)
-    # the early stop only skips rounds that re-grid below one ulp
-    for f, top in ((hopf_like, psi.lip_l1), (pointwise, REG.slope_cap)):
-        np.testing.assert_allclose(
-            _zoom_argmax(f, xv.shape, top),
-            _reference_zoom(f, xv.shape, top, _ZOOM),
-            rtol=4 * np.finfo(float).eps, atol=0.0)
-
-
-def test_zoom_at_the_boundary_runs_all_rounds():
-    # a centre at 0 has an ulp far below any spacing, so no early stop
-    f, calls = _counted(lambda s: -s)
-    best = _zoom_argmax(f, (3,), 1.0)
-    np.testing.assert_array_equal(best, 0.0)
-    assert len(calls) == len(_ZOOM) == 11
+    j = Partition.uniform(5)
+    scans = [513] + [129] * 10
+    zoom = _zoom_from(lambda y: psi.phi(xv[:, None] + y) - xi_star_vec(REG, y),
+                      np.zeros(5), np.full(5, REG.slope_cap), REG.slope_cap,
+                      scans)
+    got = hopf_lax_pointwise(psi.phi, MODEL, 1.0, xv)
+    assert np.all(np.abs(got - zoom) <= 8 * np.spacing(np.maximum(1.0, zoom)))
+    zoom = _zoom_from(
+        lambda z: xv[:, None] * z - _conjugate(psi, z.ravel()).reshape(z.shape)
+        + 0.7 * MODEL(z), np.zeros(5), np.full(5, psi.lip_l1), psi.lip_l1, scans)
+    zoom = float(np.sum(j.widths * zoom))
+    got = hopf(psi, MODEL, j, 0.7, ConePoint(j, xv))
+    assert abs(got - zoom) <= 8 * np.spacing(max(1.0, abs(zoom)))
 
 
 # ---------------------------------------------------------------------------
-# the one schedule against dense references: a uniform scan of the whole
-# box, then zoom rounds over two spacings either side of its argmax
+# the per-coordinate sups against dense references: a uniform scan of the
+# whole box, then zoom rounds over two spacings either side of its argmax
 
 def _profiles():
     """The separable profiles that criteria 7, 9 and 11 draw at their
@@ -298,14 +425,15 @@ def _profiles():
     out["bench-softplus"] = InitialCondition.softplus(
         [0.4, 0.5], [0.3, 1.2], [0.4, 0.8])
     # at x = 0, t = 1 the objective phi(y) - y^2 / 4 has local maxima at
-    # y = 0.5 and y = 1.5625, the second higher by 1.9e-4.  The first sits on
-    # a node of every first scan and the second halfway between two nodes
-    # of a 65-point one, so scans of 65 points or fewer settle on the lower
-    # peak, and the zoom's window around it does not reach the higher one.
-    # A 513-point scan (spacing 1/64) loses at most (1/128)^2 / 4 = 1.5e-5
-    # at either peak, wherever they fall.
+    # y = 0.5 and y = 1.5625, the second higher by 1.9e-4; a search that
+    # settles on the first misses the sup
     out["two-peaks"] = InitialCondition.softplus(
         [0.25, 0.53125], [0.0, 1.0309], [1e-3, 1e-3])
+    # the same shape with the second peak, at y = 1.5703125, only 5.0e-6
+    # above the first: halfway between two nodes of a 513-point scan of
+    # [0, 8], which settles on the lower one
+    out["near-tie"] = InitialCondition.softplus(
+        [0.25, 0.53515625], [0.0, 1.0351469], [1e-3, 1e-3])
     return out
 
 
@@ -325,14 +453,16 @@ def _dense_conjugate():
     return xi_star_vec(REG, np.arange(2 ** 20 + 1) * (REG.slope_cap / 2 ** 20))
 
 
-@pytest.mark.parametrize("name", sorted(PROFILES))
-def test_hopf_lax_pointwise_matches_a_2_20_point_scan(name):
+def _dense_shortfall(name):
+    """How far hopf_lax_pointwise falls short of a dense scan of the
+    objective of profile ``name`` at x = 0, 0.5, 1, one row per time."""
     phi = PROFILES[name].phi
     n = 2 ** 20
     # 0.5 k is a multiple of every spacing 8t / 2^20 below, so at each t
     # one lattice of phi serves the scans at all three x
     xs = np.array([0.0, 0.5, 1.0])
     buf = np.empty(n + 1)
+    rows = []
     for t in DENSE_TIMES:
         top = REG.slope_cap * t
         h = top / n
@@ -347,8 +477,23 @@ def test_hopf_lax_pointwise_matches_a_2_20_point_scan(name):
             lambda y: phi(xs[:, None] + y) - t * xi_star_vec(REG, y / t),
             np.maximum(peak - 2 * h, 0.0), np.minimum(peak + 2 * h, top), top,
             [1025] * 6)
-        got = hopf_lax_pointwise(phi, MODEL, t, xs)
-        assert np.all(ref - got <= 1e-15), (t, ref - got)
+        rows.append(ref - hopf_lax_pointwise(phi, MODEL, t, xs))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_hopf_lax_pointwise_matches_a_2_20_point_scan(name):
+    shortfall = _dense_shortfall(name)
+    assert np.all(shortfall <= 1e-15), shortfall
+
+
+def test_a_lowered_bound_fails_the_near_tie_case(monkeypatch):
+    # negative control: bounds 1e-5 too low drop the higher of the two peaks
+    exact = solvers._branch_and_bound
+    monkeypatch.setattr(
+        solvers, "_branch_and_bound", lambda evaluate, bound, lo, hi: exact(
+            evaluate, lambda *args: bound(*args) - 1e-5, lo, hi))
+    assert _dense_shortfall("near-tie").max() > 1e-15
 
 
 @pytest.mark.parametrize("name", ["bench-softplus", "c11-huber"])
@@ -359,15 +504,15 @@ def test_hopf_matches_a_2_16_point_scan_of_its_outer_objective(name):
     h = top / n
     z = np.arange(n + 1) * h
     # phi* once for every x and t
-    conj = _phi_conjugate_vec(psi, z)
+    conj = _conjugate(psi, z)
     j = Partition.uniform(5)
     xs = np.linspace(0.0, 2.0, 5)
     for t in DENSE_TIMES:
         peak = h * np.argmax(xs[:, None] * z - conj + t * MODEL(z), axis=1)
         # the objective is C^1, so 32-fold rounds down to 2^-20 h suffice
         ref = _zoom_from(
-            lambda s: xs[:, None] * s - _phi_conjugate_vec(psi, s)
-            + t * MODEL(s),
+            lambda s: xs[:, None] * s
+            - _conjugate(psi, s.ravel()).reshape(s.shape) + t * MODEL(s),
             np.maximum(peak - 2 * h, 0.0), np.minimum(peak + 2 * h, top), top,
             [129] * 4)
         got = hopf(psi, MODEL, j, t, ConePoint(j, xs))
@@ -377,6 +522,11 @@ def test_hopf_matches_a_2_16_point_scan_of_its_outer_objective(name):
 # ---------------------------------------------------------------------------
 # the monotone conjugate phi*(z) = sup_{0 <= s <= 64} zs - phi(s)
 
+def _conjugate(psi, z):
+    """phi* by bisection over the whole search range [0, 64]."""
+    return _phi_conjugate(psi, z, np.zeros_like(z), np.full_like(z, _S_MAX))[0]
+
+
 def test_phi_conjugate_of_the_huber_profile_in_all_three_regimes():
     a, b, c = 0.3, 0.5, 2.0
     psi = InitialCondition.quadratic_monotone(a, b, c)
@@ -385,7 +535,7 @@ def test_phi_conjugate_of_the_huber_profile_in_all_three_regimes():
     closed = np.where(z <= a, 0.0,
                       np.where(z <= a + b * c, (z - a) ** 2 / (2 * b),
                                64.0 * z - psi.phi(64.0)))
-    got = _phi_conjugate_vec(psi, z)
+    got = _conjugate(psi, z)
     for mask in (z <= a, (z > a) & (z <= a + b * c), z > a + b * c):
         assert mask.any()
         np.testing.assert_allclose(got[mask], closed[mask], rtol=0.0, atol=1e-14)
@@ -397,10 +547,10 @@ def test_phi_conjugate_matches_the_zoom_it_replaced(seed):
     # past it both searches return 64 z - phi(64), whose rounding is at the
     # scale of 64 rather than of the value (the Huber test covers that cap)
     psi = _softplus_psi(seed)
-    z = np.linspace(0.0, 0.9, 1025).reshape(5, 205)
-    zoom = _reference_zoom(lambda s: z[..., None] * s - psi.phi(s),
-                           z.shape, 64.0, [257] * 6)
-    got = _phi_conjugate_vec(psi, z)
+    z = np.linspace(0.0, 0.9, 1025)
+    zoom = _zoom_from(lambda s: z[..., None] * s - psi.phi(s), np.zeros_like(z),
+                      np.full_like(z, 64.0), 64.0, [257] * 6)
+    got = _conjugate(psi, z)
     assert got.shape == z.shape
     ulp = np.finfo(float).eps * np.maximum(1.0, np.abs(zoom))
     assert np.all(np.abs(got - zoom) <= 4 * ulp)
@@ -408,14 +558,21 @@ def test_phi_conjugate_matches_the_zoom_it_replaced(seed):
 
 def test_phi_conjugate_stops_at_float_precision():
     profile = _softplus_psi(0)
-    phi, calls = _counted(profile.phi)
-    psi = InitialCondition.separable(phi, lip=profile.lip_l1)
+    sizes = []
+
+    def dphi(r):
+        sizes.append(r.size)
+        return profile.dphi(r)
+
     z = np.linspace(0.0, 1.2, 301)
-    _phi_conjugate_vec(psi, z)
-    # golden sections from width 64 down to 4 ulp of 1 take about 80 steps,
-    # one profile evaluation each, over the whole array at once
-    assert len(calls) <= 90
-    assert all(shape == z.shape for shape in calls)
+    _phi_conjugate(replace(profile, dphi=dphi), z, np.zeros_like(z),
+                   np.full_like(z, _S_MAX))
+    # phi' at both ends, then one step per halving of [0, 64].  The error
+    # bound (hi - lo) min(z - phi'(lo), phi'(hi) - z) is at most
+    # phi''_max (hi - lo)^2, and phi'' <= sum_i a_i / (4 tau_i) < 1 here, so
+    # it falls below ulp(1) / 16 = 2^-56 within 6 + 28 = 34 halvings
+    assert len(sizes) <= 2 + 34
+    assert all(size == z.size for size in sizes)
 
 
 # ---------------------------------------------------------------------------
