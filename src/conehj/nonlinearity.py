@@ -174,34 +174,62 @@ def _inv_deriv_vec(model: CovarianceModel, r: np.ndarray, hi) -> np.ndarray:
     return s
 
 
+def _inner_branch(reg: Regularization, r: np.ndarray):
+    """The maximizer s and the value r s - xi(s) of xibar* on 0 < r <= r0.
+
+    There s solves xi'(s) = r: s = r / (2q) for a pure quadratic, by
+    ``_inv_deriv_vec`` otherwise.  Entries off that branch are solved at
+    r0, where the Newton start s0 is already the root; ``_by_branch``
+    drops them.  When xi' vanishes identically, r0 = 0 and the branch is
+    empty.
+    """
+    model = reg.base
+    seam = reg._seam
+    if seam.q is not None:
+        return r / (2.0 * seam.q), r * r / (4.0 * seam.q)
+    if seam.r0 > 0.0:
+        ri = np.where((r > 0.0) & (r <= seam.r0), r, seam.r0)
+        s = _inv_deriv_vec(model, ri, seam.s0)
+        # r s - xi(s) with r = xi'(s): a sum of nonnegative terms
+        return s, sum(c * (p - 1) * s ** p for p, c in model.poly.items())
+    return 0.0, 0.0
+
+
+def _by_branch(reg: Regularization, r: np.ndarray, nonpositive, inner, chord,
+               past_cap) -> np.ndarray:
+    """Select per entry of r: r <= 0, 0 < r <= r0, r0 < r <= 2L, or r > 2L."""
+    out = np.where(r <= reg._seam.r0, inner,
+                   np.where(r <= reg.slope_cap, chord, past_cap))
+    return np.where(r > 0.0, out, nonpositive)
+
+
 def xi_star_vec(reg: Regularization, r: np.ndarray) -> np.ndarray:
     """Monotone conjugate xibar*(r) = sup_{s>=0} {rs - xibar(s)}, exact to rounding.
 
     Negative slopes give -xi(0) (the sup sits at s = 0 for nondecreasing
-    xi).  On 0 < r <= r0 the maximizer solves xi'(s) = r: in closed form
-    s = r / (2q) for a pure quadratic, by ``_inv_deriv_vec`` otherwise.
-    From r0 the seam chord r s0 - xi(s0) continues up to the slope cap
-    2L; beyond the cap the conjugate is +inf.  When xi' vanishes
-    identically, r0 = 2L = 0 and the conjugate is +inf on r > 0.
+    xi).  On 0 < r <= r0 the maximizer solves xi'(s) = r (see
+    ``_inner_branch``).  From r0 the seam chord r s0 - xi(s0) continues
+    up to the slope cap 2L; beyond the cap the conjugate is +inf.  When
+    xi' vanishes identically, r0 = 2L = 0 and the conjugate is +inf on
+    r > 0.
     """
     r = np.asarray(r, dtype=float)
-    model = reg.base
     seam = reg._seam
-    s0, r0 = seam.s0, seam.r0
-    if seam.q is not None:
-        inner = r * r / (4.0 * seam.q)
-    elif r0 > 0.0:
-        # entries off the inner branch solve at r0, where the Newton
-        # start s0 is already the root
-        ri = np.where((r > 0.0) & (r <= r0), r, r0)
-        s = _inv_deriv_vec(model, ri, s0)
-        # r s - xi(s) with r = xi'(s): a sum of nonnegative terms
-        inner = sum(c * (p - 1) * s ** p for p, c in model.poly.items())
-    else:
-        inner = 0.0
-    out = np.where(r <= r0, inner,
-                   np.where(r <= reg.slope_cap, r * s0 - seam.xi_s0, np.inf))
-    return np.where(r > 0.0, out, -seam.xi0)
+    return _by_branch(reg, r, -seam.xi0, _inner_branch(reg, r)[1],
+                      r * seam.s0 - seam.xi_s0, np.inf)
+
+
+def xi_star_deriv(reg: Regularization, r: np.ndarray) -> np.ndarray:
+    """(xibar*)'(r): the maximizer s(r) of rs - xibar(s), on the branches of ``xi_star_vec``.
+
+    0 for r <= 0, the root of xi'(s) = r on 0 < r <= r0, the seam point
+    s0 on the chord up to 2L, and +inf beyond the cap, where the sup is
+    approached as s grows without bound.  At a branch point it is the
+    left derivative, which for r = r0 is s0 from either side.
+    """
+    r = np.asarray(r, dtype=float)
+    return _by_branch(reg, r, 0.0, _inner_branch(reg, r)[0], reg._seam.s0,
+                      np.inf)
 
 
 def bold_xi(x: ConePoint, model) -> float:

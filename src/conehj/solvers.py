@@ -29,7 +29,8 @@ from scipy import optimize, special
 from .cones import (ConePoint, InvalidInputError, Partition, StepPath,
                     UnsupportedOperationError, is_in_cone, lift_lj, project_pj)
 from .conjugates import monotone_increments, monotone_lattice
-from .nonlinearity import CovarianceModel, regularize, xi_star_vec
+from .nonlinearity import (CovarianceModel, regularize, xi_star_deriv,
+                           xi_star_vec)
 
 KIND_LINEAR = "linear"
 KIND_SEPARABLE = "separable"
@@ -303,16 +304,49 @@ def _lattice_starts(score, n: int, ub: float, budget: int = 3000) -> list:
     return [Y[i] for i in order]
 
 
-def _polish(objective, starts: list, ub: float, maxiter: int = 200) -> float:
-    """Maximize over the cone box [0, ub]^n with SLSQP from each start."""
+def _psi_gradient(psi: InitialCondition, j: Partition):
+    """nu -> the gradient of psi^j at nu, or None when it has no closed form.
+
+    Linear psi^j(nu) = <w h^j, nu> has the constant gradient w h^j;
+    separable psi^j(nu) = sum_k w_k phi(nu_k) has w phi'(nu) when phi' is
+    known.  A custom psi has none, and SLSQP differences it.
+    """
+    w = j.widths
+    if psi.kind == KIND_LINEAR:
+        g = w * project_pj(psi.h, j).scalars
+        return lambda nu: g
+    if psi.kind == KIND_SEPARABLE and psi.dphi is not None:
+        return lambda nu: w * psi.dphi(nu)
+    return None
+
+
+def _penalty_gradient(reg, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Gradient of t sum_k w_k min(xibar*(r_k), 1e12) in the increments t r.
+
+    d/dr_k of t xibar*(r_k) is t s(r_k), s the maximizer ``xi_star_deriv``,
+    so the t cancels; past the slope cap the clamp is flat, with slope 0.
+    """
+    return w * np.where(xi_star_vec(reg, r) < 1e12, xi_star_deriv(reg, r), 0.0)
+
+
+def _polish(objective, gradient, starts: list, ub: float,
+            maxiter: int = 200) -> float:
+    """Maximize over the cone box [0, ub]^n with SLSQP from each start.
+
+    ``gradient`` is the gradient of ``objective``, or None for scipy's
+    finite differences.  The monotone constraint D y >= 0 is linear, so
+    its Jacobian is the constant increment matrix D.
+    """
     n = starts[0].size
-    cons = ([optimize.LinearConstraint(monotone_increments(n), 0.0, np.inf)]
+    D = monotone_increments(n)
+    cons = ([{"type": "ineq", "fun": lambda y: D @ y, "jac": lambda y: D}]
             if n > 1 else [])
+    jac = None if gradient is None else (lambda y: -gradient(y))
     best = -np.inf
     for s in starts:
         res = optimize.minimize(lambda y: -objective(y), np.asarray(s, float),
-                                method="SLSQP", bounds=[(0.0, ub)] * n,
-                                constraints=cons,
+                                jac=jac, method="SLSQP",
+                                bounds=[(0.0, ub)] * n, constraints=cons,
                                 options={"maxiter": maxiter, "ftol": 1e-14})
         cand = float(-res.fun)
         if np.isfinite(cand) and cand > best:
@@ -345,18 +379,26 @@ def hopf_lax(psi: InitialCondition, model: CovarianceModel, j: Partition,
     xv = x.scalars
     ub = reg.slope_cap * t
 
+    dpsi = _psi_gradient(psi, j)
+
     def objective(y):
         y = np.clip(np.asarray(y, dtype=float), 0.0, ub)
         pen = np.minimum(xi_star_vec(reg, y / t), 1e12)
         return psi.eval_coords(j, (xv + y)[None, :])[0] \
             - t * float(np.sum(w * pen))
 
+    def gradient(y):
+        # the clip is flat outside the box, so those entries have slope 0
+        yc = np.clip(y, 0.0, ub)
+        return np.where(y == yc, dpsi(xv + yc)
+                        - _penalty_gradient(reg, w, yc / t), 0.0)
+
     if ub == 0.0:
         return float(objective(np.zeros(n)))
     starts = _lattice_starts(
         lambda Y: psi.eval_coords(j, xv + Y) - t * (xi_star_vec(reg, Y / t) @ w),
         n, ub)
-    return _polish(objective, starts, ub)
+    return _polish(objective, None if dpsi is None else gradient, starts, ub)
 
 
 def hopf_lax_separable(psi: InitialCondition, model: CovarianceModel,
@@ -436,26 +478,46 @@ def _phi_conjugate(psi: InitialCondition, z: np.ndarray, lo: np.ndarray,
     """Monotone conjugate phi*(z) = sup_{0 <= s <= 64} zs - phi(s), with its maximizer.
 
     zs - phi(s) is concave, so its maximizer s* is where phi' crosses z.
-    A bisection on phi' keeps phi'(lo) < z unless lo = 0 and phi'(hi) >= z
-    unless hi = 64, so [lo, hi] must bracket the crossing on entry.  The
-    better end is then within (hi - lo) min(z - phi'(lo), phi'(hi) - z)
-    of phi*(z), as phi' is nondecreasing; each entry stops once that is
-    a sixteenth of an ulp of max(1, z hi), or once [lo, hi] is two ulp of
-    max(1, hi) wide.  Returns (phi*(z), maximizer, lo, hi); the final
-    brackets bound the crossing of any larger or smaller z from one side.
+    A bracketed false-position search on phi' - z keeps phi'(lo) < z
+    unless lo = 0 and phi'(hi) >= z unless hi = 64, so [lo, hi] must
+    bracket the crossing on entry.  The better end is then within
+    (hi - lo) min(z - phi'(lo), phi'(hi) - z) of phi*(z), as phi' is
+    nondecreasing; each entry stops once that is a sixteenth of an ulp
+    of max(1, z hi), or once [lo, hi] is two ulp of max(1, hi) wide.
+    Each step cuts [lo, hi] where the chord of phi' - z crosses 0, with
+    the Illinois safeguard (Dowell and Jarratt, BIT 11, 1971): an end
+    kept twice in a row has its weight in the chord halved, so both ends
+    close in superlinearly.  A step cuts at the midpoint instead when
+    the chord's cut rounds onto an end, or when the last three steps
+    did not halve the bracket, so it halves at least every four steps.
+    Returns (phi*(z), maximizer, lo, hi); the final brackets bound the
+    crossing of any larger or smaller z from one side.
     """
     dlo, dhi = psi.dphi(lo), psi.dphi(hi)
+    glo, ghi = dlo - z, dhi - z   # the chord's weights at the two ends
+    moved = np.zeros(z.shape, dtype=int)   # the end moved last: +1 lo, -1 hi
+    # the bracket's width before each of the last three steps
+    widths = [np.full(z.shape, np.inf)] * 3
     while True:
         slack = (hi - lo) * np.minimum(z - dlo, dhi - z)
         open_ = (slack > np.spacing(np.maximum(1.0, z * hi)) / 16) \
             & (hi - lo > 2.0 * np.spacing(np.maximum(hi, 1.0)))
         if not open_.any():
             break
-        mid = 0.5 * (lo + hi)
-        d = psi.dphi(mid)
+        # an open entry has glo < 0 < ghi, so the cut lies in [lo, hi]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cut = lo + (hi - lo) * (glo / (glo - ghi))
+        slow = hi - lo > 0.5 * widths[0]
+        widths = widths[1:] + [hi - lo]
+        cut = np.where((cut > lo) & (cut < hi) & ~slow, cut, 0.5 * (lo + hi))
+        d = psi.dphi(cut)
         up, down = open_ & (d < z), open_ & (d >= z)
-        lo, dlo = np.where(up, mid, lo), np.where(up, d, dlo)
-        hi, dhi = np.where(down, mid, hi), np.where(down, d, dhi)
+        ghi = np.where(up & (moved == 1), 0.5 * ghi, ghi)
+        glo = np.where(down & (moved == -1), 0.5 * glo, glo)
+        lo, dlo = np.where(up, cut, lo), np.where(up, d, dlo)
+        hi, dhi = np.where(down, cut, hi), np.where(down, d, dhi)
+        glo, ghi = np.where(up, d - z, glo), np.where(down, d - z, ghi)
+        moved = np.where(up, 1, np.where(down, -1, moved))
     at_lo, at_hi = z * lo - psi.phi(lo), z * hi - psi.phi(hi)
     take_hi = at_hi >= at_lo
     return (np.where(take_hi, at_hi, at_lo), np.where(take_hi, hi, lo), lo, hi)
@@ -546,12 +608,18 @@ def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
     r_cap = min(model.deriv(psi.lip_l1) if model.poly else 0.0, reg.slope_cap)
     ub = float(muv.max(initial=0.0) + t * r_cap + 1e-9)
 
+    dpsi = _psi_gradient(psi, j)
+
     def objective(nu):
         # slopes past the conjugate domain carry a huge-but-finite
-        # penalty so SLSQP's finite differences stay well defined
+        # penalty, so the objective and, for a custom psi, SLSQP's finite
+        # differences stay well defined
         pen = np.minimum(xi_star_vec(reg, (np.asarray(nu) - muv) / t), 1e12)
         return psi.eval_coords(j, np.asarray(nu)[None, :])[0] \
             - t * float(np.sum(w * pen))
+
+    def gradient(nu):
+        return dpsi(nu) - _penalty_gradient(reg, w, (nu - muv) / t)
 
     starts = [muv.copy(), np.minimum(muv + t * r_cap, ub),
               np.zeros(n), np.full(n, min(float(muv.mean()), ub))]
@@ -564,7 +632,8 @@ def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
     if rng is not None:
         for _ in range(4):
             starts.append(np.sort(rng.uniform(0.0, ub, size=n)))
-    return _polish(objective, starts, ub, maxiter=200 if cheap_psi else 60)
+    return _polish(objective, None if dpsi is None else gradient, starts, ub,
+                   maxiter=200 if cheap_psi else 60)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from conehj import (ConePoint, CovarianceModel, InvalidInputError, Partition,
                     hopf_lax_pointwise, regularize, xi_star_vec)
 from conehj import nonlinearity
 from conehj.acceptance import _h_bracket
-from conehj.nonlinearity import _inv_deriv_vec
+from conehj.nonlinearity import _inv_deriv_vec, xi_star_deriv
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +244,70 @@ def test_conjugate_of_zero_model_is_infinite(poly):
     vals = xi_star_vec(reg, np.array([-1.0, 0.0, 1e-12, 0.5, 3.0]))
     assert vals.dtype == float
     np.testing.assert_array_equal(vals, [0.0, 0.0, np.inf, np.inf, np.inf])
+
+
+# the derivative (xibar*)'(r), the maximizer s(r)
+
+DERIV_MODELS = {"sk": {2: 1.0}, "sk-half": {2: 0.5}, "mixed": {2: 1.0, 4: 0.5}}
+
+
+def _central(reg, r, h):
+    return (xi_star_vec(reg, r + h) - xi_star_vec(reg, r - h)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("name", DERIV_MODELS)
+def test_conjugate_derivative_matches_central_differences_on_every_branch(name):
+    model, reg = _kernel_reg(DERIV_MODELS[name])
+    s0, r0, cap = reg._seam.s0, reg._seam.r0, reg.slope_cap
+    h = 1e-6
+    branches = {
+        # the flat branch, where the sup sits at s = 0
+        "nonpositive": (np.linspace(-2.0, -2.0 * h, 9), 0.0),
+        # xi'(s) = r: r / (2q) for a pure quadratic, Newton for the mixed xi
+        "inner": (np.linspace(0.05, 0.95, 19) * r0, None),
+        # the seam chord r s0 - xi(s0), up to the slope cap 2L
+        "chord": (r0 + np.linspace(0.05, 0.95, 19) * (cap - r0), s0),
+    }
+    for branch, (rs, known) in branches.items():
+        got = xi_star_deriv(reg, rs)
+        np.testing.assert_allclose(got, _central(reg, rs, h), rtol=1e-7,
+                                   atol=1e-9, err_msg=branch)
+        if known is not None:
+            np.testing.assert_array_equal(got, known, err_msg=branch)
+    rs = branches["inner"][0]
+    if len(DERIV_MODELS[name]) == 1:
+        np.testing.assert_allclose(xi_star_deriv(reg, rs),
+                                   rs / (2.0 * DERIV_MODELS[name][2]), rtol=1e-15)
+    else:
+        np.testing.assert_allclose(model.deriv(xi_star_deriv(reg, rs)), rs,
+                                   rtol=1e-14)
+
+
+@pytest.mark.parametrize("poly", KERNEL_POLYS, ids=KERNEL_IDS)
+def test_conjugate_derivative_is_the_maximizer(poly):
+    # xibar*(r) = r s(r) - xibar(s(r)): s(r) attains the sup, on each branch
+    model, reg = _kernel_reg(poly)
+    rs = _kernel_slopes(reg)
+    s = xi_star_deriv(reg, rs)
+    fin = rs <= reg.slope_cap
+    np.testing.assert_allclose(rs[fin] * s[fin] - reg(s[fin]),
+                               xi_star_vec(reg, rs[fin]), rtol=1e-13, atol=1e-15)
+    # past the cap the sup is +inf, approached as s grows without bound
+    assert np.all(s[~fin] == np.inf)
+    # continuous at the seam slope r0 and nondecreasing, as xibar* is convex
+    r0 = reg._seam.r0
+    assert xi_star_deriv(reg, r0) == reg._seam.s0
+    assert xi_star_deriv(reg, np.nextafter(r0, 0.0)) == pytest.approx(
+        reg._seam.s0, rel=1e-12)
+    assert np.all(np.diff(s[:301][fin[:301]]) >= 0.0)
+
+
+@pytest.mark.parametrize("poly", ZERO_POLYS, ids=ZERO_IDS)
+def test_conjugate_derivative_of_zero_model(poly):
+    _, reg = _kernel_reg(poly)
+    np.testing.assert_array_equal(
+        xi_star_deriv(reg, np.array([-1.0, 0.0, 1e-12, 3.0])),
+        [0.0, 0.0, np.inf, np.inf])
 
 
 # ---------------------------------------------------------------------------

@@ -520,6 +520,95 @@ def test_hopf_matches_a_2_16_point_scan_of_its_outer_objective(name):
 
 
 # ---------------------------------------------------------------------------
+# the SLSQP routes: exact gradients
+
+def _objective_of(monkeypatch, route, psi, j, t, x):
+    """The objective, gradient and box bound a route hands to ``_polish``."""
+    seen = {}
+
+    def capture(objective, gradient, starts, ub, maxiter=200):
+        seen.update(objective=objective, gradient=gradient, ub=ub)
+        return 0.0
+
+    monkeypatch.setattr(solvers, "_polish", capture)
+    route(psi, MODEL, j, t, x)
+    return seen["objective"], seen["gradient"], seen["ub"]
+
+
+GRADIENT_PSIS = {
+    "linear": InitialCondition.linear(
+        StepPath(Partition.uniform(3), np.array([0.2, 0.5, 0.9]))),
+    "softplus": PROFILES["bench-softplus"],
+}
+
+
+@pytest.mark.parametrize("route", [hopf_lax, hopf_lax_1d],
+                         ids=["hopf_lax", "hopf_lax_1d"])
+@pytest.mark.parametrize("name", GRADIENT_PSIS)
+def test_route_gradient_matches_central_differences(monkeypatch, route, name):
+    j = Partition.uniform(3)
+    x = ConePoint(j, np.array([0.1, 0.4, 0.8]))
+    rng = np.random.default_rng(3)
+    h = 1e-6
+    for t in (0.3, 1.0):
+        objective, gradient, ub = _objective_of(
+            monkeypatch, route, GRADIENT_PSIS[name], j, t, x)
+        assert gradient is not None
+        # interior points of the box: their slopes reach the inner branch
+        # and the seam chord under hopf_lax, the flat branch and the inner
+        # one under hopf_lax_1d
+        for y in np.sort(rng.uniform(0.02, 0.98, (20, 3)) * ub, axis=1):
+            central = [(objective(y + h * e) - objective(y - h * e)) / (2 * h)
+                       for e in np.eye(3)]
+            np.testing.assert_allclose(gradient(y), central, rtol=0.0,
+                                       atol=1e-7, err_msg=f"t={t}, y={y}")
+
+
+def test_custom_psi_keeps_finite_differences(monkeypatch):
+    j = Partition.uniform(2)
+    psi = InitialCondition.custom(lambda path: 0.5 * path.values.sum(), 1.0,
+                                  convex=True)
+    x = ConePoint(j, np.array([0.1, 0.3]))
+    for route in (hopf_lax, hopf_lax_1d):
+        assert _objective_of(monkeypatch, route, psi, j, 0.5, x)[1] is None
+
+
+def test_slsqp_routes_take_few_evaluations_and_all_succeed(monkeypatch):
+    # a fallback to finite differences costs about 3.6 times as many
+    # objective evaluations (2267 and 4066 here) and fails these ceilings
+    bench = PROFILES["bench-softplus"]
+    evaluations = []
+
+    def phi(r):
+        # the objective evaluates one point; the lattice starts score many
+        if np.ndim(r) == 2 and np.shape(r)[0] == 1:
+            evaluations.append(1)
+        return bench.phi(r)
+
+    statuses = []
+    minimize = solvers.optimize.minimize
+
+    def recorded(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(solvers.optimize, "minimize", recorded)
+    psi = replace(bench, phi=phi)
+    j = Partition.uniform(3)
+    points = [[0.1, 0.4, 1.2], [0.5, 0.9, 1.6], [0.8, 1.7, 2.3]]
+    # measured: 623 and 1127 evaluations, from 54 and 90 SLSQP runs
+    for route, ceiling in ((hopf_lax, 800), (hopf_lax_1d, 1450)):
+        evaluations.clear()
+        statuses.clear()
+        for x in points:
+            for t in (0.1, 0.5, 1.0):
+                route(psi, MODEL, j, t, ConePoint(j, np.array(x)))
+        assert len(evaluations) <= ceiling, (route.__name__, len(evaluations))
+        assert statuses and all(s == 0 for s in statuses), statuses
+
+
+# ---------------------------------------------------------------------------
 # the monotone conjugate phi*(z) = sup_{0 <= s <= 64} zs - phi(s)
 
 def _conjugate(psi, z):
@@ -567,12 +656,33 @@ def test_phi_conjugate_stops_at_float_precision():
     z = np.linspace(0.0, 1.2, 301)
     _phi_conjugate(replace(profile, dphi=dphi), z, np.zeros_like(z),
                    np.full_like(z, _S_MAX))
-    # phi' at both ends, then one step per halving of [0, 64].  The error
-    # bound (hi - lo) min(z - phi'(lo), phi'(hi) - z) is at most
+    # phi' at both ends, then one call per step.  The error bound
+    # (hi - lo) min(z - phi'(lo), phi'(hi) - z) is at most
     # phi''_max (hi - lo)^2, and phi'' <= sum_i a_i / (4 tau_i) < 1 here, so
-    # it falls below ulp(1) / 16 = 2^-56 within 6 + 28 = 34 halvings
+    # bisection meets it within 6 + 28 = 34 halvings of [0, 64].  The
+    # false-position steps must do no worse: they close in on the crossing
+    # superlinearly, and a step falls back to the midpoint only when the
+    # last three did not halve the bracket (19 steps here)
     assert len(sizes) <= 2 + 34
     assert all(size == z.size for size in sizes)
+
+
+def test_phi_conjugate_calls_for_the_routes_profile():
+    # the nine hopf values of a three-point, three-time solve on the
+    # benchmark softplus: 1567 calls of phi', where bisection took 4546
+    profile = PROFILES["bench-softplus"]
+    calls = []
+
+    def dphi(r):
+        calls.append(1)
+        return profile.dphi(r)
+
+    psi = replace(profile, dphi=dphi)
+    j = Partition.uniform(3)
+    for x in ([0.1, 0.4, 1.2], [0.5, 0.9, 1.6], [0.8, 1.7, 2.3]):
+        for t in (0.1, 0.5, 1.0):
+            hopf(psi, MODEL, j, t, ConePoint(j, np.array(x)))
+    assert len(calls) <= 2300, len(calls)
 
 
 # ---------------------------------------------------------------------------
