@@ -40,14 +40,7 @@ print(f"comparison check: pass={rep.passed}, argmax t*={rep.t_star}, "
 # --- refinement rates --------------------------------------------------
 chain = [Partition.uniform(n) for n in (4, 8, 16, 32)]
 pts = seeded_test_points(0, count=8, radius=3.0, fine=64)
-
-
-def smooth(r):
-    r = np.asarray(r, dtype=float)
-    return 0.5 * np.logaddexp(0.0, 2.0 * (r - 0.8)) / 2.0
-
-
-psi = InitialCondition.separable(smooth, lip=0.5)
+psi = InitialCondition.softplus([0.5], [0.8], [0.5])
 study = rate_study(psi, model, chain, pts)
 print("restriction errors along 4 -> 8 -> 16 -> 32:",
       [f"{e:.2e}" for e in study.errors])

@@ -2,7 +2,7 @@
 
 from .cones import (ConePoint, DiscreteMeasure, InvalidInputError, Partition,
                     StepPath, UnsupportedOperationError, is_in_cone,
-                    is_in_dual, is_psd, lift_lj, measure_to_quantile,
+                    is_in_dual, lift_lj, measure_to_quantile,
                     project_pj, quantile_to_measure, rearrange_sharp,
                     wasserstein_p)
 from .conjugates import (GridFunction, dual_increasing_check, fm_verify,

@@ -515,7 +515,7 @@ def crit_rate(seed=8):
     lin = InitialCondition.separable(lambda r: 0.3 * np.asarray(r, float),
                                      lip=0.3)
     study_lin = rate_study(lin, model, chain, pts)
-    flat_ok = float(study_lin.errors.max()) <= 1e-9
+    flat_ok = float(study_lin.errors.max()) <= 1e-12
     return _report(9, "convergence-rate", t0, slope_ok and flat_ok,
                    slope=study.slope, errors=study.errors.tolist(),
                    sizes=study.sizes.tolist(),

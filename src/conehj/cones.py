@@ -46,14 +46,6 @@ def default_psd_tol(a):
     return 1e-9 * (1.0 + float(np.linalg.norm(a)))
 
 
-def is_psd(a):
-    """True iff ``a`` has min eigenvalue >= -default_psd_tol(a)."""
-    a = sym(a)
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("non-finite entries")
-    return float(np.linalg.eigvalsh(a)[0]) >= -default_psd_tol(a)
-
-
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -312,13 +304,16 @@ def _check_same_space(x: ConePoint, y: ConePoint):
         raise InvalidInputError("cone points have different matrix dimension")
 
 
-def _all_psd(mats: np.ndarray, tol: float) -> bool:
-    """True iff every stacked symmetric matrix has min eigenvalue >= -tol."""
+def _all_psd(mats: np.ndarray, tol) -> bool:
+    """True iff every stacked symmetric matrix has min eigenvalue >= -tol.
+
+    ``tol`` is one bound for all the matrices or one per matrix.
+    """
     if mats.shape[-1] == 1:
         return bool(np.all(mats[:, 0, 0] >= -tol))
     # each diagonal entry bounds the smallest eigenvalue from above, so a
     # negative one settles the answer without an eigensolve
-    if np.any(np.diagonal(mats, axis1=1, axis2=2) < -tol):
+    if np.any(np.diagonal(mats, axis1=1, axis2=2) < -np.asarray(tol)[..., None]):
         return False
     if mats.shape[-1] == 2:
         a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
@@ -474,11 +469,13 @@ class DiscreteMeasure:
             raise InvalidInputError("levels must have one more entry than atoms")
         if z[0] != 0.0 or z[-1] != 1.0 or not np.all(np.diff(z) > 0):
             raise InvalidInputError("levels must increase strictly from 0 to 1")
-        for k in range(1, a.shape[0]):
-            if not is_psd(a[k] - a[k - 1]):
-                raise InvalidInputError("atoms must be PSD-ordered increasing")
-        if not is_psd(a[0]):
-            raise InvalidInputError("atoms must lie in the PSD cone")
+        if not np.all(np.isfinite(a)):
+            raise InvalidInputError("atoms must be finite")
+        steps = np.diff(a, axis=0, prepend=0.0)
+        tol = 1e-9 * (1.0 + np.linalg.norm(steps, axis=(1, 2)))
+        if not _all_psd(steps, tol):
+            raise InvalidInputError(
+                "atoms must lie in the PSD cone and increase in the PSD order")
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "levels", z)
         a.setflags(write=False)

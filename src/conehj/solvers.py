@@ -46,13 +46,13 @@ class InitialCondition:
     Separable data psi(mu) = int phi(mu(s)) ds carry the scalar profile
     ``phi`` (vectorized) for fast per-coordinate evaluation, and its
     derivative ``dphi`` where a closed form is known (``hopf`` needs it).
+    The kind decides the rest: psi is convex unless it is custom, and
+    dual-increasing unless it is linear with h outside the cone.
     """
 
     kind: str
     lip_l1: float
     lip_h: float
-    convex: bool
-    dual_increasing: bool
     h: StepPath = None
     phi: object = None
     dphi: object = None
@@ -61,11 +61,9 @@ class InitialCondition:
     # -- constructors -------------------------------------------------
     @classmethod
     def linear(cls, h: StepPath) -> "InitialCondition":
-        mono = bool(is_in_cone(ConePoint(h.partition, h.values)))
         return cls(KIND_LINEAR,
                    lip_l1=float(np.abs(h.values).max(initial=0.0)),
-                   lip_h=h.norm(), convex=True, dual_increasing=mono,
-                   h=h)
+                   lip_h=h.norm(), h=h)
 
     @classmethod
     def separable(cls, phi, lip: float) -> "InitialCondition":
@@ -77,8 +75,7 @@ class InitialCondition:
         wrong bound and return a wrong value.  That search raises only when
         one of the midpoints it tests lies above its chord.
         """
-        return cls(KIND_SEPARABLE, lip_l1=float(lip), lip_h=float(lip),
-                   convex=True, dual_increasing=True, phi=phi)
+        return cls(KIND_SEPARABLE, lip_l1=float(lip), lip_h=float(lip), phi=phi)
 
     @classmethod
     def softplus(cls, weights, thresholds, scales) -> "InitialCondition":
@@ -133,10 +130,14 @@ class InitialCondition:
         return replace(cls.separable(phi, lip=a + b * c), dphi=dphi)
 
     @classmethod
-    def custom(cls, fn, lip_l1: float, convex: bool = False,
-               dual_increasing: bool = True) -> "InitialCondition":
+    def custom(cls, fn, lip_l1: float) -> "InitialCondition":
         return cls(KIND_CUSTOM, lip_l1=float(lip_l1), lip_h=float(lip_l1),
-                   convex=convex, dual_increasing=dual_increasing, fn=fn)
+                   fn=fn)
+
+    @property
+    def dual_increasing(self) -> bool:
+        return self.kind != KIND_LINEAR \
+            or bool(is_in_cone(ConePoint(self.h.partition, self.h.values)))
 
     # -- evaluation ---------------------------------------------------
     def __call__(self, path: StepPath) -> float:
@@ -304,44 +305,62 @@ def _lattice_starts(score, n: int, ub: float, budget: int = 3000) -> list:
     return [Y[i] for i in order]
 
 
-def _psi_gradient(psi: InitialCondition, j: Partition):
-    """nu -> the gradient of psi^j at nu, or None when it has no closed form.
+def _penalized(psi: InitialCondition, reg, j: Partition, t: float, shift,
+               offset):
+    """F(v) = psi^j(shift + v) - t sum_k w_k min(xibar*((v_k - offset_k) / t), 1e12).
 
-    Linear psi^j(nu) = <w h^j, nu> has the constant gradient w h^j;
-    separable psi^j(nu) = sum_k w_k phi(nu_k) has w phi'(nu) when phi' is
-    known.  A custom psi has none, and SLSQP differences it.
+    The functional both SLSQP routes maximize: ``hopf_lax`` over
+    increments (shift x, offset 0), ``hopf_lax_1d`` over paths (shift 0,
+    offset mu).  Slopes past the conjugate domain carry a huge but finite
+    penalty, so F and, for a custom psi, SLSQP's finite differences stay
+    defined.  Returns ``value``, F on each row of V, and ``gradient``, the
+    gradient of F at one point.  Linear psi^j has the constant gradient
+    w h^j, and separable psi^j has w phi'(v) when phi' is known; otherwise
+    ``gradient`` is None and SLSQP differences F.  d/dv_k of
+    t xibar*((v_k - offset_k) / t) is w_k s, s the maximizer
+    ``xi_star_deriv``, and 0 where the clamp is flat.
     """
     w = j.widths
+
+    def value(V):
+        pen = np.minimum(xi_star_vec(reg, (V - offset) / t), 1e12)
+        return psi.eval_coords(j, shift + V) - t * np.sum(w * pen, axis=-1)
+
     if psi.kind == KIND_LINEAR:
         g = w * project_pj(psi.h, j).scalars
-        return lambda nu: g
-    if psi.kind == KIND_SEPARABLE and psi.dphi is not None:
-        return lambda nu: w * psi.dphi(nu)
-    return None
+        dpsi = lambda v: g
+    elif psi.kind == KIND_SEPARABLE and psi.dphi is not None:
+        dpsi = lambda v: w * psi.dphi(v)
+    else:
+        return value, None
+
+    def gradient(v):
+        r = (v - offset) / t
+        return dpsi(shift + v) - w * np.where(
+            xi_star_vec(reg, r) < 1e12, xi_star_deriv(reg, r), 0.0)
+
+    return value, gradient
 
 
-def _penalty_gradient(reg, w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Gradient of t sum_k w_k min(xibar*(r_k), 1e12) in the increments t r.
-
-    d/dr_k of t xibar*(r_k) is t s(r_k), s the maximizer ``xi_star_deriv``,
-    so the t cancels; past the slope cap the clamp is flat, with slope 0.
-    """
-    return w * np.where(xi_star_vec(reg, r) < 1e12, xi_star_deriv(reg, r), 0.0)
-
-
-def _polish(objective, gradient, starts: list, ub: float,
+def _polish(value, gradient, starts: list, ub: float,
             maxiter: int = 200) -> float:
-    """Maximize over the cone box [0, ub]^n with SLSQP from each start.
+    """Maximize ``value`` over the cone box [0, ub]^n with SLSQP from each start.
 
-    ``gradient`` is the gradient of ``objective``, or None for scipy's
-    finite differences.  The monotone constraint D y >= 0 is linear, so
-    its Jacobian is the constant increment matrix D.
+    ``value`` maps points, one per row, to objective values; ``gradient``
+    is its gradient at one point, or None for scipy's finite differences.
+    scipy clips each point SLSQP passes to them to the box.  The monotone
+    constraint D y >= 0 is linear, so its Jacobian is the constant
+    increment matrix D.
     """
     n = starts[0].size
     D = monotone_increments(n)
     cons = ([{"type": "ineq", "fun": lambda y: D @ y, "jac": lambda y: D}]
             if n > 1 else [])
     jac = None if gradient is None else (lambda y: -gradient(y))
+
+    def objective(y):
+        return value(y[None, :])[0]
+
     best = -np.inf
     for s in starts:
         res = optimize.minimize(lambda y: -objective(y), np.asarray(s, float),
@@ -375,30 +394,12 @@ def hopf_lax(psi: InitialCondition, model: CovarianceModel, j: Partition,
         return psi.eval_point(x)
     reg = regularize(model)
     n = j.size
-    w = j.widths
-    xv = x.scalars
     ub = reg.slope_cap * t
 
-    dpsi = _psi_gradient(psi, j)
-
-    def objective(y):
-        y = np.clip(np.asarray(y, dtype=float), 0.0, ub)
-        pen = np.minimum(xi_star_vec(reg, y / t), 1e12)
-        return psi.eval_coords(j, (xv + y)[None, :])[0] \
-            - t * float(np.sum(w * pen))
-
-    def gradient(y):
-        # the clip is flat outside the box, so those entries have slope 0
-        yc = np.clip(y, 0.0, ub)
-        return np.where(y == yc, dpsi(xv + yc)
-                        - _penalty_gradient(reg, w, yc / t), 0.0)
-
+    value, gradient = _penalized(psi, reg, j, t, x.scalars, 0.0)
     if ub == 0.0:
-        return float(objective(np.zeros(n)))
-    starts = _lattice_starts(
-        lambda Y: psi.eval_coords(j, xv + Y) - t * (xi_star_vec(reg, Y / t) @ w),
-        n, ub)
-    return _polish(objective, None if dpsi is None else gradient, starts, ub)
+        return float(value(np.zeros((1, n)))[0])
+    return _polish(value, gradient, _lattice_starts(value, n, ub), ub)
 
 
 def hopf_lax_separable(psi: InitialCondition, model: CovarianceModel,
@@ -538,16 +539,13 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     the conjugate +inf), which truncates the search region.
     """
     _require(psi, model, x, t, "hopf")
-    if not psi.convex:
+    if psi.kind == KIND_CUSTOM:
         raise InvalidInputError("hopf requires a convex psi")
     w = j.widths
     xv = x.scalars
     if psi.kind == KIND_LINEAR:
         hj = project_pj(psi.h, j).scalars
         return float(w @ (xv * hj + t * model(hj)))
-    if psi.kind != KIND_SEPARABLE:
-        raise UnsupportedOperationError(
-            "hopf supports linear and separable psi")
     if psi.dphi is None:
         raise InvalidInputError("hopf needs the derivative of a separable profile")
     # per-coordinate objective x_k z - phi*(z) + t xi(z) over [0, lip];
@@ -600,39 +598,23 @@ def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
     if t == 0.0:
         return psi.eval_point(mu)
     reg = regularize(model)
-    w = j.widths
     muv = mu.scalars
     n = j.size
     # marginal conjugate slope exceeds lip once the optimizer s passes
     # the Lipschitz constant, i.e. past r = xi'(lip)
-    r_cap = min(model.deriv(psi.lip_l1) if model.poly else 0.0, reg.slope_cap)
+    r_cap = min(model.deriv(psi.lip_l1), reg.slope_cap)
     ub = float(muv.max(initial=0.0) + t * r_cap + 1e-9)
-
-    dpsi = _psi_gradient(psi, j)
-
-    def objective(nu):
-        # slopes past the conjugate domain carry a huge-but-finite
-        # penalty, so the objective and, for a custom psi, SLSQP's finite
-        # differences stay well defined
-        pen = np.minimum(xi_star_vec(reg, (np.asarray(nu) - muv) / t), 1e12)
-        return psi.eval_coords(j, np.asarray(nu)[None, :])[0] \
-            - t * float(np.sum(w * pen))
-
-    def gradient(nu):
-        return dpsi(nu) - _penalty_gradient(reg, w, (nu - muv) / t)
-
+    value, gradient = _penalized(psi, reg, j, t, 0.0, muv)
     starts = [muv.copy(), np.minimum(muv + t * r_cap, ub),
               np.zeros(n), np.full(n, min(float(muv.mean()), ub))]
     cheap_psi = psi.kind != KIND_CUSTOM
     budget = 3000 if cheap_psi else 200
     if n <= (5 if cheap_psi else 3):
-        starts += _lattice_starts(
-            lambda NU: psi.eval_coords(j, NU)
-            - t * (xi_star_vec(reg, (NU - muv) / t) @ w), n, ub, budget=budget)
+        starts += _lattice_starts(value, n, ub, budget=budget)
     if rng is not None:
         for _ in range(4):
             starts.append(np.sort(rng.uniform(0.0, ub, size=n)))
-    return _polish(objective, None if dpsi is None else gradient, starts, ub,
+    return _polish(value, gradient, starts, ub,
                    maxiter=200 if cheap_psi else 60)
 
 

@@ -304,8 +304,7 @@ def one_spin_initial_condition() -> InitialCondition:
         mono = StepPath(path.partition, vals[:, None, None])
         return one_spin_psi(quantile_to_measure(mono))
 
-    return InitialCondition.custom(fn, lip_l1=1.0, convex=False,
-                                   dual_increasing=True)
+    return InitialCondition.custom(fn, lip_l1=1.0)
 
 
 # ---------------------------------------------------------------------------

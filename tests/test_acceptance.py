@@ -114,7 +114,7 @@ def test_09_refinement_rate():
     rep = acceptance.crit_rate(seed=9)
     _check(rep, 600.0)
     assert rep["slope"] <= -0.4
-    assert rep["factoring_max_error"] <= 1e-9
+    assert rep["factoring_max_error"] <= 1e-12
 
 
 def test_10_fenchel_moreau_checks():

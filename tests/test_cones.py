@@ -326,10 +326,28 @@ def test_wasserstein_matches_direct_quantile_integral():
 
 
 def test_measure_validation():
+    levels = np.array([0.0, 0.5, 1.0])
     with pytest.raises(InvalidInputError):
-        DiscreteMeasure(np.array([0.3, 0.0]), np.array([0.0, 0.5, 1.0]))
+        DiscreteMeasure(np.array([0.3, 0.0]), levels)
     with pytest.raises(InvalidInputError):
         DiscreteMeasure(np.array([0.0, 0.3]), np.array([0.0, 0.5, 0.9]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            DiscreteMeasure(np.array([0.0, bad]), levels)
+    # each step a_k - a_{k-1}, and a_0, may dip below the PSD cone by
+    # 1e-9 (1 + |step|_F) and no further; ``rest`` sets the step's norm
+    for rest in ([], [0.0], [0.7]):
+        D = len(rest) + 1
+        tol = 1e-9 * (1.0 + np.linalg.norm(rest))
+        base = 0.3 * np.eye(D)
+        for dip, ok in ((0.5, True), (2.0, False)):
+            step = np.diag(rest + [-dip * tol])
+            for atoms in ([base, base + step], [step, step + base]):
+                if ok:
+                    DiscreteMeasure(np.array(atoms), levels)
+                else:
+                    with pytest.raises(InvalidInputError):
+                        DiscreteMeasure(np.array(atoms), levels)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,16 @@ def _xi_star_deriv_scaled(reg, r):
     return (1.0 + 1e-3) * xi_star_deriv(reg, r)
 
 
+_true_solve = limits._solve
+
+
+def _coarse_values_raised(psi, model, cases):
+    # cases alternate fine and coarse, so every gap is 1e-3 / (t + |x|)
+    f = _true_solve(psi, model, cases)
+    f[1::2] = f[0::2] + 1e-3
+    return f
+
+
 def _hopf_lax_1d_shifted(*args, **kwargs):
     return solvers.hopf_lax_1d(*args, **kwargs) + 1e-8
 
@@ -130,6 +140,8 @@ CONTROLS = [
      "hopf_lax_1d", _hopf_lax_1d_nan),
     (acceptance.crit_pde_oracle, {"seed": 7}, fd_oracle, "regularize",
      _regularize_flux_raised),
+    (acceptance.crit_rate, {"seed": 8}, limits, "_solve",
+     _coarse_values_raised),
     (acceptance.crit_fm, {"seed": 10}, conjugates, "dual_increasing_check",
      _dual_increasing_accepts_all),
     (acceptance.crit_fm, {"seed": 10}, conjugates, "mono_conjugate",

@@ -153,10 +153,11 @@ def test_linear_hopf_dominates_every_feasible_slope():
 
 
 def test_hopf_requires_convexity():
+    # a custom psi is the one kind that need not be convex
     j = Partition.uniform(2)
-    psi = InitialCondition.custom(lambda p: 0.0, lip_l1=1.0, convex=False)
+    psi = InitialCondition.custom(lambda p: 0.0, lip_l1=1.0)
     x = ConePoint(j, [0.1, 0.2])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="convex"):
         hopf(psi, MODEL, j, 0.5, x)
 
 
@@ -179,10 +180,12 @@ def test_profile_derivative_matches_central_differences(psi):
 
 
 def test_hopf_rejects_custom_kind():
+    # a custom psi carries no conjugate, so hopf rejects it even when the
+    # callable happens to be convex (here linear)
     j = Partition.uniform(2)
-    psi = InitialCondition.custom(lambda p: 0.0, lip_l1=1.0, convex=True)
+    psi = InitialCondition.custom(lambda path: 0.5 * path.values.sum(), 1.0)
     x = ConePoint(j, [0.1, 0.2])
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(InvalidInputError):
         hopf(psi, MODEL, j, 0.5, x)
 
 
@@ -523,16 +526,16 @@ def test_hopf_matches_a_2_16_point_scan_of_its_outer_objective(name):
 # the SLSQP routes: exact gradients
 
 def _objective_of(monkeypatch, route, psi, j, t, x):
-    """The objective, gradient and box bound a route hands to ``_polish``."""
+    """The objective at one point, its gradient and the box a route polishes in."""
     seen = {}
 
-    def capture(objective, gradient, starts, ub, maxiter=200):
-        seen.update(objective=objective, gradient=gradient, ub=ub)
+    def capture(value, gradient, starts, ub, maxiter=200):
+        seen.update(value=value, gradient=gradient, ub=ub)
         return 0.0
 
     monkeypatch.setattr(solvers, "_polish", capture)
     route(psi, MODEL, j, t, x)
-    return seen["objective"], seen["gradient"], seen["ub"]
+    return (lambda y: seen["value"](y[None, :])[0]), seen["gradient"], seen["ub"]
 
 
 GRADIENT_PSIS = {
@@ -566,11 +569,42 @@ def test_route_gradient_matches_central_differences(monkeypatch, route, name):
 
 def test_custom_psi_keeps_finite_differences(monkeypatch):
     j = Partition.uniform(2)
-    psi = InitialCondition.custom(lambda path: 0.5 * path.values.sum(), 1.0,
-                                  convex=True)
+    psi = InitialCondition.custom(lambda path: 0.5 * path.values.sum(), 1.0)
     x = ConePoint(j, np.array([0.1, 0.3]))
     for route in (hopf_lax, hopf_lax_1d):
         assert _objective_of(monkeypatch, route, psi, j, 0.5, x)[1] is None
+
+
+@pytest.mark.parametrize("name", GRADIENT_PSIS)
+def test_slsqp_evaluates_only_points_of_the_box(monkeypatch, name):
+    # the routes leave clipping to scipy, which clips every point SLSQP
+    # passes to the objective and its gradient (scipy >= 1.12)
+    polish = solvers._polish
+    boxes = []
+
+    def recording(value, gradient, starts, ub, maxiter=200):
+        points = []
+        boxes.append((ub, points))
+
+        def seen(f):
+            def call(v):
+                points.append(np.array(v, ndmin=2))
+                return f(v)
+            return call
+
+        return polish(seen(value), seen(gradient), starts, ub, maxiter)
+
+    monkeypatch.setattr(solvers, "_polish", recording)
+    j = Partition.uniform(3)
+    for route in (hopf_lax, hopf_lax_1d):
+        for x in ([0.1, 0.4, 1.2], [0.5, 0.9, 1.6], [0.8, 1.7, 2.3]):
+            for t in (0.1, 0.5, 1.0):
+                route(GRADIENT_PSIS[name], MODEL, j, t, ConePoint(j, np.array(x)))
+    assert len(boxes) == 18
+    for ub, points in boxes:
+        P = np.concatenate(points)
+        assert P.shape[0] > 20 and P.shape[1] == 3
+        assert np.all((P >= 0.0) & (P <= ub)), ub
 
 
 def test_slsqp_routes_take_few_evaluations_and_all_succeed(monkeypatch):
