@@ -6,10 +6,13 @@ to an ultrametric external field driven by a Poisson-Dirichlet cascade
 whose overlap law is a prescribed discrete monotone measure.  Spins are
 enumerated exactly (N <= 14); disorder replicas are independent seeded
 substreams so estimates are bit-reproducible at any thread count.  A
-replica builds its 2^N x M^K exponent matrix in place and reduces it
-with one max-shift log-sum-exp (``_exp_shifted``, which also normalizes
-the cascade weights).  That matrix is held densely, one per thread, so
-``free_energy`` refuses a run that would hold more than 2 GiB of them.
+replica never forms its 2^N x M^K exponent matrix: it splits the spins
+into the low floor(N/2) and high ceil(N/2) bits of the sign index, so
+the sum over spins and leaves is one (2^ceil(N/2) x M^K) (M^K x
+2^floor(N/2)) matmul of exponentials, each factor shifted by its column
+maxima (``_exp_shifted``, which also normalizes the cascade weights).
+``free_energy`` refuses a run whose threads would hold more than 2 GiB
+of replica arrays at once.
 
 The t = 0 value tensorizes to a one-spin functional that is computed
 deterministically by a backward recursion over the cascade levels; it
@@ -32,15 +35,16 @@ from .solvers import InitialCondition
 
 
 # ---------------------------------------------------------------------------
-# one log-sum-exp
+# max-shifted exponentials
 
-def _exp_shifted(a: np.ndarray) -> float:
-    """Overwrite a with exp(a - max a) and return max a.
+def _exp_shifted(a: np.ndarray):
+    """Overwrite a with exp(a - m) and return m, the maximum along axis 0.
 
-    The one log-sum-exp kernel: log sum exp(a) = max a + log sum(result),
-    with a single global shift and no temporaries.
+    The one log-sum-exp kernel, in place: a vector is shifted by its
+    maximum, log sum exp(a) = m + log sum(result), and a matrix by its
+    column maxima.
     """
-    m = float(a.max())
+    m = a.max(axis=0)
     a -= m
     np.exp(a, out=a)
     return m
@@ -130,7 +134,25 @@ class FreeEnergyEstimate:
     t: float
 
 
-_MEMORY_CAP = 2 ** 31   # bytes of replica matrices held at once
+_MEMORY_CAP = 2 ** 31   # bytes of replica arrays held at once
+
+
+def _replica_bytes(N: int, spec: CascadeSpec) -> int:
+    """Upper bound on the bytes one ``_replica_value`` holds at once.
+
+    With L = M^K leaves and the sign index split into lo = N // 2 and
+    hi = N - lo bits, a replica holds 8-byte floats for
+      - its leaf arrays, L (2N + 3): the weights, the fields, one level's
+        field draws and the column shifts (the cascade sampler's five
+        working arrays fit in the same space);
+      - the two factor blocks, (2^lo + 2^hi) L;
+      - the energy terms, 2^N (2N + 2);
+    plus 64 KiB for numpy's ufunc buffers and array headers.
+    """
+    L = spec.M ** spec.K
+    lo = N // 2
+    return (8 * (L * (2 * N + 3) + (2 ** lo + 2 ** (N - lo)) * L
+                 + 2 ** N * (2 * N + 2)) + 2 ** 16)
 
 
 def _sign_matrix(N: int) -> np.ndarray:
@@ -138,28 +160,49 @@ def _sign_matrix(N: int) -> np.ndarray:
     return 1.0 - 2.0 * (bits & 1)
 
 
+def _leaf_fields(q: np.ndarray, spec: CascadeSpec, N: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """External field per leaf and spin, an M^K x N array.
+
+    sqrt(q_0) at the root plus sqrt(q_k - q_{k-1}) at each tree level:
+    one draw per depth-(k+1) node, added in place to the leaves below it.
+    """
+    W = np.empty((spec.M ** spec.K, N))
+    W[:] = np.sqrt(q[0]) * rng.standard_normal(N)
+    for k in range(spec.K):
+        z = rng.standard_normal((spec.M ** (k + 1), N))
+        z *= np.sqrt(q[k + 1] - q[k])
+        block = W.reshape(spec.M ** (k + 1), -1, N)
+        block += z[:, None, :]
+    return W
+
+
 def _replica_value(inst: SkInstance, spec: CascadeSpec, S: np.ndarray,
                    rng: np.random.Generator) -> float:
     N, beta, t = inst.N, inst.beta, inst.t
     q = inst.measure.atoms[:, 0, 0]
     weights = sample_cascade(spec, rng)
-    # external field per leaf and spin: sqrt(q0) at the root plus
-    # sqrt(q_k - q_{k-1}) at each tree level, one draw per depth-(k+1)
-    # node spread over the leaves below it
-    W = np.empty((weights.size, N))
-    W[:] = np.sqrt(q[0]) * rng.standard_normal(N)
-    for k in range(spec.K):
-        z = rng.standard_normal((spec.M ** (k + 1), N))
-        W += np.repeat(np.sqrt(q[k + 1] - q[k]) * z,
-                       spec.M ** (spec.K - 1 - k), axis=0)
+    W = _leaf_fields(q, spec, N, rng)
     G = rng.standard_normal((N, N))
     energy = np.sqrt(beta / N) * np.sum((S @ G) * S, axis=1)
-    # A[s, leaf] = sqrt(2) S W^T + log weight + sqrt(2t) energy, built in place
-    A = S @ (np.sqrt(2.0) * W.T)
-    A += np.log(weights)
-    A += np.sqrt(2.0 * t) * energy[:, None]
-    lse = _exp_shifted(A) + np.log(A.sum())
-    return -(lse - N * np.log(2.0)) / N + t * beta + q[-1]
+    # sum_{s, leaf} exp(sqrt(2) s.W + log weight + sqrt(2t) energy): split
+    # the sign index into its low and high bits, s = (s', s''), so that
+    # exp(sqrt(2) s.W) = exp(sqrt(2) s'.W') exp(sqrt(2) s''.W''); each
+    # factor block is shifted by its column maxima, which join the log
+    # weights, and the sum over leaves is one matmul
+    lo = N // 2
+    low = (np.sqrt(2.0) * S[:2 ** lo, :lo]) @ W[:, :lo].T
+    high = (np.sqrt(2.0) * S[::2 ** lo, lo:]) @ W[:, lo:].T
+    shift = np.log(weights, out=weights)
+    shift += _exp_shifted(low)
+    shift += _exp_shifted(high)
+    m = _exp_shifted(shift)
+    low *= shift
+    energy *= np.sqrt(2.0 * t)
+    m += _exp_shifted(energy)
+    # energy[j 2^lo + i] pairs with high row j and low row i
+    total = np.vdot(energy, high @ low.T)
+    return -(m + np.log(total) - N * np.log(2.0)) / N + t * beta + q[-1]
 
 
 def free_energy(inst: SkInstance, spec: CascadeSpec, replicas: int,
@@ -168,13 +211,13 @@ def free_energy(inst: SkInstance, spec: CascadeSpec, replicas: int,
 
     Each replica draws its disorder from an independent substream keyed
     by (seed, replica index); results are reduced by index so the
-    estimate is identical under any thread count.  A replica holds the
-    2^N x M^K exponent matrix densely, so a run whose threads would need
-    more than 2 GiB of it at once is refused before the first replica.
+    estimate is identical under any thread count.  A run whose threads
+    would hold more than 2 GiB of replica arrays at once (see
+    ``_replica_bytes``) is refused before the first replica.
     """
     if tuple(inst.measure.levels[1:-1]) != spec.zetas:
         raise InvalidInputError("cascade ratios must match the measure levels")
-    per_thread = 8 * 2 ** inst.N * spec.M ** spec.K
+    per_thread = _replica_bytes(inst.N, spec)
     workers = max(threads, 1)
     if workers * per_thread > _MEMORY_CAP:
         raise UnsupportedOperationError(

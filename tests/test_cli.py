@@ -283,8 +283,8 @@ def test_spinglass_artifacts_and_determinism(tmp_path):
 
 def test_spinglass_over_the_memory_cap_exits_1_at_once(tmp_path, capsys,
                                                        monkeypatch):
-    # K = 2, M = 256, N = 14: 2^14 x 256^2 x 8 bytes per thread, refused
-    # before any replica runs
+    # K = 2, M = 1024, N = 14: the two 2^7 x 1024^2 factor blocks alone
+    # hold 2.1e9 bytes per thread, refused before any replica runs
     def no_replica(*args):
         raise AssertionError("a replica ran past the memory guard")
 
@@ -292,12 +292,12 @@ def test_spinglass_over_the_memory_cap_exits_1_at_once(tmp_path, capsys,
     cfg = {"N_list": [14], "beta": 0.5, "t_list": [0.25],
            "measure": {"atoms": [[[0.0]], [[0.2]], [[0.5]]],
                        "levels": [0.0, 0.3, 0.7, 1.0]},
-           "cascade": {"M": 256}, "replicas": 10, "hj_level": 2}
+           "cascade": {"M": 1024}, "replicas": 10, "hj_level": 2}
     t0 = time.perf_counter()
     assert _run(tmp_path, "spinglass", cfg) == 1
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "8.6e+09 bytes per thread" in err
+    assert err.startswith("error: ") and "2.4e+09 bytes per thread" in err
 
 
 def test_values_use_17_significant_digits(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from conehj import (CascadeSpec, CovarianceModel, DiscreteMeasure,
                     moment_normalization, one_spin_initial_condition,
                     one_spin_psi, sample_cascade)
 from conehj import spin_glass
-from conehj.spin_glass import (FreeEnergyEstimate, _replica_value,
-                               _sign_matrix, pd_squared_weight)
+from conehj.spin_glass import (FreeEnergyEstimate, _replica_bytes,
+                               _replica_value, _sign_matrix,
+                               pd_squared_weight)
 
 HALF = DiscreteMeasure(np.array([0.0, 0.3]), np.array([0.0, 0.5, 1.0]))
 
@@ -93,6 +95,14 @@ def test_free_energy_thread_determinism():
     assert a.mean == b.mean and a.se == b.se
 
 
+def test_free_energy_thread_determinism_at_the_benchmark_size():
+    inst = SkInstance(12, 0.5, 0.25, HALF)
+    spec = CascadeSpec.for_measure(HALF, M=256)
+    a = free_energy(inst, spec, 48, seed=11, threads=1)
+    b = free_energy(inst, spec, 48, seed=11, threads=2)
+    assert a.mean == b.mean and a.se == b.se
+
+
 def _replica_value_reference(inst, spec, S, rng):
     """One replica as first formulated: scipy's logsumexp for the cascade
     and the exponent matrix, the field broadcast with np.ones and the
@@ -118,18 +128,8 @@ def _replica_value_reference(inst, spec, S, rng):
     return -(logsumexp(A) - N * np.log(2.0)) / N + t * beta + q[-1]
 
 
-REPLICA_GRID = list(itertools.product((0, 1, 2), (8, 64), (1, 4, 10),
-                                      (0.0, 0.3), (0.0, 0.1)))
-
-
-@pytest.mark.parametrize("K, M, N, t, q0", REPLICA_GRID)
-def test_replica_value_matches_the_reference_formulation(K, M, N, t, q0):
-    measure = DiscreteMeasure(q0 + np.array([0.0, 0.25, 0.6])[:K + 1],
-                              np.array([[0.0, 1.0], [0.0, 0.5, 1.0],
-                                        [0.0, 0.35, 0.7, 1.0]][K]))
-    inst = SkInstance(N, 0.5, t, measure)
-    spec = CascadeSpec.for_measure(measure, M=M)
-    S = _sign_matrix(N)
+def _three_replicas_match_the_reference(inst, spec):
+    S = _sign_matrix(inst.N)
     for r in range(3):
         key = np.random.SeedSequence(7, spawn_key=(r,))
         got = _replica_value(inst, spec, S, np.random.default_rng(key))
@@ -137,17 +137,80 @@ def test_replica_value_matches_the_reference_formulation(K, M, N, t, q0):
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
+def _grid_measure(K, q0):
+    return DiscreteMeasure(q0 + np.array([0.0, 0.25, 0.6])[:K + 1],
+                           np.array([[0.0, 1.0], [0.0, 0.5, 1.0],
+                                     [0.0, 0.35, 0.7, 1.0]][K]))
+
+
+# N = 5 and 13 split the spins into halves of unequal size
+REPLICA_GRID = (list(itertools.product((0, 1, 2), (8, 64), (1, 4, 10),
+                                       (0.0, 0.3), (0.0, 0.1)))
+                + list(itertools.product((0, 1, 2), (8,), (5, 13),
+                                         (0.0, 0.3), (0.0, 0.1))))
+
+
+@pytest.mark.parametrize("K, M, N, t, q0", REPLICA_GRID)
+def test_replica_value_matches_the_reference_formulation(K, M, N, t, q0):
+    measure = _grid_measure(K, q0)
+    _three_replicas_match_the_reference(SkInstance(N, 0.5, t, measure),
+                                        CascadeSpec.for_measure(measure, M=M))
+
+
+def test_replica_value_matches_the_reference_with_far_apart_shifts():
+    # at beta = 4, t = 4 the energy term peaks at 55-84 and the field term
+    # at 18-21, and the largest exponent sits 9-16 below their sum: the
+    # factored sum adds products of numbers far below 1
+    measure = DiscreteMeasure(np.array([0.5, 1.0]), np.array([0.0, 0.5, 1.0]))
+    _three_replicas_match_the_reference(SkInstance(14, 4.0, 4.0, measure),
+                                        CascadeSpec.for_measure(measure, M=64))
+
+
+def _traced_peak(K, M, N):
+    """Peak bytes traced over one replica; numpy reports every array
+    buffer to tracemalloc, Python its objects."""
+    measure = _grid_measure(K, 0.1)
+    inst = SkInstance(N, 0.5, 0.25, measure)
+    spec = CascadeSpec.for_measure(measure, M=M)
+    S = _sign_matrix(N)
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        _replica_value(inst, spec, S, rng)
+        return tracemalloc.get_traced_memory()[1], _replica_bytes(N, spec)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("K, M", [(0, 256), (1, 256), (2, 64)])
+@pytest.mark.parametrize("N", [1, 5, 12])
+def test_replica_memory_estimate_bounds_the_traced_peak(K, M, N):
+    peak, estimate = _traced_peak(K, M, N)
+    assert peak <= estimate
+
+
+def test_replica_holds_no_dense_exponent_matrix():
+    # the dense 2^N x M^K matrix is 8.4 MB here; the factored replica
+    # holds about 0.5 MB
+    peak, _ = _traced_peak(1, 256, 12)
+    assert peak < 8 * 2 ** 12 * 256 / 4
+
+
 def _no_replica(*args):
     raise AssertionError("a replica ran past the memory guard")
 
 
 def test_free_energy_refuses_replica_matrices_over_2_gib(monkeypatch):
-    # 2^14 states x 8192 leaves x 8 bytes is 1 GiB per thread: one or two
-    # threads fit under the cap, three do not; refused before any replica
+    # 2^14 states and 400000 leaves hold 9.2e8 bytes per thread, mostly
+    # the two 2^7 x 400000 factor blocks: one or two threads fit under the
+    # cap, three do not; refused before any replica
     monkeypatch.setattr(spin_glass, "_replica_value", _no_replica)
     inst = SkInstance(14, 0.5, 0.25, HALF)
-    with pytest.raises(UnsupportedOperationError, match=r"1\.1e\+09 bytes per thread"):
-        free_energy(inst, CascadeSpec((0.5,), M=8192), 10, seed=0, threads=3)
+    spec = CascadeSpec((0.5,), M=400000)
+    with pytest.raises(AssertionError, match="ran past the memory guard"):
+        free_energy(inst, spec, 10, seed=0, threads=2)
+    with pytest.raises(UnsupportedOperationError, match=r"9\.2e\+08 bytes per thread"):
+        free_energy(inst, spec, 10, seed=0, threads=3)
 
 
 def test_free_energy_requires_matching_levels():
