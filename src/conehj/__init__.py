@@ -2,9 +2,8 @@
 
 from .cones import (ConePoint, DiscreteMeasure, InvalidInputError, Partition,
                     StepPath, UnsupportedOperationError, is_in_cone,
-                    is_in_dual, lift_lj, measure_to_quantile,
-                    project_pj, quantile_to_measure, rearrange_sharp,
-                    wasserstein_p)
+                    is_in_dual, lift_lj, measure_to_quantile, project_pj,
+                    rearrange_sharp, wasserstein_p)
 from .conjugates import (GridFunction, dual_increasing_check, fm_verify,
                          mono_conjugate, monotone_lattice)
 from .fd_oracle import (ComparisonReport, FdGrid, FdSurface, comparison_check,

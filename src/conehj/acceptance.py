@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .cones import (ConePoint, DiscreteMeasure, Partition, StepPath,
-                    averaging_matrix, is_in_cone, is_in_dual, lift_lj,
-                    measure_to_quantile, project_pj, rearrange_sharp,
+                    _all_psd, averaging_matrix, is_in_cone, is_in_dual,
+                    lift_lj, measure_to_quantile, project_pj, rearrange_sharp,
                     refinement_index)
 from . import conjugates
 from .conjugates import GridFunction, fm_verify
@@ -113,14 +113,6 @@ def _coord_err(a, b):
     return float(np.max(gap / (1.0 + np.abs(b).max(axis=(1, 2, 3)))))
 
 
-def _all_psd_per_case(mats, scale):
-    """Per case: every matrix PSD within the tolerance of ``default_psd_tol``."""
-    tol = 1e-9 * (1.0 + np.sqrt(np.sum(scale ** 2, axis=(1, 2, 3))))
-    mins = mats[..., 0, 0] if mats.shape[-1] == 1 \
-        else np.linalg.eigvalsh(mats)[..., 0]
-    return np.all(mins >= -tol[:, None], axis=1)
-
-
 def _cone_algebra_public_case(upd, g, j, dyadic_pair, iota, x, mono, dual):
     """One case through the public projection, lift and membership API."""
     iota, x = StepPath(g, iota), ConePoint(j, x)
@@ -200,15 +192,18 @@ def crit_cone_algebra(seed=0, cases=10_000):
             sel = iota[pair_ids == d]
             a = _apply(averaging_matrix(jf, jc), _apply(averaging_matrix(g, jf), sel))
             upd("projectivity", _coord_err(a, _apply(averaging_matrix(g, jc), sel)))
-        # cone and dual-cone preservation
+        # cone and dual-cone preservation, each case within
+        # ``default_psd_tol`` of its own coordinates
         p_mono = _apply(averaging_matrix(g, j), mono)
         steps = np.diff(p_mono, axis=1, prepend=np.zeros((B, 1, D, D)))
-        if not np.all(_all_psd_per_case(steps, p_mono)):
+        tol_mono = 1e-9 * (1.0 + np.linalg.norm(p_mono.reshape(B, -1), axis=1))
+        if not _all_psd(steps.reshape(-1, D, D), np.repeat(tol_mono, j.size)):
             upd("cone_image", 1.0)
         p_dual = _apply(averaging_matrix(g, j), dual)
         tails = np.cumsum((j.widths[:, None, None] * p_dual)[:, ::-1],
                           axis=1)[:, ::-1]
-        if not np.all(_all_psd_per_case(tails, p_dual)):
+        tol_dual = 1e-9 * (1.0 + np.linalg.norm(p_dual.reshape(B, -1), axis=1))
+        if not _all_psd(tails.reshape(-1, D, D), np.repeat(tol_dual, j.size)):
             upd("dual_image", 1.0)
         _cone_algebra_public_case(upd, g, j, dyadics[s % len(dyadics)],
                                   iota[0], x[0], mono[0], dual[0])

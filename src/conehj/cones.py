@@ -507,22 +507,6 @@ def measure_to_quantile(m: DiscreteMeasure) -> StepPath:
     return StepPath(Partition(m.levels[1:]), m.atoms)
 
 
-def quantile_to_measure(path: StepPath) -> DiscreteMeasure:
-    """Inverse of the quantile embedding; merges equal adjacent values."""
-    vals = path.values
-    edges = path.partition.edges
-    atoms = [vals[0]]
-    levels = [0.0]
-    scale = 1.0 + np.abs(vals).max(initial=0.0)
-    for k in range(1, vals.shape[0]):
-        if np.abs(vals[k] - atoms[-1]).max() <= 1e-12 * scale:
-            continue
-        atoms.append(vals[k])
-        levels.append(edges[k])
-    levels.append(1.0)
-    return DiscreteMeasure(np.array(atoms), np.array(levels))
-
-
 def wasserstein_p(m1: DiscreteMeasure, m2: DiscreteMeasure, p: float) -> float:
     """d_p between monotone measures: L^p norm of the quantile-path gap."""
     if p < 1:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import optimize, special
 
 from .cones import (ConePoint, InvalidInputError, Partition, StepPath,
-                    UnsupportedOperationError, is_in_cone, lift_lj, project_pj)
+                    UnsupportedOperationError, is_in_cone, project_pj)
 from .conjugates import monotone_increments, monotone_lattice
 from .nonlinearity import (CovarianceModel, regularize, xi_star_deriv,
                            xi_star_vec)
@@ -131,6 +131,12 @@ class InitialCondition:
 
     @classmethod
     def custom(cls, fn, lip_l1: float) -> "InitialCondition":
+        """psi^j given by ``fn(j, X)``: rows of C^j coordinates to values.
+
+        X has shape (P, |j|) and ``fn`` returns P values, as a separable
+        ``phi`` does entrywise.  Every row ``fn`` sees lies in the cone:
+        ``eval_coords`` snaps it there first (``_snap``).
+        """
         return cls(KIND_CUSTOM, lip_l1=float(lip_l1), lip_h=float(lip_l1),
                    fn=fn)
 
@@ -140,26 +146,26 @@ class InitialCondition:
             or bool(is_in_cone(ConePoint(self.h.partition, self.h.values)))
 
     # -- evaluation ---------------------------------------------------
-    def __call__(self, path: StepPath) -> float:
-        if self.kind == KIND_LINEAR:
-            return self.h.inner(path)
-        if self.kind == KIND_SEPARABLE:
-            w = path.partition.widths
-            return float(np.sum(w * self.phi(path.values[:, 0, 0])))
-        return float(self.fn(path))
-
     def eval_point(self, x: ConePoint) -> float:
-        return self(lift_lj(x))
+        return float(self.eval_coords(x.partition, x.scalars[None])[0])
 
     def eval_coords(self, j: Partition, X: np.ndarray) -> np.ndarray:
-        """Vectorized psi^j over rows of X (shape (P, |j|), scalar coords)."""
+        """psi^j over rows of X (shape (P, |j|), scalar coords).
+
+        A custom psi gets the rows snapped onto the cone.
+        """
         X = np.asarray(X, dtype=float)
         w = j.widths
         if self.kind == KIND_LINEAR:
             return X @ (w * project_pj(self.h, j).scalars)
         if self.kind == KIND_SEPARABLE:
             return self.phi(X) @ w
-        return np.array([self(StepPath(j, row[:, None, None])) for row in X])
+        return np.asarray(self.fn(j, _snap(X, np.inf)), dtype=float)
+
+
+def _snap(Y: np.ndarray, ub: float) -> np.ndarray:
+    """Rows of Y onto the cone box: clipped to [0, ub], then made nondecreasing."""
+    return np.maximum.accumulate(np.clip(Y, 0.0, ub), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -369,10 +375,7 @@ def _polish(value, gradient, starts: list, ub: float,
                                 options={"maxiter": maxiter, "ftol": 1e-14})
         cand = float(-res.fun)
         if np.isfinite(cand) and cand > best:
-            y = np.clip(res.x, 0.0, ub)
-            y = np.maximum.accumulate(y)
-            cand = float(objective(y))
-            best = max(best, cand)
+            best = max(best, float(objective(_snap(res.x, ub))))
     for s in starts:
         best = max(best, float(objective(np.asarray(s, float))))
     return best
@@ -434,7 +437,8 @@ def hopf_lax_separable_batch(psi: InitialCondition, model: CovarianceModel,
     best = hopf_lax_pointwise(
         psi.phi, model, np.repeat([float(t) for _, t, _ in cases], sizes),
         np.concatenate([x.scalars for _, _, x in cases]))
-    return np.array([float(np.sum(j.widths * b)) for (j, _, _), b
+    # reduced with eval_coords' product, so t = 0 gives psi.eval_point(x)
+    return np.array([float(b @ j.widths) for (j, _, _), b
                      in zip(cases, np.split(best, np.cumsum(sizes)[:-1]))])
 
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (DiscreteMeasure, InvalidInputError, StepPath,
-                    UnsupportedOperationError, quantile_to_measure)
+from .cones import (DiscreteMeasure, InvalidInputError,
+                    UnsupportedOperationError)
 from .solvers import InitialCondition
 
 
@@ -322,8 +322,16 @@ def one_spin_psi(measure: DiscreteMeasure) -> float:
     off by about 1e-14 and the Taylor rule by up to 1.5e-10, just below
     the switch.
     """
-    q = measure.atoms[:, 0, 0]
-    zetas = measure.levels[1:-1]
+    return _one_spin_value(measure.atoms[:, 0, 0], measure.levels[1:-1])
+
+
+def _one_spin_value(q: np.ndarray, zetas: np.ndarray) -> float:
+    """``one_spin_psi`` at atoms q >= 0 and levels (0, zetas, 1).
+
+    q is nondecreasing, and a step below 0 counts as 0.  A zero step is
+    skipped, which is exact: tied atoms give bit for bit the value of the
+    measure that merges them.
+    """
     s = np.sqrt(np.maximum(np.diff(q, prepend=0.0), 0.0))  # sqrt(q_0), sqrt(dq_k)
     h = (_Z_MAX * s.sum() + 1.0) / _HALF_POINTS
     n = sum(_radius(v, h) for v in s)
@@ -338,14 +346,15 @@ def one_spin_psi(measure: DiscreteMeasure) -> float:
 
 
 def one_spin_initial_condition() -> InitialCondition:
-    """The t = 0 free-energy functional as an initial condition on paths."""
+    """The t = 0 free-energy functional as an initial condition on C^j.
 
-    def fn(path: StepPath) -> float:
-        # optimizer trial points may sit a hair outside the cone; snap
-        # to the nearest monotone nonnegative profile before converting
-        vals = np.maximum.accumulate(np.maximum(path.values[:, 0, 0], 0.0))
-        mono = StepPath(path.partition, vals[:, None, None])
-        return one_spin_psi(quantile_to_measure(mono))
+    A row of coordinates is the quantile path of the measure with atom
+    x_k from level t_{k-1} on, so psi^j(x) is ``_one_spin_value`` at
+    zetas t_1, ..., t_{|j|-1}.
+    """
+
+    def fn(j, X):
+        return [_one_spin_value(x, j.breaks[:-1]) for x in X]
 
     return InitialCondition.custom(fn, lip_l1=1.0)
 

@@ -41,3 +41,14 @@ def test_lift_breaking_the_isometry_fails_the_gate(monkeypatch):
     rep = crit_cone_algebra(seed=1, cases=CASES)
     assert not rep["pass"], rep
     assert rep["worst"]["isometry"] > rep["tol"]
+
+
+def test_row_reversed_projection_fails_the_cone_and_dual_images(monkeypatch):
+    # the cell averages come out in reverse order: a nondecreasing path
+    # projects to a nonincreasing point and the dual tails lose their sign
+    monkeypatch.setattr(acceptance, "averaging_matrix",
+                        lambda src, dst: averaging_matrix(src, dst)[::-1])
+    rep = crit_cone_algebra(seed=1, cases=CASES)
+    assert not rep["pass"], rep
+    assert rep["worst"]["cone_image"] == 1.0
+    assert rep["worst"]["dual_image"] == 1.0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conehj import (ConePoint, DiscreteMeasure, InvalidInputError, Partition,
                     StepPath, UnsupportedOperationError, is_in_cone,
                     is_in_dual, lift_lj, measure_to_quantile, project_pj,
-                    quantile_to_measure, rearrange_sharp, wasserstein_p)
+                    rearrange_sharp, wasserstein_p)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +312,7 @@ def test_quantile_embedding_round_trip():
     m = DiscreteMeasure(np.array([0.0, 0.3]), np.array([0.0, 0.5, 1.0]))
     q = measure_to_quantile(m)
     np.testing.assert_allclose(q.values[:, 0, 0], [0.0, 0.3])
-    back = quantile_to_measure(q)
-    np.testing.assert_allclose(back.atoms, m.atoms)
-    np.testing.assert_allclose(back.levels, m.levels)
+    np.testing.assert_array_equal(q.partition.breaks, m.levels[1:])
 
 
 def test_wasserstein_matches_direct_quantile_integral():

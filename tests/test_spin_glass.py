@@ -11,10 +11,11 @@ from scipy import integrate
 from scipy.special import logsumexp
 
 from conehj import (CascadeSpec, CovarianceModel, DiscreteMeasure,
-                    InvalidInputError, Partition, SkInstance, StepPath,
-                    UnsupportedOperationError, bound_check, free_energy,
+                    InitialCondition, InvalidInputError, Partition,
+                    SkInstance, UnsupportedOperationError, bound_check,
+                    free_energy, hopf_lax, hopf_lax_1d, measure_to_quantile,
                     moment_normalization, one_spin_initial_condition,
-                    one_spin_psi, sample_cascade)
+                    one_spin_psi, project_pj, sample_cascade)
 from conehj import spin_glass
 from conehj.spin_glass import (FreeEnergyEstimate, _replica_bytes,
                                _replica_value, _sign_matrix,
@@ -308,13 +309,35 @@ def test_one_spin_psi_matches_nested_quadrature():
 
 
 def test_one_spin_initial_condition_on_paths():
+    # a row of coordinates is the quantile path of a measure: tied
+    # coordinates, a zero first one and a dip below a tie (snapped onto
+    # the cone) give bit for bit the value of the merged measure
     psi = one_spin_initial_condition()
-    path = StepPath(Partition.uniform(2), [0.0, 0.3])
-    assert psi(path) == pytest.approx(one_spin_psi(HALF), abs=1e-12)
-    # slightly disordered values are snapped to a monotone profile
-    wiggly = StepPath(Partition.uniform(2), [0.3, 0.3 - 1e-9])
-    assert psi(wiggly) == pytest.approx(
-        one_spin_psi(DiscreteMeasure.delta(0.3)), abs=1e-6)
+    X = np.array([[0.0, 0.0, 0.3, 0.3], [0.2, 0.2, 0.2, 0.2],
+                  [0.3, 0.3 - 1e-9, 0.3, 0.3]])
+    merged = [HALF, DiscreteMeasure.delta(0.2), DiscreteMeasure.delta(0.3)]
+    assert psi.eval_coords(Partition.uniform(4), X).tolist() \
+        == [one_spin_psi(m) for m in merged]
+
+
+@pytest.mark.parametrize("route", [hopf_lax, hopf_lax_1d],
+                         ids=["hopf_lax", "hopf_lax_1d"])
+def test_custom_psi_sees_only_cone_rows(route):
+    one_spin = one_spin_initial_condition()
+    rows = []
+
+    def fn(j, X):
+        rows.append(np.array(X))
+        return one_spin.fn(j, X)
+
+    psi = InitialCondition.custom(fn, one_spin.lip_l1)
+    j = Partition.uniform(3)
+    mu = project_pj(measure_to_quantile(HALF), j)
+    for t in (0.25, 0.5):
+        route(psi, CovarianceModel.sk(0.5), j, t, mu)
+    X = np.concatenate(rows)
+    assert X.shape[1] == 3 and X.shape[0] > 100
+    assert np.all(X >= 0.0) and np.all(np.diff(X, axis=1) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
