@@ -27,7 +27,7 @@ t = 0.5
 v1 = hopf_lax(psi, model, j, t, x)
 v2 = hopf_lax_separable(psi, model, j, t, x)
 v3 = hopf(psi, model, j, t, x)
-v4 = hopf_lax_1d(psi, model, j, t, x, rng=rng)
+v4 = hopf_lax_1d(psi, model, j, t, x)
 print(f"hopf_lax            {v1:.12f}")
 print(f"hopf_lax_separable  {v2:.12f}  (gap {abs(v2 - v1):.1e})")
 print(f"hopf                {v3:.12f}  (gap {abs(v3 - v1):.1e})")

@@ -30,7 +30,7 @@ print(f"one-spin MC {est1.mean:.4f} +/- {est1.se:.4f}, "
 psi = one_spin_initial_condition()
 j = Partition.uniform(4)
 mu = project_pj(measure_to_quantile(measure), j)
-f = hopf_lax_1d(psi, CovarianceModel.sk(beta), j, t, mu, rng=np.random.default_rng(0))
+f = hopf_lax_1d(psi, CovarianceModel.sk(beta), j, t, mu)
 print(f"variational value f = {f:.5f} at t = {t}")
 
 # exact-enumeration free energies for increasing N

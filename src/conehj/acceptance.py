@@ -419,7 +419,7 @@ def crit_1d_reduction(seed=5, instances=100):
             psi = InitialCondition.linear(h)
         x = ConePoint(j, _random_cone_scalars(rng, n, 1.0))
         t = times[i % 3]
-        a = hopf_lax_1d(psi, model, j, t, x, rng=rng)
+        a = hopf_lax_1d(psi, model, j, t, x)
         b = hopf_lax(psi, model, j, t, x)
         worst = _worst(worst, abs(a - b))
     tol = 1e-10
@@ -646,8 +646,7 @@ def crit_spin_glass(seed=11, replicas=1000, threads=1):
         mspec = CascadeSpec.for_measure(measure)
         mu = project_pj(measure_to_quantile(measure), j)
         for t in (0.25, 0.5):
-            f = hopf_lax_1d(psi, model, j, t, mu,
-                            rng=np.random.default_rng(seed))
+            f = hopf_lax_1d(psi, model, j, t, mu)
             ests = [free_energy(SkInstance(N, beta, t, measure), mspec,
                                 replicas, seed=seed + 17 * N + int(1000 * t),
                                 threads=threads)

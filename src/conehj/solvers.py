@@ -9,7 +9,12 @@ Each route takes the covariance model xi and is implemented for D = 1:
   monotone conjugate of psi plus the integrated plain xi at z (requires
   convex psi);
 * ``hopf_lax_1d`` — sup over monotone paths nu of psi(nu) minus the
-  pointwise conjugate of xibar at (nu - mu) / t.
+  pointwise conjugate of xibar at (nu - mu) / t (requires convex psi and
+  |j| <= 5).
+
+``hopf_lax`` is a local SLSQP search from lattice starts; ``hopf_lax_1d``
+is a certified branch and bound, so the two generic routes check each
+other independently.
 
 xibar equals xi on [0, s0] with seam point s0 >= 1, and ``hopf`` only
 visits slopes up to the Lipschitz constant of psi, so for data with
@@ -21,6 +26,7 @@ suite exploits as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -152,7 +158,8 @@ class InitialCondition:
     def eval_coords(self, j: Partition, X: np.ndarray) -> np.ndarray:
         """psi^j over rows of X (shape (P, |j|), scalar coords).
 
-        A custom psi gets the rows snapped onto the cone.
+        A custom psi gets the rows snapped onto the cone, and ``fn`` sees
+        each distinct row once.
         """
         X = np.asarray(X, dtype=float)
         w = j.widths
@@ -160,7 +167,9 @@ class InitialCondition:
             return X @ (w * project_pj(self.h, j).scalars)
         if self.kind == KIND_SEPARABLE:
             return self.phi(X) @ w
-        return np.asarray(self.fn(j, _snap(X, np.inf)), dtype=float)
+        rows, inverse = np.unique(_snap(X, np.inf), axis=0,
+                                  return_inverse=True)
+        return np.asarray(self.fn(j, rows), dtype=float)[inverse.reshape(-1)]
 
 
 def _snap(Y: np.ndarray, ub: float) -> np.ndarray:
@@ -296,41 +305,39 @@ def _highest_bounds(owner: np.ndarray, ub: np.ndarray,
     return kept
 
 
-def _lattice_starts(score, n: int, ub: float, budget: int = 3000) -> list:
+def _lattice_starts(score, n: int, ub: float) -> list:
     """The six best nodes of the monotone lattice on [0, ub]^n, as SLSQP starts.
 
     ``score`` maps the lattice, one node per row, to objective values.
     The axis has the most points m for which the lattice's C(m + n - 1, n)
-    nodes stay within ``budget`` (and at least 3).
+    nodes stay within 3000 (and at least 3).
     """
     m = 3
-    while comb(m + n, n) <= budget:
+    while comb(m + n, n) <= 3000:
         m += 1
     Y = monotone_lattice(n, np.linspace(0.0, ub, m))
     order = np.argsort(score(Y))[::-1][:6]
     return [Y[i] for i in order]
 
 
-def _penalized(psi: InitialCondition, reg, j: Partition, t: float, shift,
-               offset):
-    """F(v) = psi^j(shift + v) - t sum_k w_k min(xibar*((v_k - offset_k) / t), 1e12).
+def _penalized(psi: InitialCondition, reg, j: Partition, t: float, shift):
+    """F(y) = psi^j(shift + y) - t sum_k w_k min(xibar*(y_k / t), 1e12).
 
-    The functional both SLSQP routes maximize: ``hopf_lax`` over
-    increments (shift x, offset 0), ``hopf_lax_1d`` over paths (shift 0,
-    offset mu).  Slopes past the conjugate domain carry a huge but finite
-    penalty, so F and, for a custom psi, SLSQP's finite differences stay
-    defined.  Returns ``value``, F on each row of V, and ``gradient``, the
-    gradient of F at one point.  Linear psi^j has the constant gradient
-    w h^j, and separable psi^j has w phi'(v) when phi' is known; otherwise
-    ``gradient`` is None and SLSQP differences F.  d/dv_k of
-    t xibar*((v_k - offset_k) / t) is w_k s, s the maximizer
+    The functional ``hopf_lax`` maximizes over cone increments y, with
+    shift x.  A slope y_k / t that rounds past the slope cap carries a
+    huge but finite penalty, so F and, for a custom psi, SLSQP's finite
+    differences stay defined.  Returns ``value``, F on each row of Y, and
+    ``gradient``, the gradient of F at one point.  Linear psi^j has the
+    constant gradient w h^j, and separable psi^j has w phi'(shift + y)
+    when phi' is known; otherwise ``gradient`` is None and SLSQP
+    differences F.  d/dy_k of t xibar*(y_k / t) is w_k s, s the maximizer
     ``xi_star_deriv``, and 0 where the clamp is flat.
     """
     w = j.widths
 
-    def value(V):
-        pen = np.minimum(xi_star_vec(reg, (V - offset) / t), 1e12)
-        return psi.eval_coords(j, shift + V) - t * np.sum(w * pen, axis=-1)
+    def value(Y):
+        pen = np.minimum(xi_star_vec(reg, Y / t), 1e12)
+        return psi.eval_coords(j, shift + Y) - t * np.sum(w * pen, axis=-1)
 
     if psi.kind == KIND_LINEAR:
         g = w * project_pj(psi.h, j).scalars
@@ -340,23 +347,22 @@ def _penalized(psi: InitialCondition, reg, j: Partition, t: float, shift,
     else:
         return value, None
 
-    def gradient(v):
-        r = (v - offset) / t
-        return dpsi(shift + v) - w * np.where(
+    def gradient(y):
+        r = y / t
+        return dpsi(shift + y) - w * np.where(
             xi_star_vec(reg, r) < 1e12, xi_star_deriv(reg, r), 0.0)
 
     return value, gradient
 
 
-def _polish(value, gradient, starts: list, ub: float,
-            maxiter: int = 200) -> float:
+def _polish(value, gradient, starts: list, ub: float) -> float:
     """Maximize ``value`` over the cone box [0, ub]^n with SLSQP from each start.
 
     ``value`` maps points, one per row, to objective values; ``gradient``
     is its gradient at one point, or None for scipy's finite differences.
     scipy clips each point SLSQP passes to them to the box.  The monotone
     constraint D y >= 0 is linear, so its Jacobian is the constant
-    increment matrix D.
+    increment matrix D.  Each run stops after 200 iterations.
     """
     n = starts[0].size
     D = monotone_increments(n)
@@ -372,7 +378,7 @@ def _polish(value, gradient, starts: list, ub: float,
         res = optimize.minimize(lambda y: -objective(y), np.asarray(s, float),
                                 jac=jac, method="SLSQP",
                                 bounds=[(0.0, ub)] * n, constraints=cons,
-                                options={"maxiter": maxiter, "ftol": 1e-14})
+                                options={"maxiter": 200, "ftol": 1e-14})
         cand = float(-res.fun)
         if np.isfinite(cand) and cand > best:
             best = max(best, float(objective(_snap(res.x, ub))))
@@ -399,7 +405,7 @@ def hopf_lax(psi: InitialCondition, model: CovarianceModel, j: Partition,
     n = j.size
     ub = reg.slope_cap * t
 
-    value, gradient = _penalized(psi, reg, j, t, x.scalars, 0.0)
+    value, gradient = _penalized(psi, reg, j, t, x.scalars)
     if ub == 0.0:
         return float(value(np.zeros((1, n)))[0])
     return _polish(value, gradient, _lattice_starts(value, n, ub), ub)
@@ -588,38 +594,132 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
 # ---------------------------------------------------------------------------
 # one-dimensional Hopf-Lax reduction
 
+# The gap, times max(1, |max|), to which the simplex search certifies.
+_SIMPLEX_GAP = 1e-12
+# The largest |j| searched: criterion 12's one-spin half cells take 0.2-0.4 s
+# at |j| = 4 and 3-5 s at |j| = 5.
+_SIMPLEX_MAX_SIZE = 5
+# At a flat max, where the curvatures of psi and of the penalty cancel, the
+# live simplices grow as gap^(-|j|/6), past 10^7 at |j| = 4: the search stops
+# past this many, and then needs its live bounds within the flat gap.
+_SIMPLEX_MAX_LIVE = 8000
+_SIMPLEX_FLAT_GAP = 1e-5
+
+
+def _kuhn_branch_and_bound(psi_at, penalty, n: int, ub: float) -> float:
+    """Max of psi - P over the Kuhn simplex {0 <= v_1 <= ... <= v_n <= ub}.
+
+    ``psi_at(V)`` gives psi, which must be convex, on the rows of V, and
+    ``penalty(V)`` gives P, which must be convex and finite, on the rows
+    of V together with its gradient rows.  The simplex has the vertices
+    ub 1{k >= m}, m = 0..n.  On a sub-simplex with vertices v_i and
+    centroid c, psi lies under its vertex interpolant and P above its
+    tangent plane at c, so psi - P is at most
+    max_i [psi(v_i) - P(c) - grad P(c) . (v_i - c)] there (simplicial
+    branch and bound: Horst and Tuy, Global Optimization, 1996).  Each
+    round splits every live simplex at the midpoint of its longest edge
+    (the first of equal ones), and a simplex stays live while its bound
+    exceeds the best vertex value by more than ``_SIMPLEX_GAP`` times
+    max(1, |best|).  So the value returned, a vertex value, is within
+    that gap of the max; once more than ``_SIMPLEX_MAX_LIVE`` stay live,
+    the search stops, and the gap is ``_SIMPLEX_FLAT_GAP`` instead.
+
+    Raises InvalidInputError when a midpoint's psi lies above its edge's
+    chord beyond rounding (psi not convex), and when the max cannot be
+    certified: a live simplex no longer splits, or a stopped search has a
+    live bound past the flat gap.
+    """
+    edges = np.array(list(combinations(range(n + 1), 2)))
+    verts = ub * (np.arange(n) >= np.arange(n + 1)[:, None])[None]
+    psi = psi_at(verts[0])[None]
+    best, bound = _simplex_bounds(verts[0], psi[0], verts, psi, penalty,
+                                  -np.inf)
+    while True:
+        live = bound > best + _SIMPLEX_GAP * max(1.0, abs(best))
+        if not live.any():
+            return best
+        verts, psi = verts[live], psi[live]
+        rows = np.arange(len(verts))
+        if rows.size > _SIMPLEX_MAX_LIVE:
+            gap = float(bound[live].max()) - best
+            if gap > _SIMPLEX_FLAT_GAP * max(1.0, abs(best)):
+                raise InvalidInputError(
+                    f"{rows.size} simplices stay live {gap:.1e} above the "
+                    f"best value: the sup cannot be certified")
+            return best
+        d = verts[:, edges[:, 0]] - verts[:, edges[:, 1]]
+        a, b = edges[np.argmax(np.einsum("sek,sek->se", d, d), axis=1)].T
+        va, vb = verts[rows, a], verts[rows, b]
+        mid = 0.5 * (va + vb)
+        if np.any(np.all(mid == va, axis=1) | np.all(mid == vb, axis=1)):
+            raise InvalidInputError(
+                "a live simplex no longer splits: the sup cannot be certified")
+        pm, pa, pb = psi_at(mid), psi[rows, a], psi[rows, b]
+        scale = np.maximum(np.abs(pa), np.abs(pb))
+        if np.any(pm > 0.5 * (pa + pb) + _CHORD_SLACK * scale):
+            raise InvalidInputError(
+                "psi lies above its chord: hopf_lax_1d requires a convex psi")
+        # the first child keeps a and takes mid for b, the second the reverse
+        verts, psi = np.concatenate([verts, verts]), np.concatenate([psi, psi])
+        verts[rows, b], verts[rows.size + rows, a] = mid, mid
+        psi[rows, b], psi[rows.size + rows, a] = pm, pm
+        best, bound = _simplex_bounds(mid, pm, verts, psi, penalty, best)
+
+
+def _simplex_bounds(new, psi_new, verts, psi, penalty, best):
+    """The best value after the vertices ``new``, and each simplex's bound.
+
+    The bound is max_i [psi(v_i) - P(c) - grad P(c) . (v_i - c)], c the
+    simplex's centroid; one ``penalty`` call serves both.
+    """
+    c = verts.mean(axis=1)
+    pen, grad = penalty(np.concatenate([new, c]))
+    m = len(new)
+    best = max(best, float(np.max(psi_new - pen[:m])))
+    tangent = pen[m:, None] \
+        + np.einsum("sik,sk->si", verts - c[:, None], grad[m:])
+    return best, np.max(psi - tangent, axis=1)
+
+
 def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
-                t: float, mu: ConePoint,
-                rng: np.random.Generator = None) -> float:
+                t: float, mu: ConePoint) -> float:
     """sup over monotone nu of psi^j(nu) - t * sum_k w_k xibar*((nu_k - mu_k) / t).
 
-    The conjugate is flat at -xi(0) for nonpositive slopes, so nu is
-    free to dip below mu; the search box caps nu at mu plus t times the
-    slope at which the marginal conjugate cost exceeds the Lipschitz
-    constant of psi.  t = 0 falls back to psi^j(mu) by convention.
+    psi must be convex and |j| at most 5: ``_kuhn_branch_and_bound``
+    certifies the sup over 0 <= nu_1 <= ... <= nu_n <= ub = max mu + t r_c.
+    With l = lip_l1, r_c = xi'(l) when l is at most the seam point s0, as
+    the conjugate's slope s(r_c) is l there, and the slope cap 2L
+    otherwise.  Past r_c the penalty continues by a line of slope l, so it
+    is finite and convex on the whole box.  Moving nu_k back to
+    mu_k + t r_c then lowers the penalty by at least w_k l times the move
+    and psi by at most that, so the sup over the box is the sup over the
+    cone.  The conjugate is flat at -xi(0) for nonpositive slopes, so nu
+    is free to dip below mu.  t = 0 falls back to psi^j(mu) by
+    convention.  Raises InvalidInputError for |j| > 5, where ``hopf_lax``
+    serves, and as the search does.
     """
     _require(psi, model, mu, t, "hopf_lax_1d", "mu")
+    n = j.size
+    if n > _SIMPLEX_MAX_SIZE:
+        raise InvalidInputError(
+            f"hopf_lax_1d certifies |j| <= {_SIMPLEX_MAX_SIZE}, not {n}: "
+            f"use hopf_lax for finer partitions")
     if t == 0.0:
         return psi.eval_point(mu)
     reg = regularize(model)
-    muv = mu.scalars
-    n = j.size
-    # marginal conjugate slope exceeds lip once the optimizer s passes
-    # the Lipschitz constant, i.e. past r = xi'(lip)
-    r_cap = min(model.deriv(psi.lip_l1), reg.slope_cap)
-    ub = float(muv.max(initial=0.0) + t * r_cap + 1e-9)
-    value, gradient = _penalized(psi, reg, j, t, 0.0, muv)
-    starts = [muv.copy(), np.minimum(muv + t * r_cap, ub),
-              np.zeros(n), np.full(n, min(float(muv.mean()), ub))]
-    cheap_psi = psi.kind != KIND_CUSTOM
-    budget = 3000 if cheap_psi else 200
-    if n <= (5 if cheap_psi else 3):
-        starts += _lattice_starts(value, n, ub, budget=budget)
-    if rng is not None:
-        for _ in range(4):
-            starts.append(np.sort(rng.uniform(0.0, ub, size=n)))
-    return _polish(value, gradient, starts, ub,
-                   maxiter=200 if cheap_psi else 60)
+    muv, w, lip = mu.scalars, j.widths, psi.lip_l1
+    r_c = float(model.deriv(lip)) if lip <= reg._seam.s0 else reg.slope_cap
+    ub = float(muv.max(initial=0.0) + t * r_c)
+
+    def penalty(V):
+        r = (V - muv) / t
+        inner = np.minimum(r, r_c)
+        pen = xi_star_vec(reg, inner) + lip * (r - inner)
+        slope = np.where(r > r_c, lip, xi_star_deriv(reg, inner))
+        return t * (pen @ w), w * slope
+
+    return _kuhn_branch_and_bound(lambda V: psi.eval_coords(j, V), penalty,
+                                  n, ub)
 
 
 # ---------------------------------------------------------------------------

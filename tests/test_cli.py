@@ -300,6 +300,42 @@ def test_spinglass_over_the_memory_cap_exits_1_at_once(tmp_path, capsys,
     assert err.startswith("error: ") and "2.4e+09 bytes per thread" in err
 
 
+def test_spinglass_f_does_not_depend_on_the_seed(tmp_path):
+    # the seed drives the replicas only; the HJ value is one deterministic
+    # search
+    cfg = {"N_list": [2], "beta": 0.5, "t_list": [0.5],
+           "measure": {"atoms": [[[0.0]], [[0.3]]], "levels": [0.0, 0.5, 1.0]},
+           "cascade": {"M": 32}, "replicas": 20, "hj_level": 3}
+    f = []
+    for seed in ("101", "102"):
+        out = tmp_path / seed
+        assert main(["spinglass", "--config", _write(tmp_path, cfg),
+                     "--out", str(out), "--seed", seed]) == 0
+        f.append(json.loads((out / "spinglass_bound.json").read_text())["0.5"]["f"])
+    assert f[0] == f[1]
+
+
+def test_hopf_lax_1d_past_five_coordinates_exits_1(tmp_path, capsys,
+                                                  monkeypatch):
+    cfg = dict(SOLVE_CONFIG, partition={"uniform": 6}, method="hopf_lax_1d",
+               samples=[[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]])
+    assert _run(tmp_path, "solve", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "use hopf_lax" in err
+
+    # spinglass solves its HJ side first, so it refuses before any replica
+    def no_replica(*args):
+        raise AssertionError("a replica ran before hj_level was refused")
+
+    monkeypatch.setattr(spin_glass, "_replica_value", no_replica)
+    cfg = {"N_list": [2], "beta": 0.5, "t_list": [0.25],
+           "measure": {"atoms": [[[0.0]], [[0.3]]], "levels": [0.0, 0.5, 1.0]},
+           "cascade": {"M": 32}, "replicas": 20, "hj_level": 6}
+    assert _run(tmp_path, "spinglass", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "use hopf_lax" in err
+
+
 def test_values_use_17_significant_digits(tmp_path):
     assert _run(tmp_path, "solve", SOLVE_CONFIG) == 0
     lines = (tmp_path / "solve.csv").read_text().strip().splitlines()

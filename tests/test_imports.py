@@ -89,4 +89,4 @@ def test_settable_value_counter():
 def test_settable_values_are_pinned():
     # a change that adds or removes a knob moves this pin in its own diff
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
-    assert _settable_values(sources) == 48
+    assert _settable_values(sources) == 45

@@ -340,6 +340,36 @@ def test_custom_psi_sees_only_cone_rows(route):
     assert np.all(X >= 0.0) and np.all(np.diff(X, axis=1) >= 0.0)
 
 
+# criterion 12's cells: the one-spin psi at beta = 0.5 and t = 0.25, 0.5.  A
+# search over the face nu = (0, 0, a, a) of C^4 finds the half cell's sups.
+HALF_FACE_SUP = {0.25: 0.039299730438, 0.5: 0.051866354612}
+
+
+@pytest.mark.parametrize("t", sorted(HALF_FACE_SUP))
+def test_hopf_lax_1d_reaches_the_face_sup_of_the_half_cell(t):
+    psi = one_spin_initial_condition()
+    model = CovarianceModel.sk(0.5)
+    j = Partition.uniform(4)
+    mu = project_pj(measure_to_quantile(HALF), j)
+    f = hopf_lax_1d(psi, model, j, t, mu)
+    assert abs(f - HALF_FACE_SUP[t]) <= 1e-10, f
+    assert hopf_lax_1d(psi, model, j, t, mu) == f
+
+
+@pytest.mark.parametrize("t", sorted(HALF_FACE_SUP))
+@pytest.mark.parametrize("measure", [DiscreteMeasure.delta(0.0), HALF],
+                         ids=["delta0", "half"])
+def test_hopf_lax_1d_does_not_fall_as_the_partition_refines(measure, t):
+    # mu is a step path on |j| = 2.  C^2 lifts into C^4 with psi and the
+    # penalty unchanged, so f^4 >= f^2 holds exactly
+    psi = one_spin_initial_condition()
+    model = CovarianceModel.sk(0.5)
+    f = [hopf_lax_1d(psi, model, j, t,
+                     project_pj(measure_to_quantile(measure), j))
+         for j in (Partition.uniform(2), Partition.uniform(4))]
+    assert f[1] >= f[0] - 1e-10, f
+
+
 # ---------------------------------------------------------------------------
 # bound bookkeeping
 
