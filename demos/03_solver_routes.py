@@ -11,9 +11,9 @@ import numpy as np
 
 from conehj import (ConePoint, CovarianceModel, InitialCondition, Partition,
                     StepPath, bold_xi, hopf, hopf_lax, hopf_lax_1d,
-                    hopf_lax_separable, solve_surface)
+                    hopf_lax_separable, regularize, solve_surface)
 
-# every route takes xi and regularizes or conjugates it as it needs
+# every route takes xi and solves the equation of its regularization xibar
 model = CovarianceModel.sk(1.0)
 rng = np.random.default_rng(1)
 
@@ -33,12 +33,11 @@ print(f"hopf_lax_separable  {v2:.12f}  (gap {abs(v2 - v1):.1e})")
 print(f"hopf                {v3:.12f}  (gap {abs(v3 - v1):.1e})")
 print(f"hopf_lax_1d         {v4:.12f}  (gap {abs(v4 - v1):.1e})")
 
-# linear data: f(t, x) = <x, h> + t sum_k w_k xibar(h_k) exactly, and
-# xibar = xi at these slopes, which lie below the regularization seam
+# linear data: f(t, x) = <x, h> + t sum_k w_k xibar(h_k) exactly
 h = StepPath(j, np.array([0.2, 0.5, 0.9]))
 lin = InitialCondition.linear(h)
 hj = ConePoint(j, h.values)
-closed = x.inner(hj) + t * bold_xi(hj, model)
+closed = x.inner(hj) + t * bold_xi(hj, regularize(model))
 print(f"linear closed form  {closed:.12f}  "
       f"(solver gap {abs(hopf_lax(lin, model, j, t, x) - closed):.1e})")
 

@@ -2,8 +2,10 @@
 
 A covariance model xi is a polynomial in a scalar argument with
 nonnegative coefficients.  The regularization xibar extends xi from
-[0, 1] to a globally Lipschitz, proper and convex function by competing
-it against an affine function; ``regularize`` builds it once per model.
+[0, 1] to a globally Lipschitz function, convex and nondecreasing on
+[0, inf), by competing it against an affine function (an odd power in
+xi can leave it concave at negative arguments); ``regularize`` builds
+it once per model, and it is the one Hamiltonian of every solver route.
 Its monotone conjugate xibar*(r) = sup_{s >= 0} {r s - xibar(s)} drives
 the Hopf-Lax routes, and H extends the integrated nonlinearity off the
 cone as an infimum over dominating monotone points.

@@ -6,7 +6,7 @@ Each route takes the covariance model xi and is implemented for D = 1:
   cone increments y of psi(x + y) minus the integrated conjugate of the
   regularization xibar at y / t;
 * ``hopf`` — sup over cone slopes z of the pairing with x minus the
-  monotone conjugate of psi plus the integrated plain xi at z (requires
+  monotone conjugate of psi plus the integrated xibar at z (requires
   convex psi);
 * ``hopf_lax_1d`` — sup over monotone paths nu of psi(nu) minus the
   pointwise conjugate of xibar at (nu - mu) / t (requires convex psi and
@@ -14,13 +14,10 @@ Each route takes the covariance model xi and is implemented for D = 1:
 
 ``hopf_lax`` is a local SLSQP search from lattice starts; ``hopf_lax_1d``
 is a certified branch and bound, so the two generic routes check each
-other independently.
-
-xibar equals xi on [0, s0] with seam point s0 >= 1, and ``hopf`` only
-visits slopes up to the Lipschitz constant of psi, so for data with
-Lipschitz constant <= 1 plain xi gives the same value.  The routes agree
-for convex nonlinearities and admissible initial data, which the test
-suite exploits as a cross-check.
+other independently.  Every route solves the equation of the one
+Hamiltonian xibar = ``regularize(model)``, so they agree for convex
+nonlinearities and admissible initial data, which the test suite
+exploits as a cross-check.
 """
 
 from __future__ import annotations
@@ -321,22 +318,23 @@ def _lattice_starts(score, n: int, ub: float) -> list:
 
 
 def _penalized(psi: InitialCondition, reg, j: Partition, t: float, shift):
-    """F(y) = psi^j(shift + y) - t sum_k w_k min(xibar*(y_k / t), 1e12).
+    """F(y) = psi^j(shift + y) - t sum_k w_k xibar*(min(y_k / t, 2L)).
 
     The functional ``hopf_lax`` maximizes over cone increments y, with
-    shift x.  A slope y_k / t that rounds past the slope cap carries a
-    huge but finite penalty, so F and, for a custom psi, SLSQP's finite
-    differences stay defined.  Returns ``value``, F on each row of Y, and
-    ``gradient``, the gradient of F at one point.  Linear psi^j has the
-    constant gradient w h^j, and separable psi^j has w phi'(shift + y)
-    when phi' is known; otherwise ``gradient`` is None and SLSQP
-    differences F.  d/dy_k of t xibar*(y_k / t) is w_k s, s the maximizer
-    ``xi_star_deriv``, and 0 where the clamp is flat.
+    shift x.  xibar* is finite up to the slope cap 2L, so a slope y_k / t
+    that rounds past the cap is taken at the cap, and F and, for a custom
+    psi, SLSQP's finite differences stay defined.  Returns ``value``, F on
+    each row of Y, and ``gradient``, the gradient of F at one point.
+    Linear psi^j has the constant gradient w h^j, and separable psi^j has
+    w phi'(shift + y) when phi' is known; otherwise ``gradient`` is None
+    and SLSQP differences F.  d/dy_k of t xibar*(y_k / t) is w_k s, s the
+    maximizer ``xi_star_deriv`` at the clipped slope.
     """
     w = j.widths
+    cap = reg.slope_cap
 
     def value(Y):
-        pen = np.minimum(xi_star_vec(reg, Y / t), 1e12)
+        pen = xi_star_vec(reg, np.minimum(Y / t, cap))
         return psi.eval_coords(j, shift + Y) - t * np.sum(w * pen, axis=-1)
 
     if psi.kind == KIND_LINEAR:
@@ -348,9 +346,7 @@ def _penalized(psi: InitialCondition, reg, j: Partition, t: float, shift):
         return value, None
 
     def gradient(y):
-        r = y / t
-        return dpsi(shift + y) - w * np.where(
-            xi_star_vec(reg, r) < 1e12, xi_star_deriv(reg, r), 0.0)
+        return dpsi(shift + y) - w * xi_star_deriv(reg, np.minimum(y / t, cap))
 
     return value, gradient
 
@@ -536,14 +532,14 @@ def _phi_conjugate(psi: InitialCondition, z: np.ndarray, lo: np.ndarray,
 
 def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
          t: float, x: ConePoint) -> float:
-    """sup over cone slopes z of <x, z> - psi^{j*}(z) + t * sum_k w_k xi(z_k).
+    """sup over cone slopes z of <x, z> - psi^{j*}(z) + t sum_k w_k xibar(z_k).
 
     Requires convex psi.  For linear psi = <h, .> the conjugate is 0 on
     {z in C^j : h^j - z in (C^j)*} and +inf outside, with h^j = p_j h in
     the cone since psi is dual-increasing.  Every such z has
     <x, z> <= <x, h^j> (x in the cone, h^j - z in its dual) and tail sums
-    at most those of h^j, so sum_k w_k xi(z_k) <= sum_k w_k xi(h^j_k) for
-    xi convex and nondecreasing on [0, inf): the sup is attained at
+    at most those of h^j, so sum_k w_k xibar(z_k) <= sum_k w_k xibar(h^j_k)
+    for xibar convex and nondecreasing on [0, inf): the sup is attained at
     z = h^j.  For separable psi the optimal z satisfies
     |z|_inf <= lip_l1 of psi (slopes beyond the Lipschitz constant make
     the conjugate +inf), which truncates the search region.
@@ -551,14 +547,15 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     _require(psi, model, x, t, "hopf")
     if psi.kind == KIND_CUSTOM:
         raise InvalidInputError("hopf requires a convex psi")
+    reg = regularize(model)
     w = j.widths
     xv = x.scalars
     if psi.kind == KIND_LINEAR:
         hj = project_pj(psi.h, j).scalars
-        return float(w @ (xv * hj + t * model(hj)))
+        return float(w @ (xv * hj + t * reg(hj)))
     if psi.dphi is None:
         raise InvalidInputError("hopf needs the derivative of a separable profile")
-    # per-coordinate objective x_k z - phi*(z) + t xi(z) over [0, lip];
+    # per-coordinate objective x_k z - phi*(z) + t xibar(z) over [0, lip];
     # increasing differences in (z, x_k) make the per-coordinate suprema
     # jointly attainable on the cone for monotone x
     def evaluate(owner, z, left, right):
@@ -567,11 +564,11 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
         s_lo = np.zeros_like(z) if left is None else left[4]
         s_hi = np.full_like(z, _S_MAX) if right is None else right[5]
         conj, s, s_lo, s_hi = _phi_conjugate(psi, z, s_lo, s_hi)
-        xz, txi = xv[owner] * z, t * model(z)
+        xz, txi = xv[owner] * z, t * reg(z)
         return np.array([xz - conj + txi, xz + txi, conj, s, s_lo, s_hi])
 
     def bound(owner, a, b, left, right):
-        # x z + t xi(z) lies under its chord and -phi* under its tangent
+        # x z + t xibar(z) lies under its chord and -phi* under its tangent
         # lines at a and b, -phi*(e) - s(e) (z - e): for any s >= 0,
         # -phi*(z) <= phi(s) - zs, so the bound holds however accurate s is
         slope = (right[1] - left[1]) / (b - a)
@@ -687,10 +684,10 @@ def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
 
     psi must be convex and |j| at most 5: ``_kuhn_branch_and_bound``
     certifies the sup over 0 <= nu_1 <= ... <= nu_n <= ub = max mu + t r_c.
-    With l = lip_l1, r_c = xi'(l) when l is at most the seam point s0, as
-    the conjugate's slope s(r_c) is l there, and the slope cap 2L
-    otherwise.  Past r_c the penalty continues by a line of slope l, so it
-    is finite and convex on the whole box.  Moving nu_k back to
+    With l = lip_l1, r_c = xibar'(l): xi'(l) when l is at most the seam
+    point s0, as the conjugate's slope s(r_c) is l there, and the slope
+    cap 2L otherwise.  Past r_c the penalty continues by a line of slope
+    l, so it is finite and convex on the whole box.  Moving nu_k back to
     mu_k + t r_c then lowers the penalty by at least w_k l times the move
     and psi by at most that, so the sup over the box is the sup over the
     cone.  The conjugate is flat at -xi(0) for nonpositive slopes, so nu
@@ -708,7 +705,7 @@ def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
         return psi.eval_point(mu)
     reg = regularize(model)
     muv, w, lip = mu.scalars, j.widths, psi.lip_l1
-    r_c = float(model.deriv(lip)) if lip <= reg._seam.s0 else reg.slope_cap
+    r_c = float(reg.deriv(lip))
     ub = float(muv.max(initial=0.0) + t * r_c)
 
     def penalty(V):

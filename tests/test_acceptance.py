@@ -60,12 +60,15 @@ def test_04_hamiltonian_properties():
 
 
 def test_05_variational_routes_agree():
-    # conjugate-dual route vs direct route on 100 instances, and the
-    # linear closed form on 30, both to 1e-10
+    # conjugate-dual route vs direct route on 100 instances and on 20
+    # steep ones (Lipschitz 1.2-2.5, past the seam of xibar), and both
+    # routes vs the linear closed form on 30, all to 1e-10
     rep = acceptance.crit_variational(seed=5)
     _check(rep, 300.0)
     assert rep["worst_hopf_gap"] <= 1e-10
     assert rep["worst_linear_gap"] <= 1e-10
+    assert rep["worst_linear_hopf_gap"] <= 1e-10
+    assert rep["worst_steep_hopf_gap"] <= 1e-10
 
 
 def test_05_shifted_conjugate_fails_the_gate(monkeypatch):

@@ -86,6 +86,26 @@ def test_matrix_xi_exits_1_with_an_error_line(tmp_path, capsys):
         "error: unknown keys ['D'] in xi; allowed: ['poly']\n"
 
 
+def test_hopf_agrees_with_hopf_lax_separable_past_the_seam(tmp_path):
+    # Lipschitz 0.5 + 1.5 = 2 exceeds the seam point s0 ~ 1.17 of SK at
+    # beta = 1, so hopf must search slopes where xibar is affine
+    cfg = {"psi": {"kind": "quadratic-monotone", "slope": 0.5,
+                   "curvature": 1.0, "cap": 1.5},
+           "xi": {"poly": {"2": 1.0}}, "partition": {"uniform": 2},
+           "times": [0.1, 0.5], "samples": [[0.2, 0.6]]}
+    values = {}
+    for method in ("hopf", "hopf_lax_separable"):
+        out = tmp_path / method
+        assert main(["solve", "--config",
+                     _write(tmp_path, dict(cfg, method=method)),
+                     "--out", str(out)]) == 0
+        lines = (out / "solve.csv").read_text().strip().splitlines()[1:]
+        values[method] = np.array([float(ln.split(",")[2]) for ln in lines])
+    assert values["hopf"].size == 2
+    np.testing.assert_allclose(values["hopf"], values["hopf_lax_separable"],
+                               rtol=0.0, atol=1e-10)
+
+
 # the benchmark's softplus profile, Lipschitz 0.9, at a small size
 COMPARE_CONFIG = {
     "psi": {"kind": "softplus",
