@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .cones import InvalidInputError
 from .nonlinearity import CovarianceModel, regularize
@@ -24,19 +25,34 @@ from .solvers import hopf_lax_pointwise
 def xibar_deriv_sup(model: CovarianceModel, lo: float, hi: float) -> float:
     """sup of |xibar'| over slopes in [lo, hi].
 
-    xibar is convex, so the sup sits at an endpoint.  There it is the
-    larger one-sided |slope| of the active branch of max(xi, affine):
-    |xi'(p)| where xi is active and p <= 2, 2L where the affine branch is
-    active or p >= 2, and both at the seam.
+    xibar is max(xi, affine) for p <= 2 and the affine branch alone beyond.
+    It need not be convex (an odd power in xi leaves it concave at negative
+    arguments), so the sup is taken over every point where it can sit: lo
+    and hi, each seam of max(xi, affine) inside (lo, hi) (a real root of
+    xi - affine with p <= 2), and each critical point of xi' (a root of
+    xi'').  A point contributes the one-sided |slope| of each branch active
+    there: |xi'(p)| where xi is active and p <= 2, 2L where the affine
+    branch is active or p >= 2, and both at a seam.
     """
     cap = regularize(model).slope_cap
+    xi0 = float(model(0.0))
+    xi = Polynomial([model.poly.get(p, 0.0)
+                     for p in range(max(model.poly, default=0) + 1)])
+    seams = (xi - Polynomial([xi0 - cap, cap])).trim().roots()
+    flexes = xi.deriv(2).trim().roots()
+
     cands = []
-    for p in (lo, hi):
-        affine = model(0.0) + cap * (p - 1.0)
+    for p in [lo, hi, *flexes[np.isreal(flexes)].real]:
+        if not lo <= p <= hi:
+            continue
+        affine = xi0 + cap * (p - 1.0)
         if p <= 2.0 and model(p) >= affine:
             cands.append(abs(model.deriv(p)))
         if p >= 2.0 or affine >= model(p):
             cands.append(cap)
+    for p in seams[np.isreal(seams)].real:
+        if lo < p < hi and p <= 2.0:
+            cands += [abs(model.deriv(p)), cap]
     return float(max(cands))
 
 

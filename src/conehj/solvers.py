@@ -18,22 +18,47 @@ other independently.  Every route solves the equation of the one
 Hamiltonian xibar = ``regularize(model)``, so they agree for convex
 nonlinearities and admissible initial data, which the test suite
 exploits as a cross-check.
+
+The module needs numpy when it is imported.  scipy is imported on first
+use, and only two things use it: ``hopf_lax``'s SLSQP search
+(``scipy.optimize``) and the softplus derivative phi' (``scipy.special``).
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy import optimize, special
 
 from .cones import (ConePoint, InvalidInputError, Partition, StepPath,
                     UnsupportedOperationError, is_in_cone, project_pj)
 from .conjugates import monotone_increments, monotone_lattice
 from .nonlinearity import (CovarianceModel, regularize, xi_star_deriv,
                            xi_star_vec)
+
+
+class _Lazy:
+    """A module imported on first attribute access (see the module docstring).
+
+    Callers look each attribute up at call time, so one set on the handle
+    (``optimize.minimize``, say) reaches every caller.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+        self._module = None
+
+    def __getattr__(self, attr):
+        if self._module is None:
+            self._module = importlib.import_module(self._name)
+        return getattr(self._module, attr)
+
+
+optimize = _Lazy("scipy.optimize")
+special = _Lazy("scipy.special")
 
 KIND_LINEAR = "linear"
 KIND_SEPARABLE = "separable"

@@ -19,6 +19,26 @@ def test_deriv_sup_at_convex_endpoints():
     assert xibar_deriv_sup(MODEL, -8.7, 8.7) == 17.4
 
 
+@pytest.mark.parametrize("poly, lo, hi", [
+    ({3: 1.0}, -6.45, -4.99),        # the sup sits at the seam r = -5.338
+    ({3: 1.0}, -1.0, 0.5),
+    ({2: 0.5, 3: 0.3}, -8.0, 3.0),
+    ({2: 0.5, 3: 0.3}, -3.0, -0.5),
+    ({2: 1.0}, -8.7, 8.7),
+    ({2: 0.25, 4: 0.1}, -4.0, 2.5),
+])
+def test_deriv_sup_matches_a_fine_gradient(poly, lo, hi):
+    # xibar = max(xi, affine) is concave at negative arguments for an odd
+    # power, so the sup can sit at an interior seam rather than an endpoint
+    model = CovarianceModel(poly=poly)
+    r = np.linspace(lo, hi, 200_001)
+    fine = float(np.abs(np.gradient(regularize(model)(r), r)).max())
+    sup = xibar_deriv_sup(model, lo, hi)
+    # a difference quotient is a mean of xibar', so it cannot pass the sup
+    assert fine <= sup * (1.0 + 1e-9)
+    assert sup - fine <= 1e-4 * sup, (sup, fine)
+
+
 def test_grid_cfl_guard():
     grid = FdGrid(x_max=1.0, dx=0.01, dt=0.01, slope_cap=1.0)  # cfl = 2
     with pytest.raises(InvalidInputError):

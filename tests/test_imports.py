@@ -1,8 +1,13 @@
 """Every module of the package uses each name it imports, every name that
-``__init__`` re-exports has a caller outside the tests, and the number of
-settable values is pinned."""
+``__init__`` re-exports has a caller outside the tests, the number of
+settable values is pinned, and scipy is loaded only by the commands that
+run it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +95,70 @@ def test_settable_values_are_pinned():
     # a change that adds or removes a knob moves this pin in its own diff
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert _settable_values(sources) == 45
+
+
+# scipy is imported on first use (``hopf_lax``'s SLSQP, softplus phi');
+# each probe runs in a fresh interpreter and reports the scipy modules loaded
+PROBE = """
+import json, sys
+{preload}
+{action}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+SOFTPLUS = {"kind": "softplus",
+            "profile": {"weights": [0.4, 0.5], "thresholds": [0.3, 1.2],
+                        "scales": [0.4, 0.8]}}
+XI = {"poly": {"2": 1.0}}
+CONFIGS = {
+    "spinglass": {"N_list": [2], "beta": 0.5, "t_list": [0.25],
+                  "measure": {"atoms": [[[0.0]], [[0.3]]],
+                              "levels": [0.0, 0.5, 1.0]},
+                  "cascade": {"M": 8}, "replicas": 4, "hj_level": 2},
+    "converge": {"psi": SOFTPLUS, "xi": XI, "levels": [4, 8, 16], "points": 4,
+                 "radius": 2.0, "slope_max": -0.4},
+    "compare": {"psi": SOFTPLUS, "xi": XI, "T": 0.25, "dx": 0.05,
+                "x_max": 1.0},
+    "solve": {"psi": SOFTPLUS, "xi": XI, "partition": {"uniform": 2},
+              "times": [0.5], "samples": [[0.1, 0.4]], "method": "hopf_lax"},
+}
+
+
+def _scipy_loaded(action: str, preload: str = "") -> list:
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c",
+                           PROBE.format(preload=preload, action=action)],
+                          env=env, cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _cli(command: str, tmp_path) -> str:
+    config = tmp_path / f"{command}.json"
+    config.write_text(json.dumps(CONFIGS[command]))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    return ("from conehj.cli import main\n"
+            f"if main({argv!r}) != 0:\n    sys.exit('{command} failed')")
+
+
+@pytest.mark.parametrize("module", ["conehj", "conehj.cli"])
+def test_import_loads_no_scipy(module):
+    assert _scipy_loaded(f"import {module}") == []
+
+
+@pytest.mark.parametrize("command", ["spinglass", "converge", "compare"])
+def test_command_without_slsqp_loads_no_scipy(command, tmp_path):
+    assert _scipy_loaded(_cli(command, tmp_path)) == []
+
+
+def test_hopf_lax_solve_loads_scipy_optimize(tmp_path):
+    assert "scipy.optimize" in _scipy_loaded(_cli("solve", tmp_path))
+
+
+def test_scipy_probe_sees_a_preloaded_scipy():
+    # the no-scipy tests above can fail: the same probe, in a process that
+    # imported scipy.optimize before conehj, reports it
+    loaded = _scipy_loaded("import conehj.cli", preload="import scipy.optimize")
+    assert loaded != [] and "scipy.optimize" in loaded

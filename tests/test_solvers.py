@@ -643,6 +643,26 @@ def test_slsqp_routes_take_few_evaluations_and_all_succeed(monkeypatch):
     assert statuses and all(s == 0 for s in statuses), statuses
 
 
+def test_scipy_handles_resolve_to_scipy_and_take_a_patched_minimize(monkeypatch):
+    # the module imports scipy on first use through these two handles; a
+    # minimize set on the handle must still reach every SLSQP run
+    import scipy.optimize
+    import scipy.special
+    assert solvers.optimize.minimize is scipy.optimize.minimize
+    assert solvers.special.expit is scipy.special.expit
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scipy.optimize.minimize(*args, **kwargs)
+
+    monkeypatch.setattr(solvers.optimize, "minimize", counted)
+    j = Partition.uniform(3)
+    hopf_lax(PROFILES["bench-softplus"], MODEL, j, 0.5,
+             ConePoint(j, np.array([0.1, 0.4, 1.2])))
+    assert len(calls) == 6  # one run from each of the six lattice starts
+
+
 # ---------------------------------------------------------------------------
 # hopf_lax_1d: the certified search over the Kuhn simplex
 
