@@ -25,22 +25,6 @@ class UnsupportedOperationError(NotImplementedError):
     """Raised for combinations (e.g. D > 1) outside the supported envelope."""
 
 
-# ---------------------------------------------------------------------------
-# symmetric matrices
-
-def sym(a):
-    """Coerce to a (D, D) symmetric float array; scalars become 1x1."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    if float(np.abs(a - a.T).max(initial=0.0)) \
-            > 1e-12 * (1.0 + float(np.abs(a).max(initial=0.0))):
-        raise InvalidInputError("matrix is not symmetric")
-    return 0.5 * (a + a.T)
-
-
 def default_psd_tol(a):
     """Scale-aware PSD tolerance 1e-9 * (1 + |a|)."""
     return 1e-9 * (1.0 + float(np.linalg.norm(a)))
@@ -491,7 +475,9 @@ class DiscreteMeasure:
 
     @classmethod
     def delta(cls, q) -> "DiscreteMeasure":
-        return cls(sym(q)[None], np.array([0.0, 1.0]))
+        """The point mass at q, a scalar or a symmetric (D, D) matrix."""
+        q = np.asarray(q, dtype=float)
+        return cls(q.reshape(1, *(q.shape or (1, 1))), np.array([0.0, 1.0]))
 
     def to_json(self):
         return {"atoms": self.atoms.tolist(), "levels": self.levels.tolist()}

@@ -7,7 +7,8 @@ because f_x >= 0 and xibar is nondecreasing there); at x = X the profile
 is extended linearly with the Lipschitz cap P.  The module also
 evaluates the penalized comparison functional
 u - v - M (|x| + V t - R)_+ whose global supremum should sit at t = 0
-for ordered solutions.
+for ordered solutions.  The CFL step and the speed V take the sup of
+|xibar'| on a slope interval from ``regularize(model).deriv_sup``.
 """
 
 from __future__ import annotations
@@ -15,45 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .cones import InvalidInputError
 from .nonlinearity import CovarianceModel, regularize
 from .solvers import hopf_lax_pointwise
-
-
-def xibar_deriv_sup(model: CovarianceModel, lo: float, hi: float) -> float:
-    """sup of |xibar'| over slopes in [lo, hi].
-
-    xibar is max(xi, affine) for p <= 2 and the affine branch alone beyond.
-    It need not be convex (an odd power in xi leaves it concave at negative
-    arguments), so the sup is taken over every point where it can sit: lo
-    and hi, each seam of max(xi, affine) inside (lo, hi) (a real root of
-    xi - affine with p <= 2), and each critical point of xi' (a root of
-    xi'').  A point contributes the one-sided |slope| of each branch active
-    there: |xi'(p)| where xi is active and p <= 2, 2L where the affine
-    branch is active or p >= 2, and both at a seam.
-    """
-    cap = regularize(model).slope_cap
-    xi0 = float(model(0.0))
-    xi = Polynomial([model.poly.get(p, 0.0)
-                     for p in range(max(model.poly, default=0) + 1)])
-    seams = (xi - Polynomial([xi0 - cap, cap])).trim().roots()
-    flexes = xi.deriv(2).trim().roots()
-
-    cands = []
-    for p in [lo, hi, *flexes[np.isreal(flexes)].real]:
-        if not lo <= p <= hi:
-            continue
-        affine = xi0 + cap * (p - 1.0)
-        if p <= 2.0 and model(p) >= affine:
-            cands.append(abs(model.deriv(p)))
-        if p >= 2.0 or affine >= model(p):
-            cands.append(cap)
-    for p in seams[np.isreal(seams)].real:
-        if lo < p < hi and p <= 2.0:
-            cands += [abs(model.deriv(p)), cap]
-    return float(max(cands))
 
 
 @dataclass(frozen=True)
@@ -66,7 +32,7 @@ class FdGrid:
     slope_cap: float  # P: Lipschitz cap of the initial datum
 
     def validate(self, model: CovarianceModel):
-        speed = xibar_deriv_sup(model, 0.0, self.slope_cap)
+        speed = regularize(model).deriv_sup(0.0, self.slope_cap)
         cfl = self.dt * speed / self.dx
         if cfl > 0.5 + 1e-12:
             raise InvalidInputError(f"CFL ratio {cfl:.3f} exceeds 1/2")
@@ -75,7 +41,7 @@ class FdGrid:
     @classmethod
     def make(cls, model: CovarianceModel, x_max: float, dx: float,
              slope_cap: float) -> "FdGrid":
-        speed = max(xibar_deriv_sup(model, 0.0, slope_cap), 1e-12)
+        speed = max(regularize(model).deriv_sup(0.0, slope_cap), 1e-12)
         dt = 0.9 * 0.5 * dx / speed
         return cls(x_max, dx, dt, slope_cap)
 
@@ -181,7 +147,7 @@ def comparison_check(u: FdSurface, v: FdSurface, L: float,
     if M <= 2.0 * L:
         raise InvalidInputError("comparison requires M > 2L")
     B = 2.0 * L + 3.0 * M
-    V = xibar_deriv_sup(model, -B, B)
+    V = regularize(model).deriv_sup(-B, B)
     R = 0.5 * float(u.xs[-1])
     pen = M * np.maximum(np.abs(u.xs)[None, :] + V * u.times[:, None] - R, 0.0)
     W = u.values - v.values - pen

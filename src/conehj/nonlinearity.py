@@ -6,6 +6,9 @@ nonnegative coefficients.  The regularization xibar extends xi from
 [0, inf), by competing it against an affine function (an odd power in
 xi can leave it concave at negative arguments); ``regularize`` builds
 it once per model, and it is the one Hamiltonian of every solver route.
+Only this module knows where xibar changes branch: one ``Polynomial`` of
+xi gives its seams and the roots of xi'', and ``Regularization.deriv_sup``
+takes from them the sup of |xibar'|, ``fd_oracle``'s CFL speed and V.
 Its monotone conjugate xibar*(r) = sup_{s >= 0} {r s - xibar(s)} drives
 the Hopf-Lax routes, and H extends the integrated nonlinearity off the
 cone as an infimum over dominating monotone points.
@@ -19,6 +22,7 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .cones import ConePoint, InvalidInputError, is_in_cone
 
@@ -76,8 +80,8 @@ class Regularization:
 
     xibar(r) = max(xi(r), xi(0) + 2L(r - 1)) for r <= 2 and the affine
     branch alone beyond, with L = xi'(2) the largest |xi'| on [-2, 2].
-    The seam data of the monotone conjugate is computed on first use
-    (see ``xi_star_vec``).
+    Its seams, the roots of xi'' and the seam data of the monotone
+    conjugate (see ``xi_star_vec``) are computed once, on first use.
     """
 
     base: CovarianceModel
@@ -91,32 +95,70 @@ class Regularization:
     def __call__(self, r) -> np.ndarray:
         """xibar(r), elementwise over an array (0-d for a scalar r)."""
         r = np.asarray(r, dtype=float)
-        affine = self.base(0.0) + 2.0 * self.L * (r - 1.0)
+        affine = self._affine(r)
         return np.where(r <= 2.0, np.maximum(self.base(r), affine), affine)
+
+    def _affine(self, r):
+        """The affine branch xi(0) + 2L(r - 1)."""
+        return self.base(0.0) + 2.0 * self.L * (r - 1.0)
 
     def deriv(self, r) -> np.ndarray:
         """xibar'(r) for r >= 0: xi' up to the seam s0, the slope 2L beyond."""
         r = np.asarray(r, dtype=float)
         return np.where(r <= self._seam.s0, self.base.deriv(r), self.slope_cap)
 
+    def deriv_sup(self, lo: float, hi: float) -> float:
+        """sup of |xibar'| over slopes in [lo, hi].
+
+        xibar need not be convex (an odd power in xi leaves it concave at
+        negative arguments), so the candidates are lo, hi, each seam inside
+        (lo, hi) with p <= 2 and each root of xi''.  A candidate gives |xi'(p)|
+        where xi is active and p <= 2, 2L where the affine branch is active
+        or p >= 2, and both one-sided slopes at a seam.
+        """
+        model, cap, seam = self.base, self.slope_cap, self._seam
+        cands = []
+        for p in [lo, hi, *seam.flexes]:
+            if not lo <= p <= hi:
+                continue
+            affine = self._affine(p)
+            if p <= 2.0 and model(p) >= affine:
+                cands.append(abs(model.deriv(p)))
+            if p >= 2.0 or affine >= model(p):
+                cands.append(cap)
+        for p in seam.crossings:
+            if lo < p < hi and p <= 2.0:
+                cands += [abs(model.deriv(p)), cap]
+        return float(max(cands))
+
     @cached_property
     def _seam(self) -> "_Seam":
         model = self.base
         terms = {p: c for p, c in model.poly.items() if c > 0.0}
-        s0 = _seam_point(self)
+        xi = Polynomial([model.poly.get(p, 0.0)
+                         for p in range(max(model.poly, default=0) + 1)])
+        affine = Polynomial([self._affine(0.0), self.slope_cap])
+        crossings, flexes = (r[np.isreal(r)].real for r in (
+            (xi - affine).trim().roots(), xi.deriv(2).trim().roots()))
+        # one root in [1, 2] (convex, > 0 at 1, < 0 at 2); none if xi is 0
+        inside = crossings[(crossings >= 1.0) & (crossings <= 2.0)]
+        s0 = float(inside[0]) if inside.size else 1.0
         return _Seam(s0=s0, r0=float(model.deriv(s0)), xi_s0=float(model(s0)),
                      xi0=float(model(0.0)),
-                     q=terms[2] if set(terms) == {2} else None)
+                     q=terms[2] if set(terms) == {2} else None,
+                     crossings=crossings, flexes=flexes)
 
 
 class _Seam(NamedTuple):
-    """Where xibar leaves xi: xibar = xi on [0, s0], affine beyond."""
+    """Where xibar changes branch: xibar = xi on [0, s0], affine beyond."""
 
     s0: float
     r0: float  # xi'(s0), the slope where the conjugate leaves xi's own
     xi_s0: float
     xi0: float
     q: Optional[float]  # coefficient of a pure quadratic xi = q s^2, else None
+    crossings: np.ndarray  # real roots of xi - affine: the seams of max(xi, affine)
+    flexes: np.ndarray  # real roots of xi'': the critical points of xi'
 
 
 def regularize(model: CovarianceModel) -> Regularization:
@@ -127,26 +169,6 @@ def regularize(model: CovarianceModel) -> Regularization:
     if not isinstance(model, CovarianceModel):
         raise InvalidInputError("regularize takes the CovarianceModel xi")
     return model._regularization
-
-
-def _seam_point(reg: Regularization) -> float:
-    """First s in [1, 2] where the affine branch overtakes xi.
-
-    xi - affine is convex, nonnegative at s = 1 and nonpositive at
-    s = 2, so the crossing is unique on [1, 2].
-    """
-    model = reg.base
-    g = lambda s: model(s) - (model(0.0) + 2.0 * reg.L * (s - 1.0))
-    if g(1.0) <= 0.0:
-        return 1.0
-    lo, hi = 1.0, 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _inv_deriv_vec(model: CovarianceModel, r: np.ndarray, hi) -> np.ndarray:

@@ -340,8 +340,8 @@ def _one_spin_value(q: np.ndarray, zetas: np.ndarray) -> float:
         if s[k] == 0.0:
             continue
         inner = zetas[k - 1] * Y
-        m = inner.max()
-        Y = (np.log(_gauss_mean(np.exp(inner - m), s[k], h)) + m) / zetas[k - 1]
+        m = _exp_shifted(inner)
+        Y = (np.log(_gauss_mean(inner, s[k], h)) + m) / zetas[k - 1]
     return float(q[-1] - _gauss_mean(Y, s[0], h)[0])
 
 

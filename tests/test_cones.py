@@ -348,6 +348,21 @@ def test_measure_validation():
                         DiscreteMeasure(np.array(atoms), levels)
 
 
+def test_delta_shapes_and_validation():
+    # a scalar is one 1x1 atom, a symmetric matrix one (D, D) atom
+    assert DiscreteMeasure.delta(0.3).atoms.shape == (1, 1, 1)
+    q = np.array([[0.5, 0.1], [0.1, 0.4]])
+    m = DiscreteMeasure.delta(q)
+    assert m.atoms.shape == (1, 2, 2)
+    np.testing.assert_array_equal(m.atoms[0], q)
+    np.testing.assert_array_equal(m.levels, [0.0, 1.0])
+    for bad in (np.array([[0.5, 0.2], [0.1, 0.4]]),   # not symmetric
+                np.zeros((2, 3)),                      # not square
+                np.array([0.3, 0.4])):                 # not a matrix
+        with pytest.raises(InvalidInputError):
+            DiscreteMeasure.delta(bad)
+
+
 # ---------------------------------------------------------------------------
 # containers
 

@@ -5,7 +5,6 @@ import pytest
 
 from conehj import (CovarianceModel, FdGrid, FdSurface, InvalidInputError,
                     comparison_check, fd_solve, hopf_lax_pointwise, regularize)
-from conehj.fd_oracle import xibar_deriv_sup
 
 MODEL = CovarianceModel.sk(1.0)
 REG = regularize(MODEL)
@@ -13,10 +12,10 @@ REG = regularize(MODEL)
 
 def test_deriv_sup_at_convex_endpoints():
     # xibar' in slope: 2r on the quadratic branch, 8 on the affine branch
-    assert xibar_deriv_sup(MODEL, 0.0, 1.0) == 2.0
-    assert xibar_deriv_sup(MODEL, 0.0, 5.0) == 8.0
+    assert REG.deriv_sup(0.0, 1.0) == 2.0
+    assert REG.deriv_sup(0.0, 5.0) == 8.0
     # the slope ball of the comparison functional: |xi'(-8.7)| beats 2L
-    assert xibar_deriv_sup(MODEL, -8.7, 8.7) == 17.4
+    assert REG.deriv_sup(-8.7, 8.7) == 17.4
 
 
 @pytest.mark.parametrize("poly, lo, hi", [
@@ -32,8 +31,9 @@ def test_deriv_sup_matches_a_fine_gradient(poly, lo, hi):
     # power, so the sup can sit at an interior seam rather than an endpoint
     model = CovarianceModel(poly=poly)
     r = np.linspace(lo, hi, 200_001)
-    fine = float(np.abs(np.gradient(regularize(model)(r), r)).max())
-    sup = xibar_deriv_sup(model, lo, hi)
+    reg = regularize(model)
+    fine = float(np.abs(np.gradient(reg(r), r)).max())
+    sup = reg.deriv_sup(lo, hi)
     # a difference quotient is a mean of xibar', so it cannot pass the sup
     assert fine <= sup * (1.0 + 1e-9)
     assert sup - fine <= 1e-4 * sup, (sup, fine)

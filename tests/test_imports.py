@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, every name that
-``__init__`` re-exports has a caller outside the tests, the number of
-settable values is pinned, and scipy is loaded only by the commands that
-run it."""
+``__init__`` re-exports has a caller outside the tests, only
+``nonlinearity`` knows where xibar changes branch, the number of settable
+values is pinned, and scipy is loaded only by the commands that run it."""
 
 import ast
 import json
@@ -65,6 +65,40 @@ def test_export_detector_flags_a_name_no_caller_uses():
 def test_every_export_has_a_caller_outside_tests():
     callers = [p.read_text() for p in CALLERS]
     assert _unreferenced_exports((SRC / "__init__.py").read_text(), callers) == []
+
+
+def _xibar_internals(source: str) -> list:
+    """``_seam*`` attributes and ``Polynomial`` names that a source reads.
+
+    Either one in a module means it re-derives where xibar changes branch,
+    which is ``nonlinearity``'s alone (``Regularization._seam`` and
+    ``Regularization.deriv_sup``).
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return sorted(n for n in names if n.startswith("_seam") or n == "Polynomial")
+
+
+def test_internals_detector_flags_seams_and_polynomials():
+    source = "from numpy.polynomial import Polynomial as P\nimport numpy as np\n" \
+             "from .nonlinearity import _seam_point, regularize\n" \
+             "s0 = regularize(m)._seam.s0\nxi = np.polynomial.Polynomial([0.0])\n" \
+             "v = regularize(m).deriv_sup(0.0, 1.0)\n"
+    assert _xibar_internals(source) == ["Polynomial", "_seam", "_seam_point"]
+    assert _xibar_internals("v = reg.deriv_sup(-1.0, 1.0)\nseam = 2\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "nonlinearity.py"],
+                         ids=lambda p: p.name)
+def test_only_nonlinearity_knows_the_seams_of_xibar(path):
+    assert _xibar_internals(path.read_text()) == []
 
 
 def _settable_values(sources) -> int:

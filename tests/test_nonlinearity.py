@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from conehj import (ConePoint, CovarianceModel, InvalidInputError, Partition,
-                    UnsupportedOperationError, bold_xi, h_eval,
-                    hopf_lax_pointwise, regularize, xi_star_vec)
+from conehj import (ConePoint, CovarianceModel, FdGrid, FdSurface,
+                    InvalidInputError, Partition, UnsupportedOperationError,
+                    bold_xi, comparison_check, h_eval, hopf_lax_pointwise,
+                    regularize, xi_star_vec)
 from conehj import nonlinearity
 from conehj.acceptance import _h_bracket
 from conehj.nonlinearity import _inv_deriv_vec, xi_star_deriv
@@ -140,17 +141,22 @@ def test_fenchel_young_inequality():
 
 
 def test_regularization_and_its_seam_are_built_once_per_model(monkeypatch):
-    seams = []
-    seam_point = nonlinearity._seam_point
-    monkeypatch.setattr(nonlinearity, "_seam_point",
-                        lambda reg: seams.append(reg) or seam_point(reg))
+    roots = []
+    true_roots = nonlinearity.Polynomial.roots
+    monkeypatch.setattr(nonlinearity.Polynomial, "roots",
+                        lambda poly: roots.append(poly) or true_roots(poly))
     model = CovarianceModel(poly={2: 0.5, 3: 0.7})
     reg = regularize(model)
     assert regularize(model) is reg
+    surface = FdSurface(np.array([0.0, 0.1]), np.linspace(0.0, 1.0, 3),
+                        np.zeros((2, 3)))
     for t in (0.25, 0.5):
         hopf_lax_pointwise(lambda r: 0.5 * r, model, t, np.array([0.1, 0.4]))
         xi_star_vec(regularize(model), np.array([0.5, 1.0]))
-    assert seams == [reg]
+        FdGrid.make(model, 1.0, 0.05, slope_cap=1.0).validate(model)
+        comparison_check(surface, surface, 0.5, model, tol=1e-9)
+    # one root set each for xi - affine and xi'', whoever asked first
+    assert len(roots) == 2
     # an equal model object gets its own regularization
     assert regularize(CovarianceModel(poly={2: 0.5, 3: 0.7})) is not reg
     # the coefficients cannot change under the cached regularization
