@@ -28,7 +28,7 @@ from .conjugates import GridFunction, fm_verify
 from .fd_oracle import comparison_check, fd_vs_hopf_lax
 from .limits import rate_study, seeded_test_points
 from .nonlinearity import CovarianceModel
-from .solvers import InitialCondition, hopf_lax_1d, solve_surface
+from .solvers import InitialCondition, hopf_lax_1d_batch, solve_surface
 from .spin_glass import (CascadeSpec, SkInstance, bound_check, free_energy,
                          one_spin_initial_condition)
 
@@ -198,13 +198,15 @@ def run_spinglass(config: dict, out: Path, seed: int, threads: int):
     spec = CascadeSpec.for_measure(measure, M=int(casc.get("M", 256)))
     beta = float(config["beta"])
     replicas = int(config.get("replicas", 1000))
-    # the HJ side first, so that a level hopf_lax_1d refuses exits at once
+    # the HJ side first, so that a level hopf_lax_1d refuses exits at once;
+    # one certified search serves the whole t_list
     model = CovarianceModel.sk(beta)
     psi = one_spin_initial_condition()
     j = Partition.uniform(int(config.get("hj_level", 4)))
     mu = project_pj(measure_to_quantile(measure), j)
-    f = {float(t): hopf_lax_1d(psi, model, j, float(t), mu)
-         for t in config["t_list"]}
+    times = [float(t) for t in config["t_list"]]
+    f = dict(zip(times, map(float, hopf_lax_1d_batch(
+        psi, model, j, [(t, mu) for t in times]))))
     rows = []
     results = {}
     for t in config["t_list"]:

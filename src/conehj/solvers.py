@@ -19,6 +19,13 @@ Hamiltonian xibar = ``regularize(model)``, so they agree for convex
 nonlinearities and admissible initial data, which the test suite
 exploits as a cross-check.
 
+The three certified routes take many cases at once: ``hopf_batch``,
+``hopf_lax_separable_batch`` and ``hopf_lax_1d_batch`` run one search for
+all of them, and the one-case route is the batch of one.  A case's search
+depends on its own values only, so each value of a batch equals the
+one-case call bit for bit.  ``solve_surface`` runs a whole surface of
+these routes as one search; ``hopf_lax`` solves point by point.
+
 The module needs numpy when it is imported.  scipy is imported on first
 use, and only two things use it: ``hopf_lax``'s SLSQP search
 (``scipy.optimize``) and the softplus derivative phi' (``scipy.special``).
@@ -567,19 +574,40 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     for xibar convex and nondecreasing on [0, inf): the sup is attained at
     z = h^j.  For separable psi the optimal z satisfies
     |z|_inf <= lip_l1 of psi (slopes beyond the Lipschitz constant make
-    the conjugate +inf), which truncates the search region.
+    the conjugate +inf), which truncates the search region.  The one-case
+    batch of ``hopf_batch``.
     """
-    _require(psi, model, x, t, "hopf")
+    return float(hopf_batch(psi, model, [(j, t, x)])[0])
+
+
+def hopf_batch(psi: InitialCondition, model: CovarianceModel,
+               cases) -> np.ndarray:
+    """``hopf`` at each (j, t, x) of ``cases``.
+
+    Every coordinate of every case goes through one per-coordinate
+    search, whose entries do not depend on the rest of the batch, so each
+    value is the one ``hopf`` computes alone, bit for bit.  Every case is
+    checked before the search starts.
+    """
+    for j, t, x in cases:
+        _require(psi, model, x, t, "hopf")
     if psi.kind == KIND_CUSTOM:
         raise InvalidInputError("hopf requires a convex psi")
     reg = regularize(model)
-    w = j.widths
-    xv = x.scalars
     if psi.kind == KIND_LINEAR:
-        hj = project_pj(psi.h, j).scalars
-        return float(w @ (xv * hj + t * reg(hj)))
+        out = []
+        for j, t, x in cases:
+            hj = project_pj(psi.h, j).scalars
+            out.append(float(j.widths @ (x.scalars * hj + t * reg(hj))))
+        return np.array(out)
     if psi.dphi is None:
         raise InvalidInputError("hopf needs the derivative of a separable profile")
+    if not cases:
+        return np.empty(0)
+    sizes = [j.size for j, _, _ in cases]
+    xv = np.concatenate([x.scalars for _, _, x in cases])
+    tv = np.repeat([float(t) for _, t, _ in cases], sizes)
+
     # per-coordinate objective x_k z - phi*(z) + t xibar(z) over [0, lip];
     # increasing differences in (z, x_k) make the per-coordinate suprema
     # jointly attainable on the cone for monotone x
@@ -589,7 +617,7 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
         s_lo = np.zeros_like(z) if left is None else left[4]
         s_hi = np.full_like(z, _S_MAX) if right is None else right[5]
         conj, s, s_lo, s_hi = _phi_conjugate(psi, z, s_lo, s_hi)
-        xz, txi = xv[owner] * z, t * reg(z)
+        xz, txi = xv[owner] * z, tv[owner] * reg(z)
         return np.array([xz - conj + txi, xz + txi, conj, s, s_lo, s_hi])
 
     def bound(owner, a, b, left, right):
@@ -610,7 +638,8 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
 
     best, _ = _branch_and_bound(evaluate, bound, np.zeros_like(xv),
                                 np.full_like(xv, psi.lip_l1))
-    return float(np.sum(w * best))
+    return np.array([float(np.sum(j.widths * b)) for (j, _, _), b
+                     in zip(cases, np.split(best, np.cumsum(sizes)[:-1]))])
 
 
 # ---------------------------------------------------------------------------
@@ -628,47 +657,60 @@ _SIMPLEX_MAX_LIVE = 8000
 _SIMPLEX_FLAT_GAP = 1e-5
 
 
-def _kuhn_branch_and_bound(psi_at, penalty, n: int, ub: float) -> float:
-    """Max of psi - P over the Kuhn simplex {0 <= v_1 <= ... <= v_n <= ub}.
+def _kuhn_branch_and_bound(psi_at, penalty, n: int,
+                           ub: np.ndarray) -> np.ndarray:
+    """Max of psi - P_o over the Kuhn simplex {0 <= v_1 <= ... <= v_n <= ub_o}, per owner o.
 
-    ``psi_at(V)`` gives psi, which must be convex, on the rows of V, and
-    ``penalty(V)`` gives P, which must be convex and finite, on the rows
-    of V together with its gradient rows.  The simplex has the vertices
-    ub 1{k >= m}, m = 0..n.  On a sub-simplex with vertices v_i and
+    Owner o is the o-th entry of ``ub``.  ``psi_at(V)`` gives psi, which
+    must be convex, on the rows of V, and ``penalty(owner, V)`` gives
+    P_owner, which must be convex and finite, on the rows of V together
+    with its gradient rows.  Owner o's simplex has the vertices
+    ub_o 1{k >= m}, m = 0..n.  On a sub-simplex with vertices v_i and
     centroid c, psi lies under its vertex interpolant and P above its
     tangent plane at c, so psi - P is at most
     max_i [psi(v_i) - P(c) - grad P(c) . (v_i - c)] there (simplicial
     branch and bound: Horst and Tuy, Global Optimization, 1996).  Each
     round splits every live simplex at the midpoint of its longest edge
     (the first of equal ones), and a simplex stays live while its bound
-    exceeds the best vertex value by more than ``_SIMPLEX_GAP`` times
-    max(1, |best|).  So the value returned, a vertex value, is within
-    that gap of the max; once more than ``_SIMPLEX_MAX_LIVE`` stay live,
-    the search stops, and the gap is ``_SIMPLEX_FLAT_GAP`` instead.
+    exceeds its owner's best vertex value by more than ``_SIMPLEX_GAP``
+    times max(1, |best|).  So the value returned, a vertex value, is
+    within that gap of the max; once more than ``_SIMPLEX_MAX_LIVE`` of
+    an owner's simplices stay live, its search stops, and its gap is
+    ``_SIMPLEX_FLAT_GAP`` instead.  An owner's simplices depend on its
+    own values only, so when ``psi_at`` and ``penalty`` give each row a
+    value that does not depend on the other rows, its result does not
+    depend on the rest of the batch; one ``psi_at`` and one ``penalty``
+    call a round serve every owner.
 
     Raises InvalidInputError when a midpoint's psi lies above its edge's
-    chord beyond rounding (psi not convex), and when the max cannot be
-    certified: a live simplex no longer splits, or a stopped search has a
-    live bound past the flat gap.
+    chord beyond rounding (psi not convex), and when an owner's max
+    cannot be certified: a live simplex no longer splits, or a stopped
+    search has a live bound past the flat gap.
     """
+    ub = np.asarray(ub, dtype=float)
     edges = np.array(list(combinations(range(n + 1), 2)))
-    verts = ub * (np.arange(n) >= np.arange(n + 1)[:, None])[None]
-    psi = psi_at(verts[0])[None]
-    best, bound = _simplex_bounds(verts[0], psi[0], verts, psi, penalty,
-                                  -np.inf)
+    owner = np.arange(ub.size)
+    verts = ub[:, None, None] * (np.arange(n) >= np.arange(n + 1)[:, None])
+    psi = psi_at(verts.reshape(-1, n)).reshape(ub.size, n + 1)
+    best = np.full(ub.size, -np.inf)
+    bound = _simplex_bounds(np.repeat(owner, n + 1), verts.reshape(-1, n),
+                            psi.ravel(), owner, verts, psi, penalty, best)
     while True:
-        live = bound > best + _SIMPLEX_GAP * max(1.0, abs(best))
+        bar = best[owner]
+        live = bound > bar + _SIMPLEX_GAP * np.maximum(1.0, np.abs(bar))
+        count = np.bincount(owner[live], minlength=ub.size)
+        for o in np.flatnonzero(count > _SIMPLEX_MAX_LIVE):
+            mine = live & (owner == o)
+            gap = float(bound[mine].max()) - best[o]
+            if gap > _SIMPLEX_FLAT_GAP * max(1.0, abs(best[o])):
+                raise InvalidInputError(
+                    f"{count[o]} simplices stay live {gap:.1e} above the "
+                    f"best value: the sup cannot be certified")
+            live &= ~mine   # stopped: its best value stands
         if not live.any():
             return best
-        verts, psi = verts[live], psi[live]
+        owner, verts, psi = owner[live], verts[live], psi[live]
         rows = np.arange(len(verts))
-        if rows.size > _SIMPLEX_MAX_LIVE:
-            gap = float(bound[live].max()) - best
-            if gap > _SIMPLEX_FLAT_GAP * max(1.0, abs(best)):
-                raise InvalidInputError(
-                    f"{rows.size} simplices stay live {gap:.1e} above the "
-                    f"best value: the sup cannot be certified")
-            return best
         d = verts[:, edges[:, 0]] - verts[:, edges[:, 1]]
         a, b = edges[np.argmax(np.einsum("sek,sek->se", d, d), axis=1)].T
         va, vb = verts[rows, a], verts[rows, b]
@@ -685,22 +727,28 @@ def _kuhn_branch_and_bound(psi_at, penalty, n: int, ub: float) -> float:
         verts, psi = np.concatenate([verts, verts]), np.concatenate([psi, psi])
         verts[rows, b], verts[rows.size + rows, a] = mid, mid
         psi[rows, b], psi[rows.size + rows, a] = pm, pm
-        best, bound = _simplex_bounds(mid, pm, verts, psi, penalty, best)
+        owner = np.concatenate([owner, owner])
+        bound = _simplex_bounds(owner[rows], mid, pm, owner, verts, psi,
+                                penalty, best)
 
 
-def _simplex_bounds(new, psi_new, verts, psi, penalty, best):
-    """The best value after the vertices ``new``, and each simplex's bound.
+def _simplex_bounds(new_owner, new, psi_new, owner, verts, psi, penalty,
+                    best):
+    """Each simplex's bound, after raising ``best`` to the values at ``new``.
 
-    The bound is max_i [psi(v_i) - P(c) - grad P(c) . (v_i - c)], c the
-    simplex's centroid; one ``penalty`` call serves both.
+    The rows ``new`` are vertices of the owners ``new_owner``, and
+    ``best`` is updated in place.  The bound is
+    max_i [psi(v_i) - P(c) - grad P(c) . (v_i - c)], c the simplex's
+    centroid; one ``penalty`` call serves both.
     """
     c = verts.mean(axis=1)
-    pen, grad = penalty(np.concatenate([new, c]))
+    pen, grad = penalty(np.concatenate([new_owner, owner]),
+                        np.concatenate([new, c]))
     m = len(new)
-    best = max(best, float(np.max(psi_new - pen[:m])))
+    np.maximum.at(best, new_owner, psi_new - pen[:m])
     tangent = pen[m:, None] \
         + np.einsum("sik,sk->si", verts - c[:, None], grad[m:])
-    return best, np.max(psi - tangent, axis=1)
+    return np.max(psi - tangent, axis=1)
 
 
 def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
@@ -718,30 +766,64 @@ def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
     cone.  The conjugate is flat at -xi(0) for nonpositive slopes, so nu
     is free to dip below mu.  t = 0 falls back to psi^j(mu) by
     convention.  Raises InvalidInputError for |j| > 5, where ``hopf_lax``
-    serves, and as the search does.
+    serves, and as the search does.  The one-case batch of
+    ``hopf_lax_1d_batch``.
     """
-    _require(psi, model, mu, t, "hopf_lax_1d", "mu")
+    return float(hopf_lax_1d_batch(psi, model, j, [(t, mu)])[0])
+
+
+def hopf_lax_1d_batch(psi: InitialCondition, model: CovarianceModel,
+                      j: Partition, cases) -> np.ndarray:
+    """``hopf_lax_1d`` at each (t, mu) of ``cases``, every mu on j.
+
+    Every case is checked before psi is first evaluated.  A case with
+    t = 0 takes ``psi.eval_point(mu)``; the others share one
+    ``_kuhn_branch_and_bound`` search, which evaluates psi on the rows of
+    all of them in one ``eval_coords`` call a round.  Each case's
+    simplices depend on its own values only, so each value is the one
+    ``hopf_lax_1d`` computes alone, bit for bit, when psi's value on a
+    row does not depend on the other rows (a custom ``fn`` must see to
+    that itself).  When one case cannot be certified, the batch raises
+    that case's error.
+    """
+    for t, mu in cases:
+        _require(psi, model, mu, t, "hopf_lax_1d", "mu")
+        if mu.partition != j:
+            raise InvalidInputError("every mu must lie on the partition j")
     n = j.size
     if n > _SIMPLEX_MAX_SIZE:
         raise InvalidInputError(
             f"hopf_lax_1d certifies |j| <= {_SIMPLEX_MAX_SIZE}, not {n}: "
             f"use hopf_lax for finer partitions")
-    if t == 0.0:
-        return psi.eval_point(mu)
+    out = np.array([psi.eval_point(mu) if t == 0.0 else np.nan
+                    for t, mu in cases])
+    search = np.flatnonzero([t != 0.0 for t, _ in cases])
+    if not search.size:
+        return out
     reg = regularize(model)
-    muv, w, lip = mu.scalars, j.widths, psi.lip_l1
+    tt = np.array([float(cases[i][0]) for i in search])
+    M = np.array([cases[i][1].scalars for i in search])
+    w, lip = j.widths, psi.lip_l1
     r_c = float(reg.deriv(lip))
-    ub = float(muv.max(initial=0.0) + t * r_c)
 
-    def penalty(V):
-        r = (V - muv) / t
+    def psi_at(V):
+        # numpy takes a one-row product as a dot, rounded unlike the rows
+        # of a longer one: a lone row goes in twice, so that no row's
+        # value depends on how many rows share its round
+        return psi.eval_coords(j, np.repeat(V, 2, axis=0)
+                               if len(V) == 1 else V)[:len(V)]
+
+    def penalty(owner, V):
+        t = tt[owner]
+        r = (V - M[owner]) / t[:, None]
         inner = np.minimum(r, r_c)
         pen = xi_star_vec(reg, inner) + lip * (r - inner)
         slope = np.where(r > r_c, lip, xi_star_deriv(reg, inner))
         return t * (pen @ w), w * slope
 
-    return _kuhn_branch_and_bound(lambda V: psi.eval_coords(j, V), penalty,
-                                  n, ub)
+    out[search] = _kuhn_branch_and_bound(
+        psi_at, penalty, n, M.max(axis=1, initial=0.0) + tt * r_c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -749,16 +831,27 @@ def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
 
 def solve_surface(psi: InitialCondition, model: CovarianceModel, j: Partition,
                   times, samples, method: str = "hopf_lax") -> SolutionSurface:
-    """Tabulate the chosen formula over a time grid and sample set."""
+    """Tabulate the chosen formula over a time grid and sample set.
+
+    ``hopf``, ``hopf_lax_separable`` and ``hopf_lax_1d`` take every
+    (t, x) of the surface as one batch, so each runs one certified search
+    for the whole surface; each value equals the route's one-case call bit
+    for bit.  ``hopf_lax``, the SLSQP route, solves point by point.
+    """
     # looked up per call, so a route rebound on this module is the one run
-    routes = {"hopf_lax": hopf_lax, "hopf_lax_separable": hopf_lax_separable,
-              "hopf": hopf, "hopf_lax_1d": hopf_lax_1d}
+    routes = {
+        "hopf_lax": lambda cases: [hopf_lax(psi, model, j, t, x)
+                                   for t, x in cases],
+        "hopf_lax_separable": lambda cases: hopf_lax_separable_batch(
+            psi, model, [(j, t, x) for t, x in cases]),
+        "hopf": lambda cases: hopf_batch(psi, model,
+                                         [(j, t, x) for t, x in cases]),
+        "hopf_lax_1d": lambda cases: hopf_lax_1d_batch(psi, model, j, cases),
+    }
     if method not in routes:
         raise InvalidInputError(f"unknown method {method!r}")
     times = np.asarray(times, dtype=float)
     samples = tuple(samples)
-    vals = np.empty((times.size, len(samples)))
-    for si, x in enumerate(samples):
-        for ti, t in enumerate(times):
-            vals[ti, si] = routes[method](psi, model, j, float(t), x)
+    cases = [(float(t), x) for t in times for x in samples]
+    vals = np.reshape(routes[method](cases), (times.size, len(samples)))
     return SolutionSurface(j, times, samples, vals)

@@ -7,7 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from conehj import GridFunction, Partition, spin_glass
+from conehj import (CovarianceModel, DiscreteMeasure, GridFunction,
+                    Partition, measure_to_quantile,
+                    one_spin_initial_condition, project_pj, solvers,
+                    spin_glass)
 from conehj.cli import main
 
 SOLVE_CONFIG = {
@@ -333,6 +336,28 @@ def test_spinglass_f_does_not_depend_on_the_seed(tmp_path):
                      "--out", str(out), "--seed", seed]) == 0
         f.append(json.loads((out / "spinglass_bound.json").read_text())["0.5"]["f"])
     assert f[0] == f[1]
+
+
+def test_spinglass_solves_its_t_list_in_one_search(tmp_path, monkeypatch):
+    exact = solvers._kuhn_branch_and_bound
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return exact(*args)
+
+    monkeypatch.setattr(solvers, "_kuhn_branch_and_bound", counted)
+    cfg = dict(SPINGLASS_CONFIG, t_list=[0.0, 0.25, 0.5])
+    assert _run(tmp_path, "spinglass", cfg) == 0
+    assert len(calls) == 1
+    # each f is the one-case value, bit for bit
+    bound = json.loads((tmp_path / "spinglass_bound.json").read_text())
+    j = Partition.uniform(cfg["hj_level"])
+    mu = project_pj(measure_to_quantile(
+        DiscreteMeasure.from_json(SPINGLASS_MEASURE)), j)
+    for t in cfg["t_list"]:
+        assert bound[str(t)]["f"] == solvers.hopf_lax_1d(
+            one_spin_initial_condition(), CovarianceModel.sk(0.5), j, t, mu)
 
 
 def test_hopf_lax_1d_past_five_coordinates_exits_1(tmp_path, capsys,

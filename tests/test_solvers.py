@@ -10,8 +10,8 @@ from conehj import (ConePoint, CovarianceModel, InitialCondition,
                     InvalidInputError, Partition, StepPath,
                     UnsupportedOperationError, acceptance, bold_xi, hopf,
                     hopf_lax, hopf_lax_1d, hopf_lax_pointwise,
-                    hopf_lax_separable, project_pj, regularize, solve_surface,
-                    xi_star_vec)
+                    hopf_lax_separable, one_spin_initial_condition,
+                    project_pj, regularize, solve_surface, xi_star_vec)
 from conehj import solvers
 from conehj.solvers import _S_MAX, _branch_and_bound, _phi_conjugate
 
@@ -817,13 +817,232 @@ ROUTES = (hopf_lax, hopf_lax_separable, hopf, hopf_lax_1d)
 
 @pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
 def test_solve_surface_runs_the_named_route(route):
+    # three routes take the surface as one batch, and each value must be
+    # the one-case call's, bit for bit
     j = Partition.uniform(2)
     psi = _softplus_psi(12, lip=0.9)
-    samples = [ConePoint(j, [0.1, 0.4]), ConePoint(j, [0.3, 0.8])]
-    times = [0.0, 0.5]
+    samples = [ConePoint(j, [0.1, 0.4]), ConePoint(j, [0.3, 0.8]),
+               ConePoint(j, [0.0, 1.1])]
+    times = [0.0, 0.5, 1.0]
     surf = solve_surface(psi, MODEL, j, times, samples, method=route.__name__)
     direct = [[route(psi, MODEL, j, t, x) for x in samples] for t in times]
     np.testing.assert_array_equal(surf.values, direct)
+
+
+# ---------------------------------------------------------------------------
+# batches: one certified search for many cases
+
+BATCH_PSIS = {
+    "linear": lambda j: InitialCondition.linear(
+        StepPath(j, np.linspace(0.2, 0.9, j.size))),
+    "softplus": lambda j: _softplus_psi(13, lip=0.9),
+    "one-spin": lambda j: one_spin_initial_condition(),
+}
+
+
+def _mixed_cases(j, seed):
+    # t = 0 sits inside the batch, between searched cases
+    rng = np.random.default_rng(seed)
+    return [(t, ConePoint(j, np.cumsum(rng.uniform(0.0, 0.4, j.size))))
+            for t in (0.5, 0.0, 0.1, 1.0, 0.0, 0.25)]
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_PSIS))
+@pytest.mark.parametrize("n", [2, 3])
+def test_hopf_lax_1d_batch_is_bit_identical_to_each_case_alone(kind, n):
+    j = Partition.uniform(n)
+    psi = BATCH_PSIS[kind](j)
+    model = CovarianceModel.sk(0.5) if kind == "one-spin" else MODEL
+    cases = _mixed_cases(j, n)
+    batch = solvers.hopf_lax_1d_batch(psi, model, j, cases)
+    alone = [hopf_lax_1d(psi, model, j, t, mu) for t, mu in cases]
+    np.testing.assert_array_equal(batch, alone)
+    for (t, mu), v in zip(cases, batch):
+        if t == 0.0:
+            assert v == psi.eval_point(mu)
+    # and in another order, with the cases shared out differently
+    np.testing.assert_array_equal(
+        solvers.hopf_lax_1d_batch(psi, model, j, cases[::-1]), alone[::-1])
+
+
+@pytest.mark.parametrize("kind", ["linear", "softplus"])
+def test_hopf_lax_1d_batch_sees_each_case_s_own_vertex_values(monkeypatch,
+                                                               kind):
+    # every vertex a case visits, and psi there, bit for bit as alone.
+    # The first round splits one simplex alone and one per case in a
+    # batch; numpy takes a one-row product as a dot, and at these mu a
+    # linear psi's first midpoint rounds differently that way
+    j = Partition.uniform(3)
+    psi = BATCH_PSIS[kind](j)
+    cases = [(0.5, ConePoint(j, np.cumsum(
+        np.random.default_rng(k).uniform(0.0, 0.4, 3)))) for k in (6, 8, 13)]
+    exact = solvers._simplex_bounds
+    seen = []
+
+    def recorded(new_owner, new, psi_new, *rest):
+        seen.append((new_owner, new, psi_new))
+        return exact(new_owner, new, psi_new, *rest)
+
+    monkeypatch.setattr(solvers, "_simplex_bounds", recorded)
+
+    def visits(owner):
+        rows = [(new[o == owner], p[o == owner]) for o, new, p in seen]
+        return np.concatenate([r for r, _ in rows]), \
+            np.concatenate([p for _, p in rows])
+
+    solvers.hopf_lax_1d_batch(psi, MODEL, j, cases)
+    batch = [visits(k) for k in range(len(cases))]
+    for k, (t, mu) in enumerate(cases):
+        seen.clear()
+        hopf_lax_1d(psi, MODEL, j, t, mu)
+        for got, want in zip(batch[k], visits(0)):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["linear", "softplus"])
+def test_hopf_batch_is_bit_identical_to_each_case_alone(kind):
+    # cases on two partitions share one per-coordinate search
+    cases = [(j, t, x) for n in (2, 3)
+             for j in [Partition.uniform(n)] for t, x in _mixed_cases(j, n)]
+    # a linear psi's h lives on |j| = 3, and project_pj maps it onto each j
+    psi = BATCH_PSIS[kind](Partition.uniform(3))
+    batch = solvers.hopf_batch(psi, MODEL, cases)
+    alone = [hopf(psi, MODEL, j, t, x) for j, t, x in cases]
+    np.testing.assert_array_equal(batch, alone)
+    np.testing.assert_array_equal(solvers.hopf_batch(psi, MODEL, cases[::-1]),
+                                  alone[::-1])
+    assert solvers.hopf_batch(psi, MODEL, []).shape == (0,)
+
+
+# the linear psi of ROADMAP item 2 above the seam: its sup is flat, and at
+# 64 live simplices a case stops (within the flat gap), is certified, or
+# raises, by its t and mu
+SEAM_J = Partition.uniform(3)
+SEAM_H = np.array([0.5, 1.4, 1.5])
+SEAM_PSI = InitialCondition.linear(StepPath(SEAM_J, SEAM_H))
+FLAT_CASE = (0.01, ConePoint(SEAM_J, [0.2, 0.5, 0.9]))
+FIRM_CASES = [(1.0, ConePoint(SEAM_J, [0.0, 0.0, 0.0])),
+              (0.5, ConePoint(SEAM_J, [1.0, 1.0, 1.0]))]
+STUCK_CASE = (0.5, ConePoint(SEAM_J, [0.2, 0.5, 0.9]))
+
+
+def _seam_closed_form(t, mu):
+    return float(SEAM_J.widths @ (mu.scalars * SEAM_H + t * REG(SEAM_H)))
+
+
+def test_each_owner_stops_or_raises_on_its_own(monkeypatch):
+    assert SEAM_PSI.lip_l1 > REG._seam.s0
+    certified = [hopf_lax_1d(SEAM_PSI, MODEL, SEAM_J, t, mu)
+                 for t, mu in [FLAT_CASE] + FIRM_CASES]
+    monkeypatch.setattr(solvers, "_SIMPLEX_MAX_LIVE", 64)
+    cases = [FIRM_CASES[0], FLAT_CASE, (0.0, FLAT_CASE[1]), FIRM_CASES[1]]
+    batch = solvers.hopf_lax_1d_batch(SEAM_PSI, MODEL, SEAM_J, cases)
+    alone = [hopf_lax_1d(SEAM_PSI, MODEL, SEAM_J, t, mu) for t, mu in cases]
+    np.testing.assert_array_equal(batch, alone)
+    # the flat case stopped: off its full search, within the flat gap
+    flat = _seam_closed_form(*FLAT_CASE)
+    assert batch[1] != certified[0]
+    assert abs(batch[1] - flat) <= solvers._SIMPLEX_FLAT_GAP * max(1.0, abs(flat))
+    assert abs(certified[0] - flat) <= 1e-10
+    # the firm cases kept their certified values
+    assert [batch[0], batch[3]] == certified[1:]
+    for (t, mu), v in zip(FIRM_CASES, certified[1:]):
+        assert abs(v - _seam_closed_form(t, mu)) <= 1e-10
+    # a case that cannot be certified fails the batch with its own error
+    with pytest.raises(InvalidInputError) as alone_err:
+        hopf_lax_1d(SEAM_PSI, MODEL, SEAM_J, *STUCK_CASE)
+    assert "cannot be certified" in str(alone_err.value)
+    with pytest.raises(InvalidInputError) as batch_err:
+        solvers.hopf_lax_1d_batch(SEAM_PSI, MODEL, SEAM_J,
+                                  FIRM_CASES + [FLAT_CASE, STUCK_CASE])
+    assert str(batch_err.value) == str(alone_err.value)
+
+
+def _counting_psis(calls):
+    def fn(j, X):
+        calls.append(len(X))
+        return X @ j.widths
+
+    profile = _softplus_psi(14)
+
+    def phi(r):
+        calls.append(np.size(r))
+        return profile.phi(r)
+
+    def dphi(r):
+        calls.append(np.size(r))
+        return profile.dphi(r)
+
+    return (InitialCondition.custom(fn, 1.0),
+            replace(profile, phi=phi, dphi=dphi))
+
+
+def _bad_last_cases(j):
+    """Two valid cases, then one that breaks a rule, with the rule's error."""
+    good = [(t, ConePoint(j, np.linspace(0.1, 0.3, j.size)))
+            for t in (0.0, 0.5)]
+    other = Partition(np.linspace(0.0, 1.0, j.size + 1)[1:] ** 2)
+    decreasing = ConePoint(j, np.linspace(0.3, 0.1, j.size))
+    return {
+        "off the cone": (good + [(0.5, decreasing)], "lie in the cone"),
+        "negative t": (good + [(-0.1, good[0][1])], "nonnegative"),
+        "another partition": (
+            good + [(0.5, ConePoint(other, good[0][1].scalars))],
+            "partition j"),
+    }
+
+
+@pytest.mark.parametrize("bad", ["off the cone", "negative t",
+                                 "another partition"])
+def test_hopf_lax_1d_batch_checks_every_case_before_evaluating_psi(bad):
+    calls = []
+    psi, _ = _counting_psis(calls)
+    j = Partition.uniform(2)
+    cases, error = _bad_last_cases(j)[bad]
+    with pytest.raises(InvalidInputError, match=error):
+        solvers.hopf_lax_1d_batch(psi, MODEL, j, cases)
+    assert calls == []
+
+
+def test_hopf_lax_1d_batch_checks_the_size_before_evaluating_psi():
+    calls = []
+    psi, _ = _counting_psis(calls)
+    j = Partition.uniform(6)
+    cases = [(0.0, ConePoint(j, np.linspace(0.1, 0.6, 6)))]
+    with pytest.raises(InvalidInputError, match="hopf_lax for finer"):
+        solvers.hopf_lax_1d_batch(psi, MODEL, j, cases)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", ["off the cone", "negative t"])
+def test_hopf_batch_checks_every_case_before_evaluating_psi(bad):
+    calls = []
+    _, psi = _counting_psis(calls)
+    j = Partition.uniform(2)
+    cases, error = _bad_last_cases(j)[bad]
+    with pytest.raises(InvalidInputError, match=error):
+        solvers.hopf_batch(psi, MODEL, [(j, t, x) for t, x in cases])
+    assert calls == []
+
+
+@pytest.mark.parametrize("method, kernel", [
+    ("hopf", "_branch_and_bound"), ("hopf_lax_1d", "_kuhn_branch_and_bound"),
+    ("hopf_lax_separable", "_branch_and_bound")])
+def test_a_surface_is_one_search(monkeypatch, method, kernel):
+    j = Partition.uniform(3)
+    psi = PROFILES["bench-softplus"]
+    samples = [ConePoint(j, np.array(x)) for x in
+               ([0.1, 0.4, 1.2], [0.5, 0.9, 1.6], [0.8, 1.7, 2.3])]
+    exact = getattr(solvers, kernel)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return exact(*args)
+
+    monkeypatch.setattr(solvers, kernel, counted)
+    solve_surface(psi, MODEL, j, [0.1, 0.5, 1.0], samples, method=method)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("route", (hopf_lax, hopf, hopf_lax_1d),
