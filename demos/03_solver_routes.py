@@ -4,7 +4,8 @@ The equation lives on the cone of monotone step paths; its value admits
 a sup-inf (Hopf-Lax) form, a conjugate-dual (Hopf) form for convex
 data, a coordinate-separable reduction, and a one-dimensional
 reduction through quantile paths.  On separable convex data all four
-agree to optimizer precision, and linear data has a closed form.
+agree to the precision of the DC ascent, and linear data has a closed
+form.
 """
 
 import numpy as np

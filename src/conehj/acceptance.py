@@ -437,9 +437,18 @@ def crit_1d_reduction(seed=5, instances=100):
         a = hopf_lax_1d(psi, model, j, t, x)
         b = hopf_lax(psi, model, j, t, x)
         worst = _worst(worst, abs(a - b))
+    # criterion 12's half cell: the one-spin psi, a custom psi whose
+    # gradient the ascent takes by central differences
+    psi, model = one_spin_initial_condition(), CovarianceModel.sk(0.5)
+    j = Partition.uniform(4)
+    mu = project_pj(measure_to_quantile(_half_measure()), j)
+    worst_spin = _worst(*(abs(hopf_lax_1d(psi, model, j, t, mu)
+                              - hopf_lax(psi, model, j, t, mu))
+                          for t in (0.25, 0.5)))
     tol = 1e-10
-    return _report(6, "1d-reduction", t0, worst <= tol,
-                   instances=instances, worst_gap=worst, tol=tol)
+    return _report(6, "1d-reduction", t0, _worst(worst, worst_spin) <= tol,
+                   instances=instances, worst_gap=worst,
+                   one_spin_gap=worst_spin, tol=tol)
 
 
 # ---------------------------------------------------------------------------

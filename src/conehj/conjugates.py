@@ -29,11 +29,6 @@ def monotone_lattice(n: int, axis: np.ndarray) -> np.ndarray:
     return axis[idx]
 
 
-def monotone_increments(n: int) -> np.ndarray:
-    """The (n - 1, n) matrix of increments x_{i+1} - x_i; D x >= 0 is monotonicity."""
-    return np.diff(np.eye(n), axis=0)
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Real (or +inf) values on the monotone lattice in C^j ∩ [0, x_max]^n.

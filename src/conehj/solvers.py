@@ -12,7 +12,7 @@ Each route takes the covariance model xi and is implemented for D = 1:
   pointwise conjugate of xibar at (nu - mu) / t (requires convex psi and
   |j| <= 5).
 
-``hopf_lax`` is a local SLSQP search from lattice starts; ``hopf_lax_1d``
+``hopf_lax`` is a local DC ascent from lattice starts; ``hopf_lax_1d``
 is a certified branch and bound, so the two generic routes check each
 other independently.  Every route solves the equation of the one
 Hamiltonian xibar = ``regularize(model)``, so they agree for convex
@@ -25,15 +25,10 @@ all of them, and the one-case route is the batch of one.  A case's search
 depends on its own values only, so each value of a batch equals the
 one-case call bit for bit.  ``solve_surface`` runs a whole surface of
 these routes as one search; ``hopf_lax`` solves point by point.
-
-The module needs numpy when it is imported.  scipy is imported on first
-use, and only two things use it: ``hopf_lax``'s SLSQP search
-(``scipy.optimize``) and the softplus derivative phi' (``scipy.special``).
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
@@ -42,30 +37,9 @@ import numpy as np
 
 from .cones import (ConePoint, InvalidInputError, Partition, StepPath,
                     UnsupportedOperationError, is_in_cone, project_pj)
-from .conjugates import monotone_increments, monotone_lattice
-from .nonlinearity import (CovarianceModel, regularize, xi_star_deriv,
+from .conjugates import monotone_lattice
+from .nonlinearity import (CovarianceModel, _pav, regularize, xi_star_deriv,
                            xi_star_vec)
-
-
-class _Lazy:
-    """A module imported on first attribute access (see the module docstring).
-
-    Callers look each attribute up at call time, so one set on the handle
-    (``optimize.minimize``, say) reaches every caller.
-    """
-
-    def __init__(self, name: str):
-        self._name = name
-        self._module = None
-
-    def __getattr__(self, attr):
-        if self._module is None:
-            self._module = importlib.import_module(self._name)
-        return getattr(self._module, attr)
-
-
-optimize = _Lazy("scipy.optimize")
-special = _Lazy("scipy.special")
 
 KIND_LINEAR = "linear"
 KIND_SEPARABLE = "separable"
@@ -137,7 +111,7 @@ class InitialCondition:
 
         def dphi(r):
             r = np.asarray(r, dtype=float)[..., None]
-            return np.sum(a * special.expit((r - th) / tau), axis=-1)
+            return np.sum(a * _logistic((r - th) / tau), axis=-1)
 
         return replace(cls.separable(phi, lip=float(a.sum())), dphi=dphi)
 
@@ -196,14 +170,20 @@ class InitialCondition:
             return X @ (w * project_pj(self.h, j).scalars)
         if self.kind == KIND_SEPARABLE:
             return self.phi(X) @ w
-        rows, inverse = np.unique(_snap(X, np.inf), axis=0,
+        rows, inverse = np.unique(_snap(X), axis=0,
                                   return_inverse=True)
         return np.asarray(self.fn(j, rows), dtype=float)[inverse.reshape(-1)]
 
 
-def _snap(Y: np.ndarray, ub: float) -> np.ndarray:
-    """Rows of Y onto the cone box: clipped to [0, ub], then made nondecreasing."""
-    return np.maximum.accumulate(np.clip(Y, 0.0, ub), axis=-1)
+def _snap(Y: np.ndarray) -> np.ndarray:
+    """Rows of Y onto the cone: floored at 0, then made nondecreasing."""
+    return np.maximum.accumulate(np.maximum(Y, 0.0), axis=-1)
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z), from e^-|z| so that no exponential overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -335,7 +315,7 @@ def _highest_bounds(owner: np.ndarray, ub: np.ndarray,
 
 
 def _lattice_starts(score, n: int, ub: float) -> list:
-    """The six best nodes of the monotone lattice on [0, ub]^n, as SLSQP starts.
+    """The six best nodes of the monotone lattice on [0, ub]^n, as DC ascent starts.
 
     ``score`` maps the lattice, one node per row, to objective values.
     The axis has the most points m for which the lattice's C(m + n - 1, n)
@@ -349,18 +329,23 @@ def _lattice_starts(score, n: int, ub: float) -> list:
     return [Y[i] for i in order]
 
 
-def _penalized(psi: InitialCondition, reg, j: Partition, t: float, shift):
-    """F(y) = psi^j(shift + y) - t sum_k w_k xibar*(min(y_k / t, 2L)).
+# The step of the central differences that give a custom psi's gradient.
+_FD_STEP = 1e-6
+# Steps per DC ascent run: a run that reaches it has not converged.
+_ASCENT_MAX_STEPS = 200
 
-    The functional ``hopf_lax`` maximizes over cone increments y, with
-    shift x.  xibar* is finite up to the slope cap 2L, so a slope y_k / t
-    that rounds past the cap is taken at the cap, and F and, for a custom
-    psi, SLSQP's finite differences stay defined.  Returns ``value``, F on
-    each row of Y, and ``gradient``, the gradient of F at one point.
-    Linear psi^j has the constant gradient w h^j, and separable psi^j has
-    w phi'(shift + y) when phi' is known; otherwise ``gradient`` is None
-    and SLSQP differences F.  d/dy_k of t xibar*(y_k / t) is w_k s, s the
-    maximizer ``xi_star_deriv`` at the clipped slope.
+
+def _penalized(psi: InitialCondition, reg, j: Partition, t: float, shift):
+    """F(y) = psi^j(shift + y) - t sum_k w_k xibar*(min(y_k / t, 2L)), and psi^j's gradient.
+
+    F is the functional ``hopf_lax`` maximizes over cone increments y,
+    with shift x.  xibar* is finite up to the slope cap 2L, so a slope
+    y_k / t that rounds past the cap is taken at the cap.  Returns
+    ``value``, F on each row of Y, and ``gradient``, the gradient of
+    psi^j at shift + y for one point y: the constant w h^j for linear
+    psi, w phi'(shift + y) for separable psi with phi' known, and
+    otherwise central differences of step ``_FD_STEP``, whose 2n rows go
+    to psi in one ``eval_coords`` call.
     """
     w = j.widths
     cap = reg.slope_cap
@@ -371,47 +356,51 @@ def _penalized(psi: InitialCondition, reg, j: Partition, t: float, shift):
 
     if psi.kind == KIND_LINEAR:
         g = w * project_pj(psi.h, j).scalars
-        dpsi = lambda v: g
-    elif psi.kind == KIND_SEPARABLE and psi.dphi is not None:
-        dpsi = lambda v: w * psi.dphi(v)
-    else:
-        return value, None
+        return value, lambda y: g
+    if psi.kind == KIND_SEPARABLE and psi.dphi is not None:
+        return value, lambda y: w * psi.dphi(shift + y)
+    n = j.size
+    E = _FD_STEP * np.eye(n)
 
     def gradient(y):
-        return dpsi(shift + y) - w * xi_star_deriv(reg, np.minimum(y / t, cap))
+        v = psi.eval_coords(j, shift + y + np.concatenate([E, -E]))
+        return (v[:n] - v[n:]) / (2.0 * _FD_STEP)
 
     return value, gradient
 
 
-def _polish(value, gradient, starts: list, ub: float) -> float:
-    """Maximize ``value`` over the cone box [0, ub]^n with SLSQP from each start.
+def _polish(value, gradient, starts: list, reg, w: np.ndarray,
+            t: float) -> float:
+    """Maximize F = psi^j(x + .) - P over the cone box by a DC ascent from each start.
 
-    ``value`` maps points, one per row, to objective values; ``gradient``
-    is its gradient at one point, or None for scipy's finite differences.
-    scipy clips each point SLSQP passes to them to the box.  The monotone
-    constraint D y >= 0 is linear, so its Jacobian is the constant
-    increment matrix D.  Each run stops after 200 iterations.
+    ``value`` maps points, one per row, to F, and ``gradient`` gives
+    psi^j's gradient g at one point.  For convex psi, F is a difference
+    of convex functions, psi^j(x + y) and P(y) = t sum_k w_k xibar*(y_k / t).
+    Each step replaces psi^j by its tangent at y and moves y to the
+    maximizer of <g, y> - P(y) over 0 <= y_1 <= ... <= y_n <= 2Lt, which
+    in closed form is y = t xibar'(max(PAV_w(g / w), 0)), PAV_w the
+    weighted isotonic regression: a pooled block of terms
+    w_k (a_k r - xibar*(r)) takes xibar' of its weighted mean slope.  The
+    step lands on the cone and in [0, 2Lt] as xibar' is nondecreasing and
+    at most 2L, so it raises F (the convex-concave procedure: Yuille and
+    Rangarajan, Neural Computation 15, 2003).  A run stops when F does
+    not rise, and the best F seen is returned.  Raises InvalidInputError
+    when a run takes ``_ASCENT_MAX_STEPS`` steps.
     """
-    n = starts[0].size
-    D = monotone_increments(n)
-    cons = ([{"type": "ineq", "fun": lambda y: D @ y, "jac": lambda y: D}]
-            if n > 1 else [])
-    jac = None if gradient is None else (lambda y: -gradient(y))
-
-    def objective(y):
-        return value(y[None, :])[0]
-
     best = -np.inf
-    for s in starts:
-        res = optimize.minimize(lambda y: -objective(y), np.asarray(s, float),
-                                jac=jac, method="SLSQP",
-                                bounds=[(0.0, ub)] * n, constraints=cons,
-                                options={"maxiter": 200, "ftol": 1e-14})
-        cand = float(-res.fun)
-        if np.isfinite(cand) and cand > best:
-            best = max(best, float(objective(_snap(res.x, ub))))
-    for s in starts:
-        best = max(best, float(objective(np.asarray(s, float))))
+    for y in starts:
+        f = value(y[None, :])[0]
+        for _ in range(_ASCENT_MAX_STEPS):
+            best = max(best, float(f))
+            y = t * reg.deriv(np.maximum(_pav(gradient(y) / w, w), 0.0))
+            f_next = value(y[None, :])[0]
+            if not f_next > f:
+                break
+            f = f_next
+        else:
+            raise InvalidInputError(
+                f"a DC ascent run still rose after {_ASCENT_MAX_STEPS} steps: "
+                f"the sup cannot be trusted")
     return best
 
 
@@ -424,19 +413,17 @@ def hopf_lax(psi: InitialCondition, model: CovarianceModel, j: Partition,
 
     The inner infimum over dual slopes collapses to the pointwise
     conjugate for D = 1; the conjugate is +inf past the slope cap 2L,
-    which bounds the search box by y <= 2 L t.
+    which bounds the search box by y <= 2 L t.  ``_polish``'s DC ascent
+    searches it from ``_lattice_starts``; it raises InvalidInputError
+    when a run reaches the step cap.
     """
     _require(psi, model, x, t, "hopf_lax")
     if t == 0.0:
         return psi.eval_point(x)
     reg = regularize(model)
-    n = j.size
-    ub = reg.slope_cap * t
-
     value, gradient = _penalized(psi, reg, j, t, x.scalars)
-    if ub == 0.0:
-        return float(value(np.zeros((1, n)))[0])
-    return _polish(value, gradient, _lattice_starts(value, n, ub), ub)
+    starts = _lattice_starts(value, j.size, reg.slope_cap * t)
+    return _polish(value, gradient, starts, reg, j.widths, t)
 
 
 def hopf_lax_separable(psi: InitialCondition, model: CovarianceModel,
@@ -836,7 +823,7 @@ def solve_surface(psi: InitialCondition, model: CovarianceModel, j: Partition,
     ``hopf``, ``hopf_lax_separable`` and ``hopf_lax_1d`` take every
     (t, x) of the surface as one batch, so each runs one certified search
     for the whole surface; each value equals the route's one-case call bit
-    for bit.  ``hopf_lax``, the SLSQP route, solves point by point.
+    for bit.  ``hopf_lax``, the DC ascent, solves point by point.
     """
     # looked up per call, so a route rebound on this module is the one run
     routes = {

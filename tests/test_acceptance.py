@@ -87,11 +87,13 @@ def test_05_shifted_conjugate_fails_the_gate(monkeypatch):
 
 def test_06_dimension_reduction():
     # the one-dimensional route vs the direct route on 100 instances,
-    # softplus and linear data alternating, to 1e-10
+    # softplus and linear data alternating, and on criterion 12's half
+    # cell with the one-spin psi at t = 0.25 and 0.5, to 1e-10
     rep = acceptance.crit_1d_reduction(seed=6)
     _check(rep, 180.0)
     assert rep["instances"] == 100
     assert rep["worst_gap"] <= 1e-10
+    assert rep["one_spin_gap"] <= 1e-10
 
 
 def test_07_finite_difference_oracle():

@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, every name that
 ``__init__`` re-exports has a caller outside the tests, only
 ``nonlinearity`` knows where xibar changes branch, the number of settable
-values is pinned, and scipy is loaded only by the commands that run it."""
+values is pinned, and no command loads scipy."""
 
 import ast
 import json
@@ -131,8 +131,8 @@ def test_settable_values_are_pinned():
     assert _settable_values(sources) == 45
 
 
-# scipy is imported on first use (``hopf_lax``'s SLSQP, softplus phi');
-# each probe runs in a fresh interpreter and reports the scipy modules loaded
+# the package runs on numpy alone; each probe runs in a fresh interpreter
+# and reports the scipy modules loaded
 PROBE = """
 import json, sys
 {preload}
@@ -187,8 +187,9 @@ def test_command_without_slsqp_loads_no_scipy(command, tmp_path):
     assert _scipy_loaded(_cli(command, tmp_path)) == []
 
 
-def test_hopf_lax_solve_loads_scipy_optimize(tmp_path):
-    assert "scipy.optimize" in _scipy_loaded(_cli("solve", tmp_path))
+def test_hopf_lax_solve_loads_no_scipy(tmp_path):
+    # with the three commands above, no command loads scipy
+    assert _scipy_loaded(_cli("solve", tmp_path)) == []
 
 
 def test_scipy_probe_sees_a_preloaded_scipy():

@@ -1,7 +1,12 @@
 """Variational solvers: route agreement, closed forms, and regularity."""
 
 import functools
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +15,9 @@ from conehj import (ConePoint, CovarianceModel, InitialCondition,
                     InvalidInputError, Partition, StepPath,
                     UnsupportedOperationError, acceptance, bold_xi, hopf,
                     hopf_lax, hopf_lax_1d, hopf_lax_pointwise,
-                    hopf_lax_separable, one_spin_initial_condition,
-                    project_pj, regularize, solve_surface, xi_star_vec)
+                    hopf_lax_separable, measure_to_quantile,
+                    one_spin_initial_condition, project_pj, regularize,
+                    solve_surface, xi_star_vec)
 from conehj import solvers
 from conehj.solvers import _S_MAX, _branch_and_bound, _phi_conjugate
 
@@ -531,19 +537,19 @@ def test_hopf_matches_a_2_16_point_scan_of_its_outer_objective(name):
 
 
 # ---------------------------------------------------------------------------
-# the SLSQP route: exact gradients
+# hopf_lax: the DC ascent
 
-def _objective_of(monkeypatch, route, psi, j, t, x):
-    """The objective at one point, its gradient and the box a route polishes in."""
+def _gradient_of(monkeypatch, route, psi, j, t, x):
+    """psi^j's gradient, as a route passes it to the ascent."""
     seen = {}
 
-    def capture(value, gradient, starts, ub):
-        seen.update(value=value, gradient=gradient, ub=ub)
+    def capture(value, gradient, starts, reg, w, t):
+        seen["gradient"] = gradient
         return 0.0
 
     monkeypatch.setattr(solvers, "_polish", capture)
     route(psi, MODEL, j, t, x)
-    return (lambda y: seen["value"](y[None, :])[0]), seen["gradient"], seen["ub"]
+    return seen["gradient"]
 
 
 GRADIENT_PSIS = {
@@ -551,116 +557,173 @@ GRADIENT_PSIS = {
         StepPath(Partition.uniform(3), np.array([0.2, 0.5, 0.9]))),
     "softplus": PROFILES["bench-softplus"],
 }
+ROUTE_POINTS = ([0.1, 0.4, 1.2], [0.5, 0.9, 1.6], [0.8, 1.7, 2.3])
+ROUTE_TIMES = (0.1, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("route", [hopf_lax], ids=["hopf_lax"])
 @pytest.mark.parametrize("name", GRADIENT_PSIS)
 def test_route_gradient_matches_central_differences(monkeypatch, route, name):
+    # the gradient the ascent linearizes with is psi^j's, not F's
     j = Partition.uniform(3)
+    psi = GRADIENT_PSIS[name]
     x = ConePoint(j, np.array([0.1, 0.4, 0.8]))
     rng = np.random.default_rng(3)
     h = 1e-6
     for t in (0.3, 1.0):
-        objective, gradient, ub = _objective_of(
-            monkeypatch, route, GRADIENT_PSIS[name], j, t, x)
-        assert gradient is not None
-        # interior points of the box: their slopes reach the inner branch
-        # and the seam chord
-        for y in np.sort(rng.uniform(0.02, 0.98, (20, 3)) * ub, axis=1):
-            central = [(objective(y + h * e) - objective(y - h * e)) / (2 * h)
-                       for e in np.eye(3)]
+        gradient = _gradient_of(monkeypatch, route, psi, j, t, x)
+        for y in np.sort(rng.uniform(0.02, 0.98, (20, 3)) * REG.slope_cap * t,
+                         axis=1):
+            central = [(psi.eval_point(ConePoint(j, x.scalars + y + h * e))
+                        - psi.eval_point(ConePoint(j, x.scalars + y - h * e)))
+                       / (2 * h) for e in np.eye(3)]
             np.testing.assert_allclose(gradient(y), central, rtol=0.0,
-                                       atol=1e-7, err_msg=f"t={t}, y={y}")
+                                       atol=1e-8, err_msg=f"t={t}, y={y}")
 
 
 def test_custom_psi_keeps_finite_differences(monkeypatch):
-    j = Partition.uniform(2)
-    psi = InitialCondition.custom(lambda j, X: 0.5 * X.sum(axis=1), 1.0)
-    x = ConePoint(j, np.array([0.1, 0.3]))
-    assert _objective_of(monkeypatch, hopf_lax, psi, j, 0.5, x)[1] is None
+    # one eval_coords call of 2n rows per gradient, whose values give
+    # central differences of step 1e-6
+    calls = []
+
+    def fn(j, X):
+        calls.append(X.shape)
+        return 0.5 * (X ** 2) @ j.widths
+
+    j = Partition.uniform(3)
+    x = ConePoint(j, np.array([0.1, 0.3, 0.6]))
+    gradient = _gradient_of(monkeypatch, hopf_lax,
+                            InitialCondition.custom(fn, 1.0), j, 0.5, x)
+    calls.clear()
+    y = np.array([0.05, 0.2, 0.4])
+    np.testing.assert_allclose(gradient(y), j.widths * (x.scalars + y),
+                               rtol=0.0, atol=1e-9)
+    assert calls == [(6, 3)]
 
 
 @pytest.mark.parametrize("name", GRADIENT_PSIS)
-def test_slsqp_evaluates_only_points_of_the_box(monkeypatch, name):
-    # the route leaves clipping to scipy, which clips every point SLSQP
-    # passes to the objective and its gradient (scipy >= 1.12)
-    polish = solvers._polish
+def test_ascent_evaluates_only_points_of_the_box(monkeypatch, name):
+    # the step lands on the cone and in [0, 2Lt] with no clip or snap
+    penalized = solvers._penalized
     boxes = []
 
-    def recording(value, gradient, starts, ub):
+    def recording(psi, reg, j, t, shift):
+        value, gradient = penalized(psi, reg, j, t, shift)
         points = []
-        boxes.append((ub, points))
+        boxes.append((reg.slope_cap * t, points))
 
-        def seen(f):
-            def call(v):
-                points.append(np.array(v, ndmin=2))
-                return f(v)
-            return call
+        def seen(Y):
+            points.append(np.array(Y, ndmin=2))
+            return value(Y)
 
-        return polish(seen(value), seen(gradient), starts, ub)
+        return seen, gradient
 
-    monkeypatch.setattr(solvers, "_polish", recording)
+    monkeypatch.setattr(solvers, "_penalized", recording)
     j = Partition.uniform(3)
-    for x in ([0.1, 0.4, 1.2], [0.5, 0.9, 1.6], [0.8, 1.7, 2.3]):
-        for t in (0.1, 0.5, 1.0):
+    for x in ROUTE_POINTS:
+        for t in ROUTE_TIMES:
             hopf_lax(GRADIENT_PSIS[name], MODEL, j, t, ConePoint(j, np.array(x)))
     assert len(boxes) == 9
     for ub, points in boxes:
+        steps = np.concatenate([p for p in points if len(p) == 1])
+        assert steps.shape[0] >= 12 and steps.shape[1] == 3
         P = np.concatenate(points)
-        assert P.shape[0] > 20 and P.shape[1] == 3
         assert np.all((P >= 0.0) & (P <= ub)), ub
+        assert np.all(np.diff(P, axis=1) >= 0.0)
 
 
-def test_slsqp_routes_take_few_evaluations_and_all_succeed(monkeypatch):
-    # a fallback to finite differences costs about 3.6 times as many
-    # objective evaluations (2267 here) and fails this ceiling
-    bench = PROFILES["bench-softplus"]
-    evaluations = []
+def _run_steps(monkeypatch):
+    """Record each ascent run's step count: the run alone, one start at a time."""
+    polish = solvers._polish
+    steps = []
 
-    def phi(r):
-        # the objective evaluates one point; the lattice starts score many
-        if np.ndim(r) == 2 and np.shape(r)[0] == 1:
-            evaluations.append(1)
-        return bench.phi(r)
+    def per_run(value, gradient, starts, *args):
+        best = -np.inf
+        for s in starts:
+            calls = []
 
-    statuses = []
-    minimize = solvers.optimize.minimize
+            def counted(y):
+                calls.append(1)
+                return gradient(y)
 
-    def recorded(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        statuses.append(res.status)
-        return res
+            best = max(best, polish(value, counted, [s], *args))
+            steps.append(len(calls))
+        return best
 
-    monkeypatch.setattr(solvers.optimize, "minimize", recorded)
-    psi = replace(bench, phi=phi)
+    monkeypatch.setattr(solvers, "_polish", per_run)
+    return steps
+
+
+def test_ascent_runs_stay_under_the_step_ceiling(monkeypatch):
+    # measured: at most 20 steps a run on the routes config, 44 in
+    # criterion 5 and 38 in criterion 6, far under the cap of 200
+    steps = _run_steps(monkeypatch)
+    psi = PROFILES["bench-softplus"]
     j = Partition.uniform(3)
-    points = [[0.1, 0.4, 1.2], [0.5, 0.9, 1.6], [0.8, 1.7, 2.3]]
-    # measured: 623 evaluations, from 54 SLSQP runs
-    for x in points:
-        for t in (0.1, 0.5, 1.0):
-            hopf_lax(psi, MODEL, j, t, ConePoint(j, np.array(x)))
-    assert len(evaluations) <= 800, len(evaluations)
-    assert statuses and all(s == 0 for s in statuses), statuses
+    for x in ROUTE_POINTS:
+        for t in ROUTE_TIMES:
+            assert hopf_lax(psi, MODEL, j, t, ConePoint(j, np.array(x))) \
+                == pytest.approx(hopf(psi, MODEL, j, t, ConePoint(j, np.array(x))),
+                                 abs=1e-12)
+    assert len(steps) == 54 and max(steps) <= 30, steps
+    for crit in (acceptance.crit_variational, acceptance.crit_1d_reduction):
+        rep = crit()
+        assert rep["pass"], rep
+    assert max(steps) <= 60, max(steps)
 
 
-def test_scipy_handles_resolve_to_scipy_and_take_a_patched_minimize(monkeypatch):
-    # the module imports scipy on first use through these two handles; a
-    # minimize set on the handle must still reach every SLSQP run
-    import scipy.optimize
-    import scipy.special
-    assert solvers.optimize.minimize is scipy.optimize.minimize
-    assert solvers.special.expit is scipy.special.expit
-    calls = []
+HALF_CELL = """
+import json, sys
+from conehj import (CovarianceModel, Partition, hopf_lax, measure_to_quantile,
+                    one_spin_initial_condition, project_pj)
+from conehj.acceptance import _half_measure
+psi, model = one_spin_initial_condition(), CovarianceModel.sk(0.5)
+out = {}
+for n in (4, 8):
+    j = Partition.uniform(n)
+    mu = project_pj(measure_to_quantile(_half_measure()), j)
+    for t in (0.25, 0.5):
+        out[f"{n}-{t}"] = hopf_lax(psi, model, j, t, mu).hex()
+print(json.dumps(out))
+"""
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return scipy.optimize.minimize(*args, **kwargs)
 
-    monkeypatch.setattr(solvers.optimize, "minimize", counted)
+@functools.cache
+def _half_cell_values(blas_threads: int) -> dict:
+    """hopf_lax on criterion 12's half cell at |j| = 4 and 8, in a fresh process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path,
+               OPENBLAS_NUM_THREADS=str(blas_threads))
+    proc = subprocess.run([sys.executable, "-c", HALF_CELL], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {k: float.fromhex(v) for k, v in
+            json.loads(proc.stdout.strip().splitlines()[-1]).items()}
+
+
+def test_half_cell_does_not_depend_on_the_blas_thread_count():
+    assert _half_cell_values(1) == _half_cell_values(2)
+
+
+def test_half_cell_is_not_below_the_certified_value():
+    # f^8 >= f^4, and hopf_lax_1d certifies f^4 to 1e-12
+    psi, model = one_spin_initial_condition(), CovarianceModel.sk(0.5)
+    j = Partition.uniform(4)
+    mu = project_pj(measure_to_quantile(acceptance._half_measure()), j)
+    got = _half_cell_values(1)
+    for t in (0.25, 0.5):
+        certified = hopf_lax_1d(psi, model, j, t, mu)
+        assert abs(got[f"4-{t}"] - certified) <= 1e-10, t
+        assert got[f"8-{t}"] >= certified - 1e-10, t
+
+
+def test_a_run_at_the_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(solvers, "_ASCENT_MAX_STEPS", 1)
     j = Partition.uniform(3)
-    hopf_lax(PROFILES["bench-softplus"], MODEL, j, 0.5,
-             ConePoint(j, np.array([0.1, 0.4, 1.2])))
-    assert len(calls) == 6  # one run from each of the six lattice starts
+    with pytest.raises(InvalidInputError, match="after 1 steps"):
+        hopf_lax(PROFILES["bench-softplus"], MODEL, j, 0.5,
+                 ConePoint(j, np.array([0.1, 0.4, 1.2])))
 
 
 # ---------------------------------------------------------------------------
