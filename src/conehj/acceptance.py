@@ -28,7 +28,7 @@ from .limits import lipschitz_audit, rate_study, seeded_test_points
 from .nonlinearity import (CovarianceModel, _pav, bold_xi, h_eval, regularize,
                            xi_star_vec)
 from .solvers import (InitialCondition, hopf, hopf_lax, hopf_lax_1d,
-                      hopf_lax_pointwise, solve_surface)
+                      hopf_lax_1d_batch, hopf_lax_pointwise, solve_surface)
 from .spin_glass import (CascadeSpec, SkInstance, bound_check, free_energy,
                          moment_normalization, one_spin_initial_condition,
                          one_spin_psi, pd_squared_weight)
@@ -102,9 +102,9 @@ def _apply(op, values):
     return (op @ values.reshape(B, n, D * D)).reshape(B, op.shape[0], D, D)
 
 
-def _pairings(widths, a, b):
-    """Weighted inner products sum_k w_k a_k . b_k, one per case."""
-    return np.sum(a * b, axis=(2, 3)) @ widths
+def _pairings(j, a, b):
+    """Weighted inner products sum_k w_k a_k . b_k on j, one per case."""
+    return j.integrate(np.sum(a * b, axis=(2, 3)))
 
 
 def _coord_err(a, b):
@@ -173,14 +173,14 @@ def crit_cone_algebra(seed=0, cases=10_000):
         iota_u, x_u = iota[:, refinement_index(g, u)], x[:, refinement_index(j, u)]
         p_iota = _apply(averaging_matrix(g, j), iota)
         # adjointness: <p_j iota, x> = <iota, l_j x>
-        upd("adjoint", np.max(_rel_err(_pairings(j.widths, p_iota, x),
-                                       _pairings(u.widths, iota_u, x_u))))
+        upd("adjoint", np.max(_rel_err(_pairings(j, p_iota, x),
+                                       _pairings(u, iota_u, x_u))))
         # isometry of the lift
-        upd("isometry", np.max(_rel_err(np.sqrt(_pairings(u.widths, x_u, x_u)),
-                                        np.sqrt(_pairings(j.widths, x, x)))))
+        upd("isometry", np.max(_rel_err(np.sqrt(_pairings(u, x_u, x_u)),
+                                        np.sqrt(_pairings(j, x, x)))))
         # contraction of the projection
-        iota_norm = np.sqrt(_pairings(g.widths, iota, iota))
-        p_norm = np.sqrt(_pairings(j.widths, p_iota, p_iota))
+        iota_norm = np.sqrt(_pairings(g, iota, iota))
+        p_norm = np.sqrt(_pairings(j, p_iota, p_iota))
         upd("contraction",
             np.max(np.maximum(0.0, p_norm - iota_norm) / (1.0 + iota_norm)))
         # p_j l_j = id
@@ -293,13 +293,12 @@ def _h_bracket(kappa, reg):
     vanishes on every PAV block, so a tight bracket certifies H exactly.
     """
     j, k = kappa.partition, kappa.scalars
-    w = j.widths
-    x = np.maximum(_pav(k, w), 0.0)
+    x = np.maximum(_pav(k, j.widths), 0.0)
     lam = reg.deriv(x)
     feasible = is_in_cone(ConePoint(j, x)) \
         and is_in_dual(ConePoint(j, x - k), tol=1e-12)
-    upper = float(w @ reg(x)) if feasible else np.nan
-    lower = float(w @ (lam * k - xi_star_vec(reg, lam))) \
+    upper = float(j.integrate(reg(x))) if feasible else np.nan
+    lower = float(j.integrate(lam * k - xi_star_vec(reg, lam))) \
         if is_in_cone(ConePoint(j, lam)) else np.nan
     return lower, upper
 
@@ -552,13 +551,12 @@ def crit_fm(seed=9):
     for i in range(20):
         n = int(rng.integers(1, 4))
         j = Partition.uniform(n)
-        w = j.widths
         if i % 2 == 0:
             a, b = rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.5)
-            fn = lambda x: float(np.sum(w * (a * x + b * x ** 2)))
+            fn = lambda x: float(j.integrate(a * x + b * x ** 2))
         else:
             c = np.sort(rng.uniform(0.0, 1.0, n))
-            fn = lambda x: float(np.sum(w * c * x))
+            fn = lambda x: float(j.integrate(c * x))
         g = GridFunction.from_callable(j, fn, x_max=2.0, steps=9)
         rep = fm_verify(g)
         if not rep["pass"]:
@@ -567,7 +565,7 @@ def crit_fm(seed=9):
         if i % 2:
             # the lattice's extreme points are 0 and x_max 1{k >= m}, so
             # g*(y) = x_max max(0, max_m sum_{k >= m} w_k (y_k - c_k))
-            tails = np.cumsum(((g.nodes - c) * w)[:, ::-1], axis=1)
+            tails = np.cumsum(((g.nodes - c) * j.widths)[:, ::-1], axis=1)
             closed = g.axis[-1] * np.maximum(0.0, tails.max(axis=1))
             gap = np.abs(conjugates.mono_conjugate(g).values - closed).max()
             closed_form_gap = _worst(closed_form_gap, gap)
@@ -575,9 +573,8 @@ def crit_fm(seed=9):
     for i in range(10):
         n = int(rng.integers(1, 4))
         j = Partition.uniform(n)
-        w = j.widths
         slope = rng.uniform(0.3, 1.0)
-        fn = lambda x: float(-slope * np.sum(w * x))   # dual-decreasing
+        fn = lambda x: float(-slope * j.integrate(x))   # dual-decreasing
         g = GridFunction.from_callable(j, fn, x_max=2.0, steps=9)
         rep = fm_verify(g)
         if not rep["pass"] and rep.get("witness") is not None:
@@ -664,20 +661,22 @@ def crit_spin_glass(seed=11, replicas=1000, threads=1):
     psi = one_spin_initial_condition()
     model = CovarianceModel.sk(beta)
     j = Partition.uniform(4)
+    cells = [(mname, measure, t) for mname, measure in (
+        ("delta0", DiscreteMeasure.delta(0.0)), ("half", half))
+        for t in (0.25, 0.5)]
+    # the four cells share j, so one certified search solves them all
+    fs = hopf_lax_1d_batch(psi, model, j, [
+        (t, project_pj(measure_to_quantile(m), j)) for _, m, t in cells])
     bounds = {}
-    for mname, measure in (("delta0", DiscreteMeasure.delta(0.0)),
-                           ("half", half)):
-        mspec = CascadeSpec.for_measure(measure)
-        mu = project_pj(measure_to_quantile(measure), j)
-        for t in (0.25, 0.5):
-            f = hopf_lax_1d(psi, model, j, t, mu)
-            ests = [free_energy(SkInstance(N, beta, t, measure), mspec,
-                                replicas, seed=seed + 17 * N + int(1000 * t),
-                                threads=threads)
-                    for N in (6, 8, 10, 12)]
-            rep = bound_check(ests, f)
-            bounds[f"{mname}_t{t}"] = rep
-            ok &= rep["pass"] and rep["trend_nonincreasing"]
+    for (mname, measure, t), f in zip(cells, fs):
+        ests = [free_energy(SkInstance(N, beta, t, measure),
+                            CascadeSpec.for_measure(measure), replicas,
+                            seed=seed + 17 * N + int(1000 * t),
+                            threads=threads)
+                for N in (6, 8, 10, 12)]
+        rep = bound_check(ests, float(f))
+        bounds[f"{mname}_t{t}"] = rep
+        ok &= rep["pass"] and rep["trend_nonincreasing"]
     details["bounds"] = bounds
     return _report(12, "spin-glass", t0, bool(ok), **details)
 

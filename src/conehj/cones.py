@@ -85,6 +85,11 @@ class Partition:
     def widths(self) -> np.ndarray:
         return self._widths
 
+    def integrate(self, v) -> np.ndarray:
+        """sum_k w_k v[..., k], each row summed on its own (no matrix product),
+        so no value depends on the row count, memory layout or BLAS threads."""
+        return np.multiply(v, self._widths, order="C").sum(axis=-1)
+
     @property
     def is_uniform(self) -> bool:
         return bool(np.allclose(self.widths, 1.0 / self.size, rtol=0.0, atol=1e-14))
@@ -204,11 +209,6 @@ def _coerce_coords(coords):
     return 0.5 * (c + np.swapaxes(c, 1, 2))
 
 
-def _weighted_inner(widths, a, b) -> float:
-    """sum_k w_k a_k . b_k for stacked (n, D, D) arrays."""
-    return float(np.sum(widths * np.sum(a * b, axis=(1, 2))))
-
-
 @dataclass(frozen=True, eq=False)
 class ConePoint:
     """Element x of H^j: one symmetric matrix per partition cell.
@@ -242,7 +242,8 @@ class ConePoint:
     def inner(self, other: "ConePoint") -> float:
         """<x, y>_{H^j} = sum_k (t_k - t_{k-1}) x_k . y_k."""
         _check_same_space(self, other)
-        return _weighted_inner(self.partition.widths, self.coords, other.coords)
+        return float(self.partition.integrate(
+            np.sum(self.coords * other.coords, axis=(1, 2))))
 
     def norm(self) -> float:
         return np.sqrt(max(self.inner(self), 0.0))
@@ -252,7 +253,7 @@ class ConePoint:
         mags = np.sqrt(np.sum(self.coords ** 2, axis=(1, 2)))
         if np.isinf(p):
             return float(mags.max(initial=0.0))
-        return float(np.sum(self.partition.widths * mags ** p) ** (1.0 / p))
+        return float(self.partition.integrate(mags ** p) ** (1.0 / p))
 
     def __add__(self, other):
         _check_same_space(self, other)
@@ -376,7 +377,8 @@ class StepPath:
 
     def inner(self, other: "StepPath") -> float:
         a, b = self._merge_same_dim(other)
-        return _weighted_inner(a.partition.widths, a.values, b.values)
+        return float(a.partition.integrate(np.sum(a.values * b.values,
+                                                  axis=(1, 2))))
 
     def norm(self) -> float:
         return np.sqrt(max(self.inner(self), 0.0))

@@ -89,7 +89,7 @@ class GridFunction:
         for blk in range(0, nd.shape[0], 256):
             a = nd[blk:blk + 256]
             fa = v[blk:blk + 256]
-            d2 = np.sum(w * (a[:, None, :] - nd[None, :, :]) ** 2, axis=2)
+            d2 = self.partition.integrate((a[:, None, :] - nd[None, :, :]) ** 2)
             close = (d2 > 0) & (d2 <= (2.0 * self.step) ** 2 * w.sum() * self.partition.size)
             if not close.any():
                 continue

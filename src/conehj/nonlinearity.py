@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .cones import ConePoint, InvalidInputError, is_in_cone
+from .cones import ConePoint, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ def xi_star_deriv(reg: Regularization, r: np.ndarray) -> np.ndarray:
 
 def bold_xi(x: ConePoint, model) -> float:
     """Integrated nonlinearity sum_k w_k xi(x_k) of a cone point."""
-    return float(sum(x.partition.widths * model(x.scalars)))
+    return float(x.partition.integrate(model(x.scalars)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +267,20 @@ def bold_xi(x: ConePoint, model) -> float:
 def h_eval(kappa: ConePoint, reg: Regularization) -> float:
     """inf of the integrated regularization over monotone points dominating kappa.
 
-    Feasible set: x in C^j with x - kappa in (C^j)*.  On the cone the
-    infimum is attained at kappa itself.  Off the cone (D = 1) it is
-    attained at x = max(PAV_w(kappa), 0), PAV_w the weighted isotonic
-    regression.  Every feasible x is nondecreasing and dominates the tail
-    sums of kappa, so its tail-integral function is concave and lies above
-    kappa's, hence above their least concave majorant, which is the tail
-    integral of PAV_w(kappa).  So x dominates PAV_w(kappa) in increasing
-    convex order, and sum_k w_k xibar(x_k) is no smaller for xibar convex
-    and nondecreasing on [0, inf).  Feasible x are >= 0, so flooring at 0
+    Feasible set: x in C^j with x - kappa in (C^j)*.  For D = 1 the
+    infimum is attained at x = max(PAV_w(kappa), 0), PAV_w the weighted
+    isotonic regression, which leaves a cone point as it is.  Every
+    feasible x is nondecreasing and dominates the tail sums of kappa, so
+    its tail-integral function is concave and lies above kappa's, hence
+    above their least concave majorant, which is the tail integral of
+    PAV_w(kappa).  So x dominates PAV_w(kappa) in increasing convex order,
+    and sum_k w_k xibar(x_k) is no smaller for xibar convex and
+    nondecreasing on [0, inf).  Feasible x are >= 0, so flooring at 0
     keeps the bound and gives a feasible point.
     """
-    if is_in_cone(kappa):
-        return bold_xi(kappa, reg)
-    w = kappa.partition.widths
-    x = np.maximum(_pav(kappa.scalars, w), 0.0)
-    return float(w @ reg(x))
+    j = kappa.partition
+    x = np.maximum(_pav(kappa.scalars, j.widths), 0.0)
+    return float(j.integrate(reg(x)))
 
 
 def _pav(k: np.ndarray, w: np.ndarray) -> np.ndarray:

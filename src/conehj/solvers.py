@@ -162,14 +162,14 @@ class InitialCondition:
         """psi^j over rows of X (shape (P, |j|), scalar coords).
 
         A custom psi gets the rows snapped onto the cone, and ``fn`` sees
-        each distinct row once.
+        each distinct row once and must value each alone, as linear and
+        separable psi do by ``j.integrate``.
         """
         X = np.asarray(X, dtype=float)
-        w = j.widths
         if self.kind == KIND_LINEAR:
-            return X @ (w * project_pj(self.h, j).scalars)
+            return j.integrate(X * project_pj(self.h, j).scalars)
         if self.kind == KIND_SEPARABLE:
-            return self.phi(X) @ w
+            return j.integrate(self.phi(X))
         rows, inverse = np.unique(_snap(X), axis=0,
                                   return_inverse=True)
         return np.asarray(self.fn(j, rows), dtype=float)[inverse.reshape(-1)]
@@ -226,6 +226,19 @@ def _require(psi: InitialCondition, model: CovarianceModel, x: ConePoint,
         raise InvalidInputError(f"{name} must lie in the cone")
     if t < 0:
         raise InvalidInputError("t must be nonnegative")
+
+
+def _coordinates(cases):
+    """The coordinates of (j, t, x) cases in one array, and each one's t."""
+    return (np.concatenate([np.full(j.size, float(t)) for j, t, _ in cases]),
+            np.concatenate([x.scalars for _, _, x in cases]))
+
+
+def _integrate_cases(cases, values: np.ndarray) -> np.ndarray:
+    """Per case, the cell integral of its coordinates' entries of ``values``."""
+    ends = np.cumsum([j.size for j, _, _ in cases])[:-1]
+    return np.array([float(j.integrate(v)) for (j, _, _), v
+                     in zip(cases, np.split(values, ends))])
 
 
 # A midpoint may lie above its chord by rounding only: this many ulp of the
@@ -352,7 +365,7 @@ def _penalized(psi: InitialCondition, reg, j: Partition, t: float, shift):
 
     def value(Y):
         pen = xi_star_vec(reg, np.minimum(Y / t, cap))
-        return psi.eval_coords(j, shift + Y) - t * np.sum(w * pen, axis=-1)
+        return psi.eval_coords(j, shift + Y) - t * j.integrate(pen)
 
     if psi.kind == KIND_LINEAR:
         g = w * project_pj(psi.h, j).scalars
@@ -454,13 +467,8 @@ def hopf_lax_separable_batch(psi: InitialCondition, model: CovarianceModel,
         _require(psi, model, x, t, "hopf_lax_separable")
     if not cases:
         return np.empty(0)
-    sizes = [j.size for j, _, _ in cases]
-    best = hopf_lax_pointwise(
-        psi.phi, model, np.repeat([float(t) for _, t, _ in cases], sizes),
-        np.concatenate([x.scalars for _, _, x in cases]))
-    # reduced with eval_coords' product, so t = 0 gives psi.eval_point(x)
-    return np.array([float(b @ j.widths) for (j, _, _), b
-                     in zip(cases, np.split(best, np.cumsum(sizes)[:-1]))])
+    tv, xv = _coordinates(cases)
+    return _integrate_cases(cases, hopf_lax_pointwise(psi.phi, model, tv, xv))
 
 
 def hopf_lax_pointwise(phi, model: CovarianceModel, t,
@@ -580,20 +588,15 @@ def hopf_batch(psi: InitialCondition, model: CovarianceModel,
         _require(psi, model, x, t, "hopf")
     if psi.kind == KIND_CUSTOM:
         raise InvalidInputError("hopf requires a convex psi")
-    reg = regularize(model)
-    if psi.kind == KIND_LINEAR:
-        out = []
-        for j, t, x in cases:
-            hj = project_pj(psi.h, j).scalars
-            out.append(float(j.widths @ (x.scalars * hj + t * reg(hj))))
-        return np.array(out)
-    if psi.dphi is None:
+    if psi.kind == KIND_SEPARABLE and psi.dphi is None:
         raise InvalidInputError("hopf needs the derivative of a separable profile")
+    reg = regularize(model)
     if not cases:
         return np.empty(0)
-    sizes = [j.size for j, _, _ in cases]
-    xv = np.concatenate([x.scalars for _, _, x in cases])
-    tv = np.repeat([float(t) for _, t, _ in cases], sizes)
+    tv, xv = _coordinates(cases)
+    if psi.kind == KIND_LINEAR:
+        hj = np.concatenate([project_pj(psi.h, j).scalars for j, _, _ in cases])
+        return _integrate_cases(cases, xv * hj + tv * reg(hj))
 
     # per-coordinate objective x_k z - phi*(z) + t xibar(z) over [0, lip];
     # increasing differences in (z, x_k) make the per-coordinate suprema
@@ -625,8 +628,7 @@ def hopf_batch(psi: InitialCondition, model: CovarianceModel,
 
     best, _ = _branch_and_bound(evaluate, bound, np.zeros_like(xv),
                                 np.full_like(xv, psi.lip_l1))
-    return np.array([float(np.sum(j.widths * b)) for (j, _, _), b
-                     in zip(cases, np.split(best, np.cumsum(sizes)[:-1]))])
+    return _integrate_cases(cases, best)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +669,9 @@ def _kuhn_branch_and_bound(psi_at, penalty, n: int,
     own values only, so when ``psi_at`` and ``penalty`` give each row a
     value that does not depend on the other rows, its result does not
     depend on the rest of the batch; one ``psi_at`` and one ``penalty``
-    call a round serve every owner.
+    call a round serve every owner.  ``penalty`` and ``eval_coords`` for
+    linear and separable psi are so, by ``Partition.integrate``; a custom
+    ``fn`` must see to it itself.
 
     Raises InvalidInputError when a midpoint's psi lies above its edge's
     chord beyond rounding (psi not convex), and when an owner's max
@@ -769,9 +773,10 @@ def hopf_lax_1d_batch(psi: InitialCondition, model: CovarianceModel,
     all of them in one ``eval_coords`` call a round.  Each case's
     simplices depend on its own values only, so each value is the one
     ``hopf_lax_1d`` computes alone, bit for bit, when psi's value on a
-    row does not depend on the other rows (a custom ``fn`` must see to
-    that itself).  When one case cannot be certified, the batch raises
-    that case's error.
+    row does not depend on the other rows: by construction for linear and
+    separable psi (``Partition.integrate``), and up to a custom ``fn``
+    otherwise.  When one case cannot be certified, the batch raises that
+    case's error.
     """
     for t, mu in cases:
         _require(psi, model, mu, t, "hopf_lax_1d", "mu")
@@ -790,15 +795,8 @@ def hopf_lax_1d_batch(psi: InitialCondition, model: CovarianceModel,
     reg = regularize(model)
     tt = np.array([float(cases[i][0]) for i in search])
     M = np.array([cases[i][1].scalars for i in search])
-    w, lip = j.widths, psi.lip_l1
+    lip = psi.lip_l1
     r_c = float(reg.deriv(lip))
-
-    def psi_at(V):
-        # numpy takes a one-row product as a dot, rounded unlike the rows
-        # of a longer one: a lone row goes in twice, so that no row's
-        # value depends on how many rows share its round
-        return psi.eval_coords(j, np.repeat(V, 2, axis=0)
-                               if len(V) == 1 else V)[:len(V)]
 
     def penalty(owner, V):
         t = tt[owner]
@@ -806,10 +804,11 @@ def hopf_lax_1d_batch(psi: InitialCondition, model: CovarianceModel,
         inner = np.minimum(r, r_c)
         pen = xi_star_vec(reg, inner) + lip * (r - inner)
         slope = np.where(r > r_c, lip, xi_star_deriv(reg, inner))
-        return t * (pen @ w), w * slope
+        return t * j.integrate(pen), j.widths * slope
 
     out[search] = _kuhn_branch_and_bound(
-        psi_at, penalty, n, M.max(axis=1, initial=0.0) + tt * r_c)
+        lambda V: psi.eval_coords(j, V), penalty, n,
+        M.max(axis=1, initial=0.0) + tt * r_c)
     return out
 
 

@@ -38,6 +38,47 @@ def test_partition_union_is_common_refinement():
     assert u.refines(a) and u.refines(b)
 
 
+def _random_partition(n, rng):
+    return Partition(np.sort(np.r_[rng.uniform(0.0, 1.0, n - 1), 1.0]))
+
+
+def _first_batch_dependent_row(reduce, n, layout, rows=300):
+    """Least P at which ``reduce`` on the first P rows differs from those
+    rows of the full batch, or None; the rows are C-ordered, Fortran-ordered
+    or a strided view."""
+    rng = np.random.default_rng(n)
+    j = _random_partition(n, rng)
+    wide = rng.normal(size=(rows, 2 * n))
+    X = wide[:, ::2] if layout == "strided" else np.ascontiguousarray(wide[:, :n])
+    full = reduce(j, X)
+    for P in range(1, rows + 1):
+        head = np.asfortranarray(X[:P]) if layout == "F" else X[:P]
+        if not np.array_equal(reduce(j, head), full[:P]):
+            return P
+    return None
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n", [1, 3, 8, 16, 64])
+def test_integrate_gives_each_row_its_value_in_any_batch(n, layout):
+    assert _first_batch_dependent_row(
+        lambda j, X: j.integrate(X), n, layout) is None
+    # a 1-d input is its one-row batch, and the sum is the weighted one
+    rng = np.random.default_rng(n)
+    j, x = _random_partition(n, rng), rng.normal(size=n)
+    assert j.integrate(x) == j.integrate(x[None])[0]
+    assert j.integrate(x) == pytest.approx(
+        float(sum(Fraction(w) * Fraction(v) for w, v in zip(j.widths, x))),
+        rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_row_check_sees_a_matrix_product_with_the_widths(n):
+    # the same check fails for X @ w, whose rows depend on the batch size
+    assert _first_batch_dependent_row(
+        lambda j, X: X @ j.widths, n, "C") is not None
+
+
 def test_partition_rejects_bad_breaks():
     with pytest.raises(InvalidInputError):
         Partition(np.array([0.5, 0.25, 1.0]))

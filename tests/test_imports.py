@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every name that
 ``__init__`` re-exports has a caller outside the tests, only
-``nonlinearity`` knows where xibar changes branch, the number of settable
-values is pinned, and no command loads scipy."""
+``nonlinearity`` knows where xibar changes branch, no module takes a matrix
+product with the cell widths, the number of settable values is pinned, and
+no command loads scipy."""
 
 import ast
 import json
@@ -99,6 +100,45 @@ def test_internals_detector_flags_seams_and_polynomials():
                          ids=lambda p: p.name)
 def test_only_nonlinearity_knows_the_seams_of_xibar(path):
     assert _xibar_internals(path.read_text()) == []
+
+
+def _width_products(source: str) -> list:
+    """Line numbers of ``@`` or ``dot`` products that take the cell widths.
+
+    The widths are a name ``w`` or ``widths`` or an attribute ``.widths``
+    anywhere in an operand.  A product's row depends on the batch and
+    the BLAS build, so a cell sum is ``Partition.integrate``'s alone.
+    """
+    def widths_in(node):
+        return any((isinstance(n, ast.Name) and n.id in ("w", "widths"))
+                   or (isinstance(n, ast.Attribute) and n.attr == "widths")
+                   for n in ast.walk(node))
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) == "dot":
+            operands = [node.func, *node.args]
+        else:
+            continue
+        if any(widths_in(o) for o in operands):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_width_product_detector_flags_each_form():
+    source = "v = X @ (w * h)\nu = pen @ w\nq = np.dot(b, j.widths)\n" \
+             "r = widths.dot(v)\ns = a @ j.partition.widths\n" \
+             "ok = Y @ Xw.T\nok = j.integrate(v)\nok = w * slope\n" \
+             "ok = np.dot(a, b)\nok = A @ v\n"
+    assert _width_products(source) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_takes_a_product_with_the_cell_widths(path):
+    assert _width_products(path.read_text()) == []
 
 
 def _settable_values(sources) -> int:

@@ -933,8 +933,9 @@ def test_hopf_lax_1d_batch_sees_each_case_s_own_vertex_values(monkeypatch,
                                                                kind):
     # every vertex a case visits, and psi there, bit for bit as alone.
     # The first round splits one simplex alone and one per case in a
-    # batch; numpy takes a one-row product as a dot, and at these mu a
-    # linear psi's first midpoint rounds differently that way
+    # batch; at these mu a linear psi's first midpoint, as one row of a
+    # matrix product, rounds unlike the rows of a longer one, so psi's
+    # cell sum must take each row on its own
     j = Partition.uniform(3)
     psi = BATCH_PSIS[kind](j)
     cases = [(0.5, ConePoint(j, np.cumsum(
