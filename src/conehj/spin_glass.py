@@ -11,15 +11,19 @@ into the low floor(N/2) and high ceil(N/2) bits of the sign index, so
 the sum over spins and leaves is one (2^ceil(N/2) x M^K) (M^K x
 2^floor(N/2)) matmul of exponentials, each factor shifted by its column
 maxima (``_exp_shifted``, which also normalizes the cascade weights).
-``free_energy`` refuses a run whose threads would hold more than 2 GiB
-of replica arrays at once.
+The energy s.Gs splits the same way, into one 2^ceil(N/2) x 2^floor(N/2)
+array.  ``free_energy`` refuses a run whose threads would hold more than
+2 GiB of replica arrays at once.
 
 The t = 0 value tensorizes to a one-spin functional that is computed
 deterministically by a backward recursion over the cascade levels; it
-doubles as the initial condition for the variational solvers.  Each
-level is a Gaussian mean taken by discrete convolution on one uniform
-lattice, so no level interpolates; a deviation below 1.25 lattice
-spacings takes a fourth-order Taylor rule with centred differences.
+doubles as the initial condition for the variational solvers, which
+values all rows of a call in one pass, each row bit for bit as alone.
+Each level is a Gaussian mean taken by discrete convolution on the half
+w >= 0 of one uniform lattice (every level is even in w), so no level
+interpolates; a deviation below 1.25 lattice spacings takes a
+fourth-order Taylor rule as one 7-tap stencil, and a zero deviation is
+skipped, which leaves the level bit for bit as it was.
 """
 
 from __future__ import annotations
@@ -146,13 +150,15 @@ def _replica_bytes(N: int, spec: CascadeSpec) -> int:
         field draws and the column shifts (the cascade sampler's five
         working arrays fit in the same space);
       - the two factor blocks, (2^lo + 2^hi) L;
-      - the energy terms, 2^N (2N + 2);
+      - the energy terms, 2^(N+1) + 2N 2^hi: the 2^hi x 2^lo energy
+        array and the factor product it meets, and the half blocks
+        s'G11, s''G22 and s''(G21 + G12^T), at most two 2^hi x N at once;
     plus 64 KiB for numpy's ufunc buffers and array headers.
     """
     L = spec.M ** spec.K
     lo = N // 2
     return (8 * (L * (2 * N + 3) + (2 ** lo + 2 ** (N - lo)) * L
-                 + 2 ** N * (2 * N + 2)) + 2 ** 16)
+                 + 2 ** (N + 1) + 2 * N * 2 ** (N - lo)) + 2 ** 16)
 
 
 def _sign_matrix(N: int) -> np.ndarray:
@@ -184,15 +190,23 @@ def _replica_value(inst: SkInstance, spec: CascadeSpec, S: np.ndarray,
     weights = sample_cascade(spec, rng)
     W = _leaf_fields(q, spec, N, rng)
     G = rng.standard_normal((N, N))
-    energy = np.sqrt(beta / N) * np.sum((S @ G) * S, axis=1)
     # sum_{s, leaf} exp(sqrt(2) s.W + log weight + sqrt(2t) energy): split
     # the sign index into its low and high bits, s = (s', s''), so that
     # exp(sqrt(2) s.W) = exp(sqrt(2) s'.W') exp(sqrt(2) s''.W''); each
     # factor block is shifted by its column maxima, which join the log
-    # weights, and the sum over leaves is one matmul
+    # weights, and the sum over leaves is one matmul.  The energy splits
+    # the same way, s.Gs = s'.G11 s' + s''.G22 s'' + s''.(G21 + G12^T) s',
+    # a 2^hi x 2^lo array whose entry (j, i) pairs with high row j and low
+    # row i, as the factor product high @ low.T does
     lo = N // 2
-    low = (np.sqrt(2.0) * S[:2 ** lo, :lo]) @ W[:, :lo].T
-    high = (np.sqrt(2.0) * S[::2 ** lo, lo:]) @ W[:, lo:].T
+    s1, s2 = S[:2 ** lo, :lo], S[::2 ** lo, lo:]
+    energy = (s2 @ (G[lo:, :lo] + G[:lo, lo:].T)) @ s1.T
+    energy += np.sum((s1 @ G[:lo, :lo]) * s1, axis=1)
+    energy += np.sum((s2 @ G[lo:, lo:]) * s2, axis=1)[:, None]
+    energy = energy.ravel()
+    energy *= np.sqrt(beta / N)
+    low = (np.sqrt(2.0) * s1) @ W[:, :lo].T
+    high = (np.sqrt(2.0) * s2) @ W[:, lo:].T
     shift = np.log(weights, out=weights)
     shift += _exp_shifted(low)
     shift += _exp_shifted(high)
@@ -263,40 +277,30 @@ def moment_normalization(N: int, beta: float, t: float, replicas: int,
 _Z_MAX = 8.1         # Gaussian kernels are truncated at 8.1 deviations
 _HALF_POINTS = 300   # lattice spacing h: the widest reach spans 300 points
 _NARROW = 1.25       # a deviation below 1.25 h takes the Taylor rule
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0               # h^2 F''
+_D0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])                 # F
+_D2 = np.array([0.0, -1.0, 16.0, -30.0, 16.0, -1.0, 0.0]) / 12.0     # h^2 F''
 _D4 = np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0   # h^4 F''''
 
 
-def _log_cosh(x):
-    x = np.abs(x)
-    return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Where each run starts, for runs of these sizes laid end to end."""
+    return np.cumsum(sizes) - sizes
 
 
-def _radius(s: float, h: float) -> int:
-    """Half-width in lattice points of ``_gauss_mean`` at deviation s."""
-    if s == 0.0:
-        return 0
-    if s < _NARROW * h:
-        return 3
-    return int(_Z_MAX * s / h)
-
-
-def _gauss_mean(F: np.ndarray, s: float, h: float) -> np.ndarray:
-    """E F(w + s z), z standard normal, on a lattice of spacing h.
-
-    The output lies on the same lattice, ``_radius(s, h)`` points
-    narrower on each side; ``one_spin_psi`` states the two rules.
-    """
-    r = _radius(s, h)
-    if r == 0:
-        return F
-    if s < _NARROW * h:
-        a = (s / h) ** 2
-        return (F[3:-3] + 0.5 * a * np.convolve(F, _D2, mode="valid")[1:-1]
-                + 0.125 * a * a * np.convolve(F, _D4, mode="valid"))
-    x = np.arange(-r, r + 1) * (h / s)
-    g = np.exp(-0.5 * x * x)
-    return np.convolve(F, g / g.sum(), mode="valid")
+def _taps(s: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Kernels of E F(w + s z), z standard normal, on lattices of spacing
+    h, laid end to end: at s >= 1.25 h the Gaussian sampled at w = -r..r
+    and normalized, below that the Taylor rule as one 7-tap stencil."""
+    narrow = s < _NARROW * h
+    n = 2 * r + 1
+    x = (np.arange(n.sum()) - np.repeat(_starts(n) + r, n)) \
+        * np.repeat(np.where(narrow, 0.0, h / s), n)
+    T = np.exp(-0.5 * x * x)
+    T /= np.repeat(np.add.reduceat(T, _starts(n)), n)
+    a = (s[narrow] / h[narrow]) ** 2
+    T[np.repeat(narrow, n)] = (_D0 + 0.5 * a[:, None] * _D2
+                               + (0.125 * a * a)[:, None] * _D4).ravel()
+    return T
 
 
 def one_spin_psi(measure: DiscreteMeasure) -> float:
@@ -309,52 +313,86 @@ def one_spin_psi(measure: DiscreteMeasure) -> float:
     on one uniform lattice w = h (-n..n) with
     h = (8.1 (sqrt(q_0) + sum_k sqrt(dq_k)) + 1) / 300.
 
-    Every Gaussian mean is ``_gauss_mean``, whose output stays on the same
-    lattice, narrower by its half-width, so no level interpolates; n is
-    the sum of those half-widths, so the last mean leaves the single value
-    at w = 0.  At deviation s >= 1.25 h the mean is a convolution with the
-    sampled Gaussian, normalized and truncated at 8.1 s.  Below that the
-    sampled kernel is too coarse for the trapezoid rule, and the mean is
-    the Taylor rule E F(w + s z) ~ F + (s^2/2) F'' + (s^4/8) F'''' with
-    centred 5- and 7-point differences; such steps come from nearly equal
-    atoms and from a tiny q_0.  dq_k = 0 leaves Y unchanged, which is
-    exact.  Against nested Gauss-Hermite quadrature the convolution is
-    off by about 1e-14 and the Taylor rule by up to 1.5e-10, just below
-    the switch.
+    Every Y_k is even in w, so only the half w = h (0..n) is stored, and
+    a Gaussian mean reads a row mirrored about w = 0.  Each mean is one
+    convolution whose output stays on the same lattice, narrower by the
+    kernel's half-width, so no level interpolates; n is the sum of those
+    half-widths, so the last mean leaves the single value at w = 0.  At
+    deviation s >= 1.25 h the kernel is the sampled Gaussian, normalized
+    and truncated at 8.1 s.  Below that the sampled kernel is too coarse
+    for the trapezoid rule, and the mean is the Taylor rule
+    E F(w + s z) ~ F + (s^2/2) F'' + (s^4/8) F'''' with centred 5- and
+    7-point differences, written as one 7-tap stencil; such steps come
+    from nearly equal atoms and from a tiny q_0.  dq_k = 0 is skipped and
+    leaves Y untouched, which is exact: tied atoms give bit for bit the
+    value of the measure that merges them.  Against nested Gauss-Hermite
+    quadrature the convolution is off by about 1e-14 and the Taylor rule
+    by up to 1.5e-10, just below the switch.
+
+    This is the one-row case of ``_one_spin_values``, which values many
+    rows in one pass, each on its own lattice and bit for bit as alone.
     """
-    return _one_spin_value(measure.atoms[:, 0, 0], measure.levels[1:-1])
+    return float(_one_spin_values(measure.atoms[None, :, 0, 0],
+                                  measure.levels[1:-1])[0])
 
 
-def _one_spin_value(q: np.ndarray, zetas: np.ndarray) -> float:
-    """``one_spin_psi`` at atoms q >= 0 and levels (0, zetas, 1).
+def _one_spin_values(Q: np.ndarray, zetas: np.ndarray) -> np.ndarray:
+    """``one_spin_psi`` at each row of atoms Q, shape (P, n), with levels
+    (0, zetas, 1); a step below 0 counts as 0.
 
-    q is nondecreasing, and a step below 0 counts as 0.  A zero step is
-    skipped, which is exact: tied atoms give bit for bit the value of the
-    measure that merges them.
+    Each row keeps its own h, radii and half lattice, and the rows lie end
+    to end in one flat array.  A level runs each elementwise step once over
+    the rows whose step there is nonzero, and one correlation per row; the
+    other rows are left as they are.  No step mixes two rows, so each
+    value is bit for bit the row's value alone.
     """
-    s = np.sqrt(np.maximum(np.diff(q, prepend=0.0), 0.0))  # sqrt(q_0), sqrt(dq_k)
-    h = (_Z_MAX * s.sum() + 1.0) / _HALF_POINTS
-    n = sum(_radius(v, h) for v in s)
-    Y = _log_cosh(np.sqrt(2.0) * h * np.arange(-n, n + 1))
-    for k in range(q.size - 1, 0, -1):
-        if s[k] == 0.0:
+    S = np.sqrt(np.maximum(np.diff(Q, axis=1, prepend=0.0), 0.0))  # sqrt(q_0), sqrt(dq_k)
+    h = (_Z_MAX * S.sum(axis=1) + 1.0) / _HALF_POINTS
+    R = np.where(S < _NARROW * h[:, None], 3, (_Z_MAX * S / h[:, None]).astype(int))
+    R[S == 0.0] = 0           # kernel half-widths in lattice points
+    size = R.sum(axis=1) + 1  # each row's half lattice w = h (0..n)
+    w = np.repeat(np.sqrt(2.0) * h, size) \
+        * (np.arange(size.sum()) - np.repeat(_starts(size), size))
+    Y = w + np.log1p(np.exp(-2.0 * w)) - np.log(2.0)   # log cosh(sqrt(2) w)
+    for k in range(Q.shape[1] - 1, -1, -1):
+        on = S[:, k] > 0.0
+        if not on.any():
             continue
-        inner = zetas[k - 1] * Y
-        m = _exp_shifted(inner)
-        Y = (np.log(_gauss_mean(inner, s[k], h)) + m) / zetas[k - 1]
-    return float(q[-1] - _gauss_mean(Y, s[0], h)[0])
+        rows = np.repeat(on, size)
+        F, rest, n, r = Y[rows], Y[~rows], size[on], R[on, k]
+        if k:   # exp(zeta_k Y_k), shifted by each row's maximum
+            F *= zetas[k - 1]
+            m = np.maximum.reduceat(F, _starts(n))
+            F -= np.repeat(m, n)
+            np.exp(F, out=F)
+        # each row mirrored out to w = -r h, as it is even, and correlated
+        # with its kernel, which is symmetric, so this is the convolution
+        T = _taps(S[on, k], h[on], r)
+        F = np.concatenate([
+            np.correlate(np.concatenate((F[i + v:i:-1], F[i:i + u])),
+                         T[c:c + 2 * v + 1])
+            for i, u, v, c in zip(_starts(n).tolist(), n.tolist(), r.tolist(),
+                                  _starts(2 * r + 1).tolist())])
+        size[on] -= r
+        if k:
+            F = (np.log(F) + np.repeat(m, size[on])) / zetas[k - 1]
+        rows = np.repeat(on, size)
+        Y = np.empty(rows.size)
+        Y[rows], Y[~rows] = F, rest
+    return Q[:, -1] - Y
 
 
 def one_spin_initial_condition() -> InitialCondition:
     """The t = 0 free-energy functional as an initial condition on C^j.
 
     A row of coordinates is the quantile path of the measure with atom
-    x_k from level t_{k-1} on, so psi^j(x) is ``_one_spin_value`` at
-    zetas t_1, ..., t_{|j|-1}.
+    x_k from level t_{k-1} on, so psi^j(x) is ``one_spin_psi`` at zetas
+    t_1, ..., t_{|j|-1}; all rows of a call go through
+    ``_one_spin_values`` at once.
     """
 
     def fn(j, X):
-        return [_one_spin_value(x, j.breaks[:-1]) for x in X]
+        return _one_spin_values(X, j.breaks[:-1])
 
     return InitialCondition.custom(fn, lip_l1=1.0)
 

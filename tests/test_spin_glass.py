@@ -17,8 +17,8 @@ from conehj import (CascadeSpec, CovarianceModel, DiscreteMeasure,
                     moment_normalization, one_spin_initial_condition,
                     one_spin_psi, project_pj, sample_cascade)
 from conehj import spin_glass
-from conehj.spin_glass import (FreeEnergyEstimate, _replica_bytes,
-                               _replica_value, _sign_matrix,
+from conehj.spin_glass import (FreeEnergyEstimate, _one_spin_values,
+                               _replica_bytes, _replica_value, _sign_matrix,
                                pd_squared_weight)
 
 HALF = DiscreteMeasure(np.array([0.0, 0.3]), np.array([0.0, 0.5, 1.0]))
@@ -318,6 +318,89 @@ def test_one_spin_initial_condition_on_paths():
     merged = [HALF, DiscreteMeasure.delta(0.2), DiscreteMeasure.delta(0.3)]
     assert psi.eval_coords(Partition.uniform(4), X).tolist() \
         == [one_spin_psi(m) for m in merged]
+
+
+def _one_spin_value_reference(q, zetas):
+    """One row as first formulated: the full lattice w = h (-n..n), one
+    level after another, the Taylor rule as three terms and a zero step
+    skipped."""
+    s = np.sqrt(np.maximum(np.diff(q, prepend=0.0), 0.0))
+    h = (8.1 * s.sum() + 1.0) / 300
+
+    def radius(v):
+        return 0 if v == 0.0 else 3 if v < 1.25 * h else int(8.1 * v / h)
+
+    def mean(F, v):
+        r = radius(v)
+        if r == 0:
+            return F
+        if v < 1.25 * h:
+            a = (v / h) ** 2
+            d2 = np.convolve(F, np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0,
+                             mode="valid")[1:-1]
+            d4 = np.convolve(F, np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0,
+                                          -1.0]) / 6.0, mode="valid")
+            return F[3:-3] + 0.5 * a * d2 + 0.125 * a * a * d4
+        g = np.exp(-0.5 * (np.arange(-r, r + 1) * (h / v)) ** 2)
+        return np.convolve(F, g / g.sum(), mode="valid")
+
+    n = sum(radius(v) for v in s)
+    w = math.sqrt(2.0) * h * np.abs(np.arange(-n, n + 1))
+    Y = w + np.log1p(np.exp(-2.0 * w)) - math.log(2.0)
+    for k in range(q.size - 1, 0, -1):
+        if s[k] > 0.0:
+            inner = zetas[k - 1] * Y
+            m = inner.max()
+            Y = (np.log(mean(np.exp(inner - m), s[k])) + m) / zetas[k - 1]
+    return float(q[-1] - mean(Y, s[0])[0])
+
+
+def _one_spin_batches(n, seed, count=8):
+    """Random batches of 1-64 rows of n atoms with shared levels.  Each
+    step (the first atom included) is 0 (a tie, or a zero first atom),
+    1e-12, in the Taylor range below 1.25 h, or of order 0.1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        P = int(rng.integers(1, 65))
+        kind = rng.integers(0, 4, (P, n))
+        steps = np.choose(kind, [np.zeros((P, n)), np.full((P, n), 1e-12),
+                                 10 ** rng.uniform(-9.0, -5.5, (P, n)),
+                                 rng.uniform(0.01, 0.4, (P, n))])
+        yield np.cumsum(steps, axis=1), np.sort(rng.uniform(0.05, 0.95, n - 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_spin_values_give_each_row_its_value_alone(n):
+    for Q, zetas in _one_spin_batches(n, seed=n):
+        got = _one_spin_values(Q, zetas)
+        assert got.tolist() == [_one_spin_values(Q[p:p + 1], zetas)[0]
+                                for p in range(Q.shape[0])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_spin_values_match_the_full_lattice_reference(n):
+    taylor = 0
+    for Q, zetas in _one_spin_batches(n, seed=100 + n):
+        S = np.sqrt(np.diff(Q, axis=1, prepend=0.0))
+        h = (8.1 * S.sum(axis=1) + 1.0) / 300
+        taylor += np.count_nonzero((S > 1e-6) & (S < 1.25 * h[:, None]))
+        for q, got in zip(Q, _one_spin_values(Q, zetas)):
+            ref = _one_spin_value_reference(q, zetas)
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (q, zetas)
+    assert taylor > 0   # the Taylor rule is exercised beyond the 1e-12 steps
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_spin_values_skip_a_zero_step_bit_for_bit(n):
+    # a row with tied atoms gives bit for bit the value of the row that
+    # merges them, whose levels drop the tied atoms' own
+    for Q, zetas in _one_spin_batches(n, seed=200 + n, count=4):
+        levels = np.concatenate(([0.0], zetas))
+        for q, got in zip(Q, _one_spin_values(Q, zetas)):
+            keep = np.diff(q, prepend=-1.0) > 0.0
+            keep[0] = True
+            merged = _one_spin_values(q[keep][None], levels[keep][1:])[0]
+            assert got == merged, q
 
 
 @pytest.mark.parametrize("route", [hopf_lax, hopf_lax_1d],
