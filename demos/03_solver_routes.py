@@ -21,14 +21,15 @@ rng = np.random.default_rng(1)
 # a smooth increasing convex separable datum (softplus mixture)
 psi = InitialCondition.softplus([0.4, 0.5], [0.3, 1.2], [0.4, 0.8])
 
+# a point of H^j carries its partition j, and every route reads j from it
 j = Partition.uniform(3)
 x = ConePoint(j, np.cumsum(rng.uniform(0.0, 0.8, 3)))
 t = 0.5
 
-v1 = hopf_lax(psi, model, j, t, x)
-v2 = hopf_lax_separable(psi, model, j, t, x)
-v3 = hopf(psi, model, j, t, x)
-v4 = hopf_lax_1d(psi, model, j, t, x)
+v1 = hopf_lax(psi, model, t, x)
+v2 = hopf_lax_separable(psi, model, t, x)
+v3 = hopf(psi, model, t, x)
+v4 = hopf_lax_1d(psi, model, t, x)
 print(f"hopf_lax            {v1:.12f}")
 print(f"hopf_lax_separable  {v2:.12f}  (gap {abs(v2 - v1):.1e})")
 print(f"hopf                {v3:.12f}  (gap {abs(v3 - v1):.1e})")
@@ -40,11 +41,11 @@ lin = InitialCondition.linear(h)
 hj = ConePoint(j, h.values)
 closed = x.inner(hj) + t * bold_xi(hj, regularize(model))
 print(f"linear closed form  {closed:.12f}  "
-      f"(solver gap {abs(hopf_lax(lin, model, j, t, x) - closed):.1e})")
+      f"(solver gap {abs(hopf_lax(lin, model, t, x) - closed):.1e})")
 
-# a small space-time table of values
+# a small space-time table of values, one batch over every (t, x)
 samples = [ConePoint(j, np.cumsum(rng.uniform(0.0, 0.6, 3))) for _ in range(3)]
-surf = solve_surface(psi, model, j, [0.0, 0.25, 0.5, 1.0], samples,
+surf = solve_surface(psi, model, [0.0, 0.25, 0.5, 1.0], samples,
                      method="hopf_lax_separable")
 print("solution surface (rows = times, cols = samples):")
 print(np.round(surf.values, 5))

@@ -26,11 +26,12 @@ est1 = free_energy(inst1, spec, 2000, seed=0, threads=4)
 print(f"one-spin MC {est1.mean:.4f} +/- {est1.se:.4f}, "
       f"recursion {one_spin_psi(measure):.4f}")
 
-# the HJ-side value at the overlap measure's quantile path
+# the HJ-side value at the overlap measure's quantile path, projected
+# onto j = uniform(4): mu carries j, from which hopf_lax_1d reads it
 psi = one_spin_initial_condition()
 j = Partition.uniform(4)
 mu = project_pj(measure_to_quantile(measure), j)
-f = hopf_lax_1d(psi, CovarianceModel.sk(beta), j, t, mu)
+f = hopf_lax_1d(psi, CovarianceModel.sk(beta), t, mu)
 print(f"variational value f = {f:.5f} at t = {t}")
 
 # exact-enumeration free energies for increasing N

@@ -381,8 +381,7 @@ def crit_variational(seed=4, instances=100):
         psi = _random_softplus(rng)
         x = ConePoint(j, _random_cone_scalars(rng, n, 1.0))
         t = times[i % 3]
-        worst = _worst(worst, abs(hopf(psi, model, j, t, x)
-                                  - hopf_lax(psi, model, j, t, x)))
+        worst = _worst(worst, abs(hopf(psi, model, t, x) - hopf_lax(psi, model, t, x)))
     worst_lin = worst_lin_hopf = 0.0
     for i in range(30):
         n = int(rng.integers(1, 4))
@@ -393,9 +392,8 @@ def crit_variational(seed=4, instances=100):
         t = times[i % 3]
         hj = ConePoint(j, h.values)
         closed = x.inner(hj) + t * bold_xi(hj, reg)
-        worst_lin = _worst(worst_lin, abs(hopf_lax(psi, model, j, t, x) - closed))
-        worst_lin_hopf = _worst(worst_lin_hopf,
-                                abs(hopf(psi, model, j, t, x) - closed))
+        worst_lin = _worst(worst_lin, abs(hopf_lax(psi, model, t, x) - closed))
+        worst_lin_hopf = _worst(worst_lin_hopf, abs(hopf(psi, model, t, x) - closed))
     worst_steep = 0.0
     for i in range(instances // 5):
         n = int(rng.integers(1, 4))
@@ -403,8 +401,8 @@ def crit_variational(seed=4, instances=100):
         psi = _random_softplus(rng, lip_target=rng.uniform(1.2, 2.5))
         x = ConePoint(j, _random_cone_scalars(rng, n, 1.0))
         t = times[i % 3]
-        worst_steep = _worst(worst_steep, abs(hopf(psi, model, j, t, x)
-                                              - hopf_lax(psi, model, j, t, x)))
+        worst_steep = _worst(worst_steep, abs(hopf(psi, model, t, x)
+                                              - hopf_lax(psi, model, t, x)))
     tol, tol_lin = 1e-10, 1e-10
     return _report(5, "variational-agreement", t0,
                    worst <= tol and worst_steep <= tol
@@ -433,16 +431,16 @@ def crit_1d_reduction(seed=5, instances=100):
             psi = InitialCondition.linear(h)
         x = ConePoint(j, _random_cone_scalars(rng, n, 1.0))
         t = times[i % 3]
-        a = hopf_lax_1d(psi, model, j, t, x)
-        b = hopf_lax(psi, model, j, t, x)
+        a = hopf_lax_1d(psi, model, t, x)
+        b = hopf_lax(psi, model, t, x)
         worst = _worst(worst, abs(a - b))
     # criterion 12's half cell: the one-spin psi, a custom psi whose
     # gradient the ascent takes by central differences
     psi, model = one_spin_initial_condition(), CovarianceModel.sk(0.5)
     j = Partition.uniform(4)
     mu = project_pj(measure_to_quantile(_half_measure()), j)
-    worst_spin = _worst(*(abs(hopf_lax_1d(psi, model, j, t, mu)
-                              - hopf_lax(psi, model, j, t, mu))
+    worst_spin = _worst(*(abs(hopf_lax_1d(psi, model, t, mu)
+                              - hopf_lax(psi, model, t, mu))
                           for t in (0.25, 0.5)))
     tol = 1e-10
     return _report(6, "1d-reduction", t0, _worst(worst, worst_spin) <= tol,
@@ -602,8 +600,7 @@ def crit_lipschitz(seed=10):
     psi = _random_softplus(rng, lip_target=1.0)
     samples = [ConePoint(j16, _random_cone_scalars(rng, 16, 0.4))
                for _ in range(6)]
-    surf = solve_surface(psi, model, j16, times, samples,
-                         method="hopf_lax_separable")
+    surf = solve_surface(psi, model, times, samples, method="hopf_lax_separable")
     audits.append(lipschitz_audit(surf, psi, model))
     # linear data through the generic route
     j3 = Partition.uniform(3)
@@ -611,12 +608,11 @@ def crit_lipschitz(seed=10):
     psi_lin = InitialCondition.linear(h)
     samples3 = [ConePoint(j3, _random_cone_scalars(rng, 3, 1.0))
                 for _ in range(5)]
-    surf_lin = solve_surface(psi_lin, model, j3, times, samples3,
-                             method="hopf_lax")
+    surf_lin = solve_surface(psi_lin, model, times, samples3, method="hopf_lax")
     audits.append(lipschitz_audit(surf_lin, psi_lin, model))
     # convex separable data through the dual route
     psi_q = InitialCondition.quadratic_monotone(0.4, 0.3, 1.0)
-    surf_q = solve_surface(psi_q, model, j3, times, samples3, method="hopf")
+    surf_q = solve_surface(psi_q, model, times, samples3, method="hopf")
     audits.append(lipschitz_audit(surf_q, psi_q, model))
     passed = all(a["pass"] for a in audits)
     return _report(11, "lipschitz-audits", t0, passed, audits=audits)
@@ -665,7 +661,7 @@ def crit_spin_glass(seed=11, replicas=1000, threads=1):
         ("delta0", DiscreteMeasure.delta(0.0)), ("half", half))
         for t in (0.25, 0.5)]
     # the four cells share j, so one certified search solves them all
-    fs = hopf_lax_1d_batch(psi, model, j, [
+    fs = hopf_lax_1d_batch(psi, model, [
         (t, project_pj(measure_to_quantile(m), j)) for _, m, t in cells])
     bounds = {}
     for (mname, measure, t), f in zip(cells, fs):

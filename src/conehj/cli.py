@@ -130,7 +130,7 @@ def run_solve(config: dict, out: Path, seed: int, threads: int):
     times = [float(t) for t in config["times"]]
     samples = [ConePoint(j, np.asarray(s, dtype=float)) for s in config["samples"]]
     method = config.get("method", "hopf_lax")
-    surf = solve_surface(psi, model, j, times, samples, method=method)
+    surf = solve_surface(psi, model, times, samples, method=method)
     rows = [(t, si, surf.values[ti, si], method)
             for ti, t in enumerate(surf.times) for si in range(len(samples))]
     write_csv(out / "solve.csv", ["t", "sample_id", "value", "method"], rows)
@@ -206,7 +206,7 @@ def run_spinglass(config: dict, out: Path, seed: int, threads: int):
     mu = project_pj(measure_to_quantile(measure), j)
     times = [float(t) for t in config["t_list"]]
     f = dict(zip(times, map(float, hopf_lax_1d_batch(
-        psi, model, j, [(t, mu) for t in times]))))
+        psi, model, [(t, mu) for t in times]))))
     rows = []
     results = {}
     for t in config["t_list"]:

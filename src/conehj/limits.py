@@ -21,10 +21,10 @@ from .solvers import (KIND_SEPARABLE, InitialCondition, SolutionSurface,
 
 def _solve(psi: InitialCondition, model: CovarianceModel,
            cases) -> np.ndarray:
-    """f(t, x) at each (j, t, x) of ``cases``; separable psi shares one search."""
+    """f(t, x) at each (t, x) of ``cases``; separable psi shares one search."""
     if psi.kind == KIND_SEPARABLE:
         return hopf_lax_separable_batch(psi, model, cases)
-    return np.array([hopf_lax(psi, model, j, t, x) for j, t, x in cases])
+    return np.array([hopf_lax(psi, model, t, x) for t, x in cases])
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def rate_study(psi: InitialCondition, model: CovarianceModel, chain,
     for jc, jf in gaps:
         for t, mu in test_points:
             x_fine = project_pj(mu, jf)
-            cases += [(jf, t, x_fine), (jc, t, project_pj(lift_lj(x_fine), jc))]
+            cases += [(t, x_fine), (t, project_pj(lift_lj(x_fine), jc))]
             scales.append(max(t + x_fine.norm(), 1e-12))
     f = _solve(psi, model, cases).reshape(len(gaps), -1, 2)
     gap = np.abs(f[..., 1] - f[..., 0]) / np.reshape(scales, f.shape[:2])

@@ -41,8 +41,8 @@ class CovarianceModel:
         for p, c in self.poly.items():
             if int(p) < 2:
                 raise InvalidInputError("polynomial exponents must be >= 2")
-            if c < 0:
-                raise InvalidInputError("coefficients beta_p^2 must be >= 0")
+            if not 0 <= c < np.inf:
+                raise InvalidInputError("coefficients beta_p^2 must be finite and >= 0")
         # read-only, since ``regularize`` caches its result on the model
         object.__setattr__(self, "poly", MappingProxyType(
             {int(p): float(c) for p, c in self.poly.items()}))

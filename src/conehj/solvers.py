@@ -19,7 +19,8 @@ Hamiltonian xibar = ``regularize(model)``, so they agree for convex
 nonlinearities and admissible initial data, which the test suite
 exploits as a cross-check.
 
-The three certified routes take many cases at once: ``hopf_batch``,
+Each route reads the partition j from its point, as a point of H^j fixes j.
+The three certified routes take many (t, x) cases at once: ``hopf_batch``,
 ``hopf_lax_separable_batch`` and ``hopf_lax_1d_batch`` run one search for
 all of them, and the one-case route is the batch of one.  A case's search
 depends on its own values only, so each value of a batch equals the
@@ -190,7 +191,6 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 class SolutionSurface:
     """Tabulated values f(t, x) on a time grid and spatial sample set."""
 
-    partition: Partition
     times: np.ndarray
     samples: tuple
     values: np.ndarray  # shape (len(times), len(samples))
@@ -210,11 +210,11 @@ class SolutionSurface:
 # shared optimization helpers
 
 def _require(psi: InitialCondition, model: CovarianceModel, x: ConePoint,
-             t: float, route: str, name: str = "x"):
+             t: float, route: str):
     """Preconditions shared by every route.
 
     xi is a CovarianceModel, the point has D = 1, psi is
-    dual-increasing, the point lies in the cone and t >= 0.
+    dual-increasing, the point lies in the cone and t is finite, >= 0.
     """
     if not isinstance(model, CovarianceModel):
         raise InvalidInputError(f"{route} takes the CovarianceModel xi")
@@ -223,21 +223,21 @@ def _require(psi: InitialCondition, model: CovarianceModel, x: ConePoint,
     if not psi.dual_increasing:
         raise InvalidInputError(f"{route} requires a dual-increasing psi")
     if not is_in_cone(x):
-        raise InvalidInputError(f"{name} must lie in the cone")
-    if t < 0:
-        raise InvalidInputError("t must be nonnegative")
+        raise InvalidInputError("x must lie in the cone")
+    if not 0.0 <= t < np.inf:
+        raise InvalidInputError("t must be nonnegative and finite")
 
 
 def _coordinates(cases):
-    """The coordinates of (j, t, x) cases in one array, and each one's t."""
-    return (np.concatenate([np.full(j.size, float(t)) for j, t, _ in cases]),
-            np.concatenate([x.scalars for _, _, x in cases]))
+    """The coordinates of (t, x) cases in one array, and each one's t."""
+    return (np.concatenate([np.full(x.partition.size, float(t)) for t, x in cases]),
+            np.concatenate([x.scalars for _, x in cases]))
 
 
 def _integrate_cases(cases, values: np.ndarray) -> np.ndarray:
-    """Per case, the cell integral of its coordinates' entries of ``values``."""
-    ends = np.cumsum([j.size for j, _, _ in cases])[:-1]
-    return np.array([float(j.integrate(v)) for (j, _, _), v
+    """Per case, the cell integral over x's partition of its entries of ``values``."""
+    ends = np.cumsum([x.partition.size for _, x in cases])[:-1]
+    return np.array([float(x.partition.integrate(v)) for (_, x), v
                      in zip(cases, np.split(values, ends))])
 
 
@@ -420,8 +420,8 @@ def _polish(value, gradient, starts: list, reg, w: np.ndarray,
 # ---------------------------------------------------------------------------
 # Hopf-Lax
 
-def hopf_lax(psi: InitialCondition, model: CovarianceModel, j: Partition,
-             t: float, x: ConePoint) -> float:
+def hopf_lax(psi: InitialCondition, model: CovarianceModel, t: float,
+             x: ConePoint) -> float:
     """sup over cone increments y of psi^j(x + y) - t * sum_k w_k xibar*(y_k / t).
 
     The inner infimum over dual slopes collapses to the pointwise
@@ -433,14 +433,14 @@ def hopf_lax(psi: InitialCondition, model: CovarianceModel, j: Partition,
     _require(psi, model, x, t, "hopf_lax")
     if t == 0.0:
         return psi.eval_point(x)
-    reg = regularize(model)
+    reg, j = regularize(model), x.partition
     value, gradient = _penalized(psi, reg, j, t, x.scalars)
     starts = _lattice_starts(value, j.size, reg.slope_cap * t)
     return _polish(value, gradient, starts, reg, j.widths, t)
 
 
 def hopf_lax_separable(psi: InitialCondition, model: CovarianceModel,
-                       j: Partition, t: float, x: ConePoint) -> float:
+                       t: float, x: ConePoint) -> float:
     """Fast Hopf-Lax path for separable psi (any |j|).
 
     The profile phi must be convex and nondecreasing (see
@@ -450,12 +450,12 @@ def hopf_lax_separable(psi: InitialCondition, model: CovarianceModel,
     increasing differences, so the unconstrained per-coordinate suprema
     attain the constrained value.
     """
-    return float(hopf_lax_separable_batch(psi, model, [(j, t, x)])[0])
+    return float(hopf_lax_separable_batch(psi, model, [(t, x)])[0])
 
 
 def hopf_lax_separable_batch(psi: InitialCondition, model: CovarianceModel,
                              cases) -> np.ndarray:
-    """``hopf_lax_separable`` at each (j, t, x) of ``cases``.
+    """``hopf_lax_separable`` at each (t, x) of ``cases``.
 
     Every coordinate of every case goes through one per-coordinate
     search, whose entries do not depend on the rest of the batch, so each
@@ -463,7 +463,7 @@ def hopf_lax_separable_batch(psi: InitialCondition, model: CovarianceModel,
     """
     if psi.kind != KIND_SEPARABLE:
         raise InvalidInputError("separable path requires a separable psi")
-    for j, t, x in cases:
+    for t, x in cases:
         _require(psi, model, x, t, "hopf_lax_separable")
     if not cases:
         return np.empty(0)
@@ -483,8 +483,8 @@ def hopf_lax_pointwise(phi, model: CovarianceModel, t,
     reg = regularize(model)
     t, xv = np.broadcast_arrays(np.asarray(t, dtype=float),
                                 np.asarray(xv, dtype=float))
-    if np.any(t < 0.0):
-        raise InvalidInputError("t must be nonnegative")
+    if not np.all((t >= 0.0) & (t < np.inf)):
+        raise InvalidInputError("t must be nonnegative and finite")
     out = np.array(phi(xv), dtype=float)
     pos = t > 0.0
     x, tt = xv[pos], t[pos]
@@ -557,8 +557,8 @@ def _phi_conjugate(psi: InitialCondition, z: np.ndarray, lo: np.ndarray,
     return (np.where(take_hi, at_hi, at_lo), np.where(take_hi, hi, lo), lo, hi)
 
 
-def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
-         t: float, x: ConePoint) -> float:
+def hopf(psi: InitialCondition, model: CovarianceModel, t: float,
+         x: ConePoint) -> float:
     """sup over cone slopes z of <x, z> - psi^{j*}(z) + t sum_k w_k xibar(z_k).
 
     Requires convex psi.  For linear psi = <h, .> the conjugate is 0 on
@@ -572,19 +572,19 @@ def hopf(psi: InitialCondition, model: CovarianceModel, j: Partition,
     the conjugate +inf), which truncates the search region.  The one-case
     batch of ``hopf_batch``.
     """
-    return float(hopf_batch(psi, model, [(j, t, x)])[0])
+    return float(hopf_batch(psi, model, [(t, x)])[0])
 
 
 def hopf_batch(psi: InitialCondition, model: CovarianceModel,
                cases) -> np.ndarray:
-    """``hopf`` at each (j, t, x) of ``cases``.
+    """``hopf`` at each (t, x) of ``cases``.
 
     Every coordinate of every case goes through one per-coordinate
     search, whose entries do not depend on the rest of the batch, so each
     value is the one ``hopf`` computes alone, bit for bit.  Every case is
     checked before the search starts.
     """
-    for j, t, x in cases:
+    for t, x in cases:
         _require(psi, model, x, t, "hopf")
     if psi.kind == KIND_CUSTOM:
         raise InvalidInputError("hopf requires a convex psi")
@@ -595,7 +595,7 @@ def hopf_batch(psi: InitialCondition, model: CovarianceModel,
         return np.empty(0)
     tv, xv = _coordinates(cases)
     if psi.kind == KIND_LINEAR:
-        hj = np.concatenate([project_pj(psi.h, j).scalars for j, _, _ in cases])
+        hj = np.concatenate([project_pj(psi.h, x.partition).scalars for _, x in cases])
         return _integrate_cases(cases, xv * hj + tv * reg(hj))
 
     # per-coordinate objective x_k z - phi*(z) + t xibar(z) over [0, lip];
@@ -742,35 +742,36 @@ def _simplex_bounds(new_owner, new, psi_new, owner, verts, psi, penalty,
     return np.max(psi - tangent, axis=1)
 
 
-def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, j: Partition,
-                t: float, mu: ConePoint) -> float:
+def hopf_lax_1d(psi: InitialCondition, model: CovarianceModel, t: float,
+                mu: ConePoint) -> float:
     """sup over monotone nu of psi^j(nu) - t * sum_k w_k xibar*((nu_k - mu_k) / t).
 
-    psi must be convex and |j| at most 5: ``_kuhn_branch_and_bound``
-    certifies the sup over 0 <= nu_1 <= ... <= nu_n <= ub = max mu + t r_c.
-    With l = lip_l1, r_c = xibar'(l): xi'(l) when l is at most the seam
-    point s0, as the conjugate's slope s(r_c) is l there, and the slope
-    cap 2L otherwise.  Past r_c the penalty continues by a line of slope
-    l, so it is finite and convex on the whole box.  Moving nu_k back to
-    mu_k + t r_c then lowers the penalty by at least w_k l times the move
-    and psi by at most that, so the sup over the box is the sup over the
-    cone.  The conjugate is flat at -xi(0) for nonpositive slopes, so nu
-    is free to dip below mu.  t = 0 falls back to psi^j(mu) by
-    convention.  Raises InvalidInputError for |j| > 5, where ``hopf_lax``
-    serves, and as the search does.  The one-case batch of
-    ``hopf_lax_1d_batch``.
+    j is mu's partition; psi must be convex and |j| at most 5.
+    ``_kuhn_branch_and_bound`` certifies the sup over 0 <= nu_1 <= ... <=
+    nu_n <= ub = max mu + t r_c.  With l = lip_l1, r_c = xibar'(l): xi'(l)
+    when l is at most the seam point s0, as the conjugate's slope s(r_c)
+    is l there, and the slope cap 2L otherwise.  Past r_c the penalty
+    continues by a line of slope l, so it is finite and convex on the
+    whole box.  Moving nu_k back to mu_k + t r_c then lowers the penalty
+    by at least w_k l times the move and psi by at most that, so the sup
+    over the box is the sup over the cone.  The conjugate is flat at
+    -xi(0) for nonpositive slopes, so nu is free to dip below mu.  t = 0
+    falls back to psi^j(mu) by convention.  Raises InvalidInputError for
+    |j| > 5, where ``hopf_lax`` serves, and as the search does.  The
+    one-case batch of ``hopf_lax_1d_batch``.
     """
-    return float(hopf_lax_1d_batch(psi, model, j, [(t, mu)])[0])
+    return float(hopf_lax_1d_batch(psi, model, [(t, mu)])[0])
 
 
 def hopf_lax_1d_batch(psi: InitialCondition, model: CovarianceModel,
-                      j: Partition, cases) -> np.ndarray:
-    """``hopf_lax_1d`` at each (t, mu) of ``cases``, every mu on j.
+                      cases) -> np.ndarray:
+    """``hopf_lax_1d`` at each (t, mu) of ``cases``, every mu on one partition j.
 
-    Every case is checked before psi is first evaluated.  A case with
-    t = 0 takes ``psi.eval_point(mu)``; the others share one
-    ``_kuhn_branch_and_bound`` search, which evaluates psi on the rows of
-    all of them in one ``eval_coords`` call a round.  Each case's
+    Every case is checked before psi is first evaluated, and a batch on
+    more than one partition is refused, as one search evaluates psi^j for
+    a single j.  A case with t = 0 takes ``psi.eval_point(mu)``; the others
+    share one ``_kuhn_branch_and_bound`` search, which evaluates psi on
+    the rows of all of them in one ``eval_coords`` call a round.  Each case's
     simplices depend on its own values only, so each value is the one
     ``hopf_lax_1d`` computes alone, bit for bit, when psi's value on a
     row does not depend on the other rows: by construction for linear and
@@ -779,9 +780,12 @@ def hopf_lax_1d_batch(psi: InitialCondition, model: CovarianceModel,
     case's error.
     """
     for t, mu in cases:
-        _require(psi, model, mu, t, "hopf_lax_1d", "mu")
-        if mu.partition != j:
-            raise InvalidInputError("every mu must lie on the partition j")
+        _require(psi, model, mu, t, "hopf_lax_1d")
+    if len({mu.partition for _, mu in cases}) > 1:
+        raise InvalidInputError("hopf_lax_1d_batch takes points on one partition only")
+    if not cases:
+        return np.empty(0)
+    j = cases[0][1].partition
     n = j.size
     if n > _SIMPLEX_MAX_SIZE:
         raise InvalidInputError(
@@ -815,29 +819,28 @@ def hopf_lax_1d_batch(psi: InitialCondition, model: CovarianceModel,
 # ---------------------------------------------------------------------------
 # surfaces
 
-def solve_surface(psi: InitialCondition, model: CovarianceModel, j: Partition,
-                  times, samples, method: str = "hopf_lax") -> SolutionSurface:
+def solve_surface(psi: InitialCondition, model: CovarianceModel, times,
+                  samples, method: str = "hopf_lax") -> SolutionSurface:
     """Tabulate the chosen formula over a time grid and sample set.
 
-    ``hopf``, ``hopf_lax_separable`` and ``hopf_lax_1d`` take every
-    (t, x) of the surface as one batch, so each runs one certified search
-    for the whole surface; each value equals the route's one-case call bit
-    for bit.  ``hopf_lax``, the DC ascent, solves point by point.
+    Each sample carries its partition.  ``hopf``, ``hopf_lax_separable``
+    and ``hopf_lax_1d`` take every (t, x) of the surface as one batch, so
+    each runs one certified search for the whole surface; each value
+    equals the route's one-case call bit for bit.  ``hopf_lax``, the DC
+    ascent, solves point by point.
     """
     # looked up per call, so a route rebound on this module is the one run
     routes = {
-        "hopf_lax": lambda cases: [hopf_lax(psi, model, j, t, x)
-                                   for t, x in cases],
-        "hopf_lax_separable": lambda cases: hopf_lax_separable_batch(
-            psi, model, [(j, t, x) for t, x in cases]),
-        "hopf": lambda cases: hopf_batch(psi, model,
-                                         [(j, t, x) for t, x in cases]),
-        "hopf_lax_1d": lambda cases: hopf_lax_1d_batch(psi, model, j, cases),
+        "hopf_lax": lambda psi, model, cases: [hopf_lax(psi, model, t, x)
+                                               for t, x in cases],
+        "hopf_lax_separable": hopf_lax_separable_batch,
+        "hopf": hopf_batch,
+        "hopf_lax_1d": hopf_lax_1d_batch,
     }
     if method not in routes:
         raise InvalidInputError(f"unknown method {method!r}")
     times = np.asarray(times, dtype=float)
     samples = tuple(samples)
     cases = [(float(t), x) for t in times for x in samples]
-    vals = np.reshape(routes[method](cases), (times.size, len(samples)))
-    return SolutionSurface(j, times, samples, vals)
+    vals = np.reshape(routes[method](psi, model, cases), (times.size, len(samples)))
+    return SolutionSurface(times, samples, vals)

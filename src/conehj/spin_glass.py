@@ -125,8 +125,8 @@ class SkInstance:
         if self.N > 14:
             raise UnsupportedOperationError(
                 "exact spin enumeration is capped at N = 14")
-        if self.N < 1 or self.t < 0 or self.beta < 0:
-            raise InvalidInputError("need N >= 1, t >= 0, beta >= 0")
+        if not (self.N >= 1 and 0 <= self.t < np.inf and 0 <= self.beta < np.inf):
+            raise InvalidInputError("need N >= 1 and finite t >= 0, beta >= 0")
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,27 @@ def test_removed_keys_and_bad_nested_objects_exit_1(tmp_path, capsys,
     assert err.startswith("error: ") and expected in err
 
 
+@pytest.mark.parametrize("command, config, expected", [
+    ("solve", dict(SOLVE_CONFIG, times=[float("nan")]), "t must be nonnegative"),
+    ("solve", dict(SOLVE_CONFIG, times=[float("inf")]), "t must be nonnegative"),
+    ("solve", dict(SOLVE_CONFIG, xi={"poly": {"2": float("nan")}}),
+     "must be finite"),
+    ("spinglass", dict(SPINGLASS_CONFIG, t_list=[float("nan")]),
+     "t must be nonnegative"),
+    ("spinglass", dict(SPINGLASS_CONFIG, t_list=[float("inf")]),
+     "t must be nonnegative"),
+    ("spinglass", dict(SPINGLASS_CONFIG, beta=float("nan")), "must be finite"),
+], ids=["solve-t-nan", "solve-t-inf", "solve-xi-nan", "spinglass-t-nan",
+        "spinglass-t-inf", "spinglass-beta-nan"])
+def test_non_finite_config_values_exit_1(tmp_path, capsys, command, config,
+                                         expected):
+    # json reads NaN and Infinity; no route may turn them into a value
+    assert _run(tmp_path, command, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_compare_with_a_matrix_xi_exits_1(tmp_path, capsys):
     cfg = {"psi": {"kind": "softplus",
                    "profile": {"weights": [0.5], "thresholds": [0.5],
@@ -357,7 +378,7 @@ def test_spinglass_solves_its_t_list_in_one_search(tmp_path, monkeypatch):
         DiscreteMeasure.from_json(SPINGLASS_MEASURE)), j)
     for t in cfg["t_list"]:
         assert bound[str(t)]["f"] == solvers.hopf_lax_1d(
-            one_spin_initial_condition(), CovarianceModel.sk(0.5), j, t, mu)
+            one_spin_initial_condition(), CovarianceModel.sk(0.5), t, mu)
 
 
 def test_hopf_lax_1d_past_five_coordinates_exits_1(tmp_path, capsys,

@@ -105,8 +105,8 @@ def test_restriction_error_definition():
     t, mu = seeded_test_points(2, count=1, fine=32)[0]
     x_fine = project_pj(mu, jf)
     x_coarse = project_pj(lift_lj(x_fine), jc)
-    f_fine = hopf_lax_separable(psi, MODEL, jf, t, x_fine)
-    f_restr = hopf_lax_separable(psi, MODEL, jc, t, x_coarse)
+    f_fine = hopf_lax_separable(psi, MODEL, t, x_fine)
+    f_restr = hopf_lax_separable(psi, MODEL, t, x_coarse)
     direct = abs(f_restr - f_fine) / (t + x_fine.norm())
     study = rate_study(psi, MODEL,
                        [jc, jf, Partition.uniform(16)], [(t, mu)])
@@ -119,7 +119,7 @@ def test_lipschitz_audit_passes_on_solved_surface():
     rng = np.random.default_rng(3)
     samples = [ConePoint(j, np.cumsum(rng.uniform(0, 0.3, 8)))
                for _ in range(5)]
-    surf = solve_surface(psi, MODEL, j, [0.0, 0.5, 1.0], samples,
+    surf = solve_surface(psi, MODEL, [0.0, 0.5, 1.0], samples,
                          method="hopf_lax_separable")
     rep = lipschitz_audit(surf, psi, MODEL)
     assert rep["pass"]
@@ -134,6 +134,6 @@ def test_lipschitz_audit_flags_fabricated_surface():
     samples = (ConePoint(j, [0.0, 0.0]), ConePoint(j, [0.1, 0.1]))
     # a fake surface with a spatial jump far beyond lip bounds
     vals = np.array([[0.0, 5.0], [0.0, 5.0]])
-    surf = SolutionSurface(j, np.array([0.0, 1.0]), samples, vals)
+    surf = SolutionSurface(np.array([0.0, 1.0]), samples, vals)
     rep = lipschitz_audit(surf, psi, MODEL)
     assert not rep["pass"]

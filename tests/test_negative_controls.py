@@ -74,6 +74,12 @@ def _hopf_lax_1d_nan(*args, **kwargs):
     return np.nan
 
 
+def _hopf_lax_1d_batch_raised(psi, model, cases):
+    # f raised by 0.0224: at seed 11 and 200 replicas the smallest raise
+    # that fails the bound is 0.02234, as c/N takes back N0/N of it
+    return solvers.hopf_lax_1d_batch(psi, model, cases) + 0.0224
+
+
 class _FluxRaised(Regularization):
     """xibar (1 + 3e-3) as the Lax-Friedrichs flux; slope cap 2L unchanged."""
 
@@ -164,6 +170,8 @@ CONTROLS = [
      _mono_conjugate_pairing_scaled),
     (acceptance.crit_lipschitz, {"seed": 11}, acceptance, "lipschitz_audit",
      _lipschitz_audit_halved),
+    (acceptance.crit_spin_glass, {"seed": 11, "replicas": 200}, acceptance,
+     "hopf_lax_1d_batch", _hopf_lax_1d_batch_raised),
     (acceptance.crit_determinism, {"seed": 13, "threads": 2}, cli,
      "free_energy", _free_energy_reversed_when_threaded),
 ]

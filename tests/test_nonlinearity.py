@@ -35,6 +35,9 @@ def test_model_rejects_bad_poly():
         CovarianceModel(poly={1: 1.0})
     with pytest.raises(InvalidInputError):
         CovarianceModel(poly={2: -1.0})
+    for c in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="finite"):
+            CovarianceModel(poly={2: c})
 
 
 def test_model_json_round_trip():

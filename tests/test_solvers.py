@@ -73,9 +73,9 @@ def test_all_routes_return_psi_at_time_zero():
     psi = _softplus_psi(1)
     x = ConePoint(j, [0.3, 0.8])
     v0 = psi.eval_point(x)
-    assert hopf_lax(psi, MODEL, j, 0.0, x) == pytest.approx(v0)
-    assert hopf_lax_separable(psi, MODEL, j, 0.0, x) == pytest.approx(v0)
-    assert hopf_lax_1d(psi, MODEL, j, 0.0, x) == pytest.approx(v0)
+    assert hopf_lax(psi, MODEL, 0.0, x) == pytest.approx(v0)
+    assert hopf_lax_separable(psi, MODEL, 0.0, x) == pytest.approx(v0)
+    assert hopf_lax_1d(psi, MODEL, 0.0, x) == pytest.approx(v0)
 
 
 def test_separable_route_is_exact_at_time_zero():
@@ -85,7 +85,7 @@ def test_separable_route_is_exact_at_time_zero():
     j = Partition.uniform(3)
     psi = _softplus_psi(1)
     x = ConePoint(j, [0.1, 0.3, 0.8])
-    assert hopf_lax_separable(psi, MODEL, j, 0.0, x) == psi.eval_point(x)
+    assert hopf_lax_separable(psi, MODEL, 0.0, x) == psi.eval_point(x)
     np.testing.assert_array_equal(
         hopf_lax_pointwise(psi.phi, MODEL, 0.0, x.scalars), psi.phi(x.scalars))
     rng = np.random.default_rng(1)
@@ -93,7 +93,7 @@ def test_separable_route_is_exact_at_time_zero():
         j = Partition.uniform(n)
         for _ in range(20):
             x = ConePoint(j, np.cumsum(rng.uniform(0.0, 1.0, n)))
-            assert hopf_lax_separable(psi, MODEL, j, 0.0, x) == psi.eval_point(x)
+            assert hopf_lax_separable(psi, MODEL, 0.0, x) == psi.eval_point(x)
 
 
 def test_solution_increases_in_time():
@@ -101,7 +101,7 @@ def test_solution_increases_in_time():
     j = Partition.uniform(2)
     psi = _softplus_psi(2)
     x = ConePoint(j, [0.2, 0.6])
-    vals = [hopf_lax_separable(psi, MODEL, j, t, x) for t in (0.0, 0.25, 1.0)]
+    vals = [hopf_lax_separable(psi, MODEL, t, x) for t in (0.0, 0.25, 1.0)]
     assert vals[0] <= vals[1] + 1e-10 <= vals[2] + 2e-10
 
 
@@ -113,10 +113,10 @@ def test_four_routes_agree_on_separable_data():
         psi = _softplus_psi(100 + i, lip=0.9)
         x = ConePoint(j, np.cumsum(rng.uniform(0, 1, n)))
         t = (0.1, 0.5, 1.0)[i % 3]
-        a = hopf_lax(psi, MODEL, j, t, x)
-        b = hopf_lax_separable(psi, MODEL, j, t, x)
-        c = hopf(psi, MODEL, j, t, x)
-        d = hopf_lax_1d(psi, MODEL, j, t, x)
+        a = hopf_lax(psi, MODEL, t, x)
+        b = hopf_lax_separable(psi, MODEL, t, x)
+        c = hopf(psi, MODEL, t, x)
+        d = hopf_lax_1d(psi, MODEL, t, x)
         assert b == pytest.approx(a, abs=1e-6)
         assert c == pytest.approx(a, abs=1e-6)
         assert d == pytest.approx(a, abs=1e-6)
@@ -136,8 +136,44 @@ def test_linear_closed_form():
         hj = ConePoint(j, h.values)
         for t in (0.1, 1.0):
             closed = x.inner(hj) + t * bold_xi(hj, REG)
-            assert hopf_lax(psi, MODEL, j, t, x) == pytest.approx(closed, abs=1e-6)
-            assert hopf(psi, MODEL, j, t, x) == pytest.approx(closed, abs=1e-6)
+            assert hopf_lax(psi, MODEL, t, x) == pytest.approx(closed, abs=1e-6)
+            assert hopf(psi, MODEL, t, x) == pytest.approx(closed, abs=1e-6)
+
+
+def test_every_route_reads_the_partition_from_its_point():
+    # linear psi on a non-uniform j, which only the points carry:
+    # f = <x, h^j> + t sum_k w_k xibar(h^j_k), mixed with a uniform j in the
+    # batches that take mixed partitions
+    h = StepPath(Partition.uniform(4), np.array([0.2, 0.4, 0.7, 1.3]))
+    lin = InitialCondition.linear(h)
+    # phi(r) = 0.6 r: psi = <0.6, .> for the separable routes
+    sep = InitialCondition.separable(lambda r: 0.6 * np.asarray(r, float), 0.6)
+    times = (0.1, 0.5, 1.0)
+    points = [ConePoint(Partition(np.array([0.1, 0.2, 1.0])), [0.1, 0.5, 0.9]),
+              ConePoint(Partition.uniform(2), [0.3, 0.8])]
+
+    def closed(psi, t, x):
+        j = x.partition
+        hj = project_pj(psi.h, j).scalars if psi is lin else np.full(j.size, 0.6)
+        return float(j.widths @ (x.scalars * hj + t * REG(hj)))
+
+    for psi, routes, batches in [
+            (lin, (hopf, hopf_lax, hopf_lax_1d),
+             (solvers.hopf_batch, solvers.hopf_lax_1d_batch)),
+            (sep, (hopf_lax_separable,), (solvers.hopf_lax_separable_batch,))]:
+        for route in routes:
+            for x in points:
+                for t in times:
+                    assert abs(route(psi, MODEL, t, x) - closed(psi, t, x)) \
+                        <= 1e-10, (route.__name__, t)
+        for batch_of in batches:
+            # hopf_lax_1d_batch takes one partition: the non-uniform one
+            cases = [(t, x) for x in points for t in times]
+            if batch_of is solvers.hopf_lax_1d_batch:
+                cases = cases[:len(times)]
+            want = [closed(psi, t, x) for t, x in cases]
+            np.testing.assert_allclose(batch_of(psi, MODEL, cases), want,
+                                       rtol=0.0, atol=1e-10)
 
 
 def test_linear_hopf_dominates_every_feasible_slope():
@@ -153,7 +189,7 @@ def test_linear_hopf_dominates_every_feasible_slope():
         hj = project_pj(h, j).scalars
         x = ConePoint(j, np.cumsum(rng.uniform(0, 1, n)))
         t = float(rng.uniform(0.0, 1.0))
-        value = hopf(psi, MODEL, j, t, x)
+        value = hopf(psi, MODEL, t, x)
         w = j.widths
 
         def tail(v):
@@ -172,14 +208,14 @@ def test_hopf_requires_convexity():
     psi = InitialCondition.custom(lambda j, X: np.zeros(len(X)), lip_l1=1.0)
     x = ConePoint(j, [0.1, 0.2])
     with pytest.raises(InvalidInputError, match="convex"):
-        hopf(psi, MODEL, j, 0.5, x)
+        hopf(psi, MODEL, 0.5, x)
 
 
 def test_hopf_needs_the_profile_derivative():
     j = Partition.uniform(2)
     psi = InitialCondition.separable(lambda r: 0.5 * np.asarray(r, float), lip=0.5)
     with pytest.raises(InvalidInputError, match="derivative"):
-        hopf(psi, MODEL, j, 0.5, ConePoint(j, [0.1, 0.2]))
+        hopf(psi, MODEL, 0.5, ConePoint(j, [0.1, 0.2]))
 
 
 @pytest.mark.parametrize("psi", [
@@ -200,7 +236,7 @@ def test_hopf_rejects_custom_kind():
     psi = InitialCondition.custom(lambda j, X: 0.5 * X.sum(axis=1), 1.0)
     x = ConePoint(j, [0.1, 0.2])
     with pytest.raises(InvalidInputError):
-        hopf(psi, MODEL, j, 0.5, x)
+        hopf(psi, MODEL, 0.5, x)
 
 
 def test_solvers_reject_points_outside_cone():
@@ -208,9 +244,9 @@ def test_solvers_reject_points_outside_cone():
     psi = _softplus_psi(5)
     bad = ConePoint(j, [0.5, 0.1])
     with pytest.raises(InvalidInputError):
-        hopf_lax(psi, MODEL, j, 0.5, bad)
+        hopf_lax(psi, MODEL, 0.5, bad)
     with pytest.raises(InvalidInputError):
-        hopf_lax_1d(psi, MODEL, j, 0.5, bad)
+        hopf_lax_1d(psi, MODEL, 0.5, bad)
 
 
 def test_negative_time_rejected():
@@ -218,20 +254,44 @@ def test_negative_time_rejected():
     psi = _softplus_psi(6)
     x = ConePoint(j, [0.5])
     with pytest.raises(InvalidInputError):
-        hopf_lax(psi, MODEL, j, -0.1, x)
+        hopf_lax(psi, MODEL, -0.1, x)
     with pytest.raises(InvalidInputError, match="t must be nonnegative"):
-        hopf_lax_1d(psi, MODEL, j, -0.1, x)
+        hopf_lax_1d(psi, MODEL, -0.1, x)
     with pytest.raises(InvalidInputError, match="t must be nonnegative"):
         hopf_lax_pointwise(psi.phi, MODEL, np.array([0.5, -0.1]), x.scalars)
+
+
+ENTRY_POINTS = {
+    "hopf": lambda psi, t, x: hopf(psi, MODEL, t, x),
+    "hopf_lax": lambda psi, t, x: hopf_lax(psi, MODEL, t, x),
+    "hopf_lax_separable": lambda psi, t, x: hopf_lax_separable(psi, MODEL, t, x),
+    "hopf_lax_1d": lambda psi, t, x: hopf_lax_1d(psi, MODEL, t, x),
+    "hopf_batch": lambda psi, t, x: solvers.hopf_batch(
+        psi, MODEL, [(0.5, x), (t, x)]),
+    "hopf_lax_separable_batch": lambda psi, t, x:
+        solvers.hopf_lax_separable_batch(psi, MODEL, [(0.5, x), (t, x)]),
+    "hopf_lax_1d_batch": lambda psi, t, x: solvers.hopf_lax_1d_batch(
+        psi, MODEL, [(0.5, x), (t, x)]),
+    "hopf_lax_pointwise": lambda psi, t, x: hopf_lax_pointwise(
+        psi.phi, MODEL, np.array([0.5, t]), x.scalars),
+}
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_route_refuses_a_non_finite_t(entry, t):
+    j = Partition.uniform(2)
+    with pytest.raises(InvalidInputError, match="t must be nonnegative"):
+        ENTRY_POINTS[entry](_softplus_psi(6), t, ConePoint(j, [0.1, 0.4]))
 
 
 def test_separable_route_enforces_the_shared_preconditions():
     j = Partition.uniform(3)
     psi = InitialCondition.quadratic_monotone(0.5, 0.5, 10)
     with pytest.raises(InvalidInputError, match="t must be nonnegative"):
-        hopf_lax_separable(psi, MODEL, j, -0.5, ConePoint(j, [0.2, 0.5, 0.9]))
+        hopf_lax_separable(psi, MODEL, -0.5, ConePoint(j, [0.2, 0.5, 0.9]))
     with pytest.raises(InvalidInputError, match="x must lie in the cone"):
-        hopf_lax_separable(psi, MODEL, j, 0.5, ConePoint(j, [0.9, 0.5, 0.2]))
+        hopf_lax_separable(psi, MODEL, 0.5, ConePoint(j, [0.9, 0.5, 0.2]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +400,7 @@ def test_a_flat_objective_costs_at_most_max_live_midpoints_a_round(
     monkeypatch.setattr(solvers, "_branch_and_bound", counted)
     if route == "hopf":
         j = Partition.uniform(1)
-        hopf(FLAT, MODEL, j, 1.0, ConePoint(j, [0.0]))
+        hopf(FLAT, MODEL, 1.0, ConePoint(j, [0.0]))
     else:
         hopf_lax_pointwise(FLAT.phi, MODEL, 1.0, np.array([0.0]))
     assert seen["points"] <= 2 + 27 * solvers._MAX_LIVE
@@ -416,7 +476,7 @@ def test_branch_and_bound_matches_the_zoom_it_replaced(seed):
         lambda z: xv[:, None] * z - _conjugate(psi, z.ravel()).reshape(z.shape)
         + 0.7 * MODEL(z), np.zeros(5), np.full(5, psi.lip_l1), psi.lip_l1, scans)
     zoom = float(np.sum(j.widths * zoom))
-    got = hopf(psi, MODEL, j, 0.7, ConePoint(j, xv))
+    got = hopf(psi, MODEL, 0.7, ConePoint(j, xv))
     assert abs(got - zoom) <= 8 * np.spacing(max(1.0, abs(zoom)))
 
 
@@ -532,14 +592,14 @@ def test_hopf_matches_a_2_16_point_scan_of_its_outer_objective(name):
             - _conjugate(psi, s.ravel()).reshape(s.shape) + t * MODEL(s),
             np.maximum(peak - 2 * h, 0.0), np.minimum(peak + 2 * h, top), top,
             [129] * 4)
-        got = hopf(psi, MODEL, j, t, ConePoint(j, xs))
+        got = hopf(psi, MODEL, t, ConePoint(j, xs))
         assert float(np.sum(j.widths * ref)) - got <= 1e-15, t
 
 
 # ---------------------------------------------------------------------------
 # hopf_lax: the DC ascent
 
-def _gradient_of(monkeypatch, route, psi, j, t, x):
+def _gradient_of(monkeypatch, route, psi, t, x):
     """psi^j's gradient, as a route passes it to the ascent."""
     seen = {}
 
@@ -548,7 +608,7 @@ def _gradient_of(monkeypatch, route, psi, j, t, x):
         return 0.0
 
     monkeypatch.setattr(solvers, "_polish", capture)
-    route(psi, MODEL, j, t, x)
+    route(psi, MODEL, t, x)
     return seen["gradient"]
 
 
@@ -571,7 +631,7 @@ def test_route_gradient_matches_central_differences(monkeypatch, route, name):
     rng = np.random.default_rng(3)
     h = 1e-6
     for t in (0.3, 1.0):
-        gradient = _gradient_of(monkeypatch, route, psi, j, t, x)
+        gradient = _gradient_of(monkeypatch, route, psi, t, x)
         for y in np.sort(rng.uniform(0.02, 0.98, (20, 3)) * REG.slope_cap * t,
                          axis=1):
             central = [(psi.eval_point(ConePoint(j, x.scalars + y + h * e))
@@ -593,7 +653,7 @@ def test_custom_psi_keeps_finite_differences(monkeypatch):
     j = Partition.uniform(3)
     x = ConePoint(j, np.array([0.1, 0.3, 0.6]))
     gradient = _gradient_of(monkeypatch, hopf_lax,
-                            InitialCondition.custom(fn, 1.0), j, 0.5, x)
+                            InitialCondition.custom(fn, 1.0), 0.5, x)
     calls.clear()
     y = np.array([0.05, 0.2, 0.4])
     np.testing.assert_allclose(gradient(y), j.widths * (x.scalars + y),
@@ -622,7 +682,7 @@ def test_ascent_evaluates_only_points_of_the_box(monkeypatch, name):
     j = Partition.uniform(3)
     for x in ROUTE_POINTS:
         for t in ROUTE_TIMES:
-            hopf_lax(GRADIENT_PSIS[name], MODEL, j, t, ConePoint(j, np.array(x)))
+            hopf_lax(GRADIENT_PSIS[name], MODEL, t, ConePoint(j, np.array(x)))
     assert len(boxes) == 9
     for ub, points in boxes:
         steps = np.concatenate([p for p in points if len(p) == 1])
@@ -662,8 +722,8 @@ def test_ascent_runs_stay_under_the_step_ceiling(monkeypatch):
     j = Partition.uniform(3)
     for x in ROUTE_POINTS:
         for t in ROUTE_TIMES:
-            assert hopf_lax(psi, MODEL, j, t, ConePoint(j, np.array(x))) \
-                == pytest.approx(hopf(psi, MODEL, j, t, ConePoint(j, np.array(x))),
+            assert hopf_lax(psi, MODEL, t, ConePoint(j, np.array(x))) \
+                == pytest.approx(hopf(psi, MODEL, t, ConePoint(j, np.array(x))),
                                  abs=1e-12)
     assert len(steps) == 54 and max(steps) <= 30, steps
     for crit in (acceptance.crit_variational, acceptance.crit_1d_reduction):
@@ -683,7 +743,7 @@ for n in (4, 8):
     j = Partition.uniform(n)
     mu = project_pj(measure_to_quantile(_half_measure()), j)
     for t in (0.25, 0.5):
-        out[f"{n}-{t}"] = hopf_lax(psi, model, j, t, mu).hex()
+        out[f"{n}-{t}"] = hopf_lax(psi, model, t, mu).hex()
 print(json.dumps(out))
 """
 
@@ -713,7 +773,7 @@ def test_half_cell_is_not_below_the_certified_value():
     mu = project_pj(measure_to_quantile(acceptance._half_measure()), j)
     got = _half_cell_values(1)
     for t in (0.25, 0.5):
-        certified = hopf_lax_1d(psi, model, j, t, mu)
+        certified = hopf_lax_1d(psi, model, t, mu)
         assert abs(got[f"4-{t}"] - certified) <= 1e-10, t
         assert got[f"8-{t}"] >= certified - 1e-10, t
 
@@ -722,7 +782,7 @@ def test_a_run_at_the_step_cap_raises(monkeypatch):
     monkeypatch.setattr(solvers, "_ASCENT_MAX_STEPS", 1)
     j = Partition.uniform(3)
     with pytest.raises(InvalidInputError, match="after 1 steps"):
-        hopf_lax(PROFILES["bench-softplus"], MODEL, j, 0.5,
+        hopf_lax(PROFILES["bench-softplus"], MODEL, 0.5,
                  ConePoint(j, np.array([0.1, 0.4, 1.2])))
 
 
@@ -754,7 +814,7 @@ def test_hopf_lax_1d_past_the_seam_matches_the_linear_closed_form():
     x = ConePoint(j, [0.1, 0.4])
     for t in (0.1, 0.5):
         closed = float(j.widths @ (x.scalars * h + t * REG(h)))
-        assert abs(hopf_lax_1d(psi, MODEL, j, t, x) - closed) <= 1e-10, t
+        assert abs(hopf_lax_1d(psi, MODEL, t, x) - closed) <= 1e-10, t
 
 
 def test_a_search_stopped_past_the_flat_gap_raises(monkeypatch):
@@ -763,7 +823,7 @@ def test_a_search_stopped_past_the_flat_gap_raises(monkeypatch):
     monkeypatch.setattr(solvers, "_SIMPLEX_MAX_LIVE", 1)
     j = Partition.uniform(2)
     with pytest.raises(InvalidInputError, match="cannot be certified"):
-        hopf_lax_1d(_softplus_psi(2), MODEL, j, 0.5, ConePoint(j, [0.1, 0.4]))
+        hopf_lax_1d(_softplus_psi(2), MODEL, 0.5, ConePoint(j, [0.1, 0.4]))
 
 
 def test_hopf_lax_1d_refuses_a_concave_psi():
@@ -771,7 +831,7 @@ def test_hopf_lax_1d_refuses_a_concave_psi():
     psi = InitialCondition.custom(lambda j, X: -(X @ j.widths - 0.3) ** 2,
                                   lip_l1=2.0)
     with pytest.raises(InvalidInputError, match="convex"):
-        hopf_lax_1d(psi, MODEL, j, 0.5, ConePoint(j, [0.1, 0.4]))
+        hopf_lax_1d(psi, MODEL, 0.5, ConePoint(j, [0.1, 0.4]))
 
 
 def test_hopf_lax_1d_refuses_more_than_five_coordinates():
@@ -781,7 +841,7 @@ def test_hopf_lax_1d_refuses_more_than_five_coordinates():
         x = ConePoint(j, np.linspace(0.1, 0.6, n))
         for t in (0.0, 0.5):
             with pytest.raises(InvalidInputError, match="hopf_lax for finer"):
-                hopf_lax_1d(psi, MODEL, j, t, x)
+                hopf_lax_1d(psi, MODEL, t, x)
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +917,7 @@ def test_phi_conjugate_calls_for_the_routes_profile():
     j = Partition.uniform(3)
     for x in ([0.1, 0.4, 1.2], [0.5, 0.9, 1.6], [0.8, 1.7, 2.3]):
         for t in (0.1, 0.5, 1.0):
-            hopf(psi, MODEL, j, t, ConePoint(j, np.array(x)))
+            hopf(psi, MODEL, t, ConePoint(j, np.array(x)))
     assert len(calls) <= 2300, len(calls)
 
 
@@ -868,7 +928,7 @@ def test_solve_surface_shape_and_t0_row():
     j = Partition.uniform(3)
     psi = _softplus_psi(7)
     samples = [ConePoint(j, [0.0, 0.0, 0.0]), ConePoint(j, [0.2, 0.5, 0.9])]
-    surf = solve_surface(psi, MODEL, j, [0.0, 0.5], samples,
+    surf = solve_surface(psi, MODEL, [0.0, 0.5], samples,
                          method="hopf_lax_separable")
     assert surf.values.shape == (2, 2)
     for si, x in enumerate(samples):
@@ -887,8 +947,8 @@ def test_solve_surface_runs_the_named_route(route):
     samples = [ConePoint(j, [0.1, 0.4]), ConePoint(j, [0.3, 0.8]),
                ConePoint(j, [0.0, 1.1])]
     times = [0.0, 0.5, 1.0]
-    surf = solve_surface(psi, MODEL, j, times, samples, method=route.__name__)
-    direct = [[route(psi, MODEL, j, t, x) for x in samples] for t in times]
+    surf = solve_surface(psi, MODEL, times, samples, method=route.__name__)
+    direct = [[route(psi, MODEL, t, x) for x in samples] for t in times]
     np.testing.assert_array_equal(surf.values, direct)
 
 
@@ -917,15 +977,15 @@ def test_hopf_lax_1d_batch_is_bit_identical_to_each_case_alone(kind, n):
     psi = BATCH_PSIS[kind](j)
     model = CovarianceModel.sk(0.5) if kind == "one-spin" else MODEL
     cases = _mixed_cases(j, n)
-    batch = solvers.hopf_lax_1d_batch(psi, model, j, cases)
-    alone = [hopf_lax_1d(psi, model, j, t, mu) for t, mu in cases]
+    batch = solvers.hopf_lax_1d_batch(psi, model, cases)
+    alone = [hopf_lax_1d(psi, model, t, mu) for t, mu in cases]
     np.testing.assert_array_equal(batch, alone)
     for (t, mu), v in zip(cases, batch):
         if t == 0.0:
             assert v == psi.eval_point(mu)
     # and in another order, with the cases shared out differently
     np.testing.assert_array_equal(
-        solvers.hopf_lax_1d_batch(psi, model, j, cases[::-1]), alone[::-1])
+        solvers.hopf_lax_1d_batch(psi, model, cases[::-1]), alone[::-1])
 
 
 @pytest.mark.parametrize("kind", ["linear", "softplus"])
@@ -954,28 +1014,33 @@ def test_hopf_lax_1d_batch_sees_each_case_s_own_vertex_values(monkeypatch,
         return np.concatenate([r for r, _ in rows]), \
             np.concatenate([p for _, p in rows])
 
-    solvers.hopf_lax_1d_batch(psi, MODEL, j, cases)
+    solvers.hopf_lax_1d_batch(psi, MODEL, cases)
     batch = [visits(k) for k in range(len(cases))]
     for k, (t, mu) in enumerate(cases):
         seen.clear()
-        hopf_lax_1d(psi, MODEL, j, t, mu)
+        hopf_lax_1d(psi, MODEL, t, mu)
         for got, want in zip(batch[k], visits(0)):
             np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", ["linear", "softplus"])
 def test_hopf_batch_is_bit_identical_to_each_case_alone(kind):
-    # cases on two partitions share one per-coordinate search
-    cases = [(j, t, x) for n in (2, 3)
-             for j in [Partition.uniform(n)] for t, x in _mixed_cases(j, n)]
+    # cases on two partitions share one per-coordinate search, each case
+    # integrated over its own point's partition; rate_study sends the
+    # separable route such mixed batches too
+    cases = [case for n in (2, 3)
+             for case in _mixed_cases(Partition.uniform(n), n)]
     # a linear psi's h lives on |j| = 3, and project_pj maps it onto each j
     psi = BATCH_PSIS[kind](Partition.uniform(3))
-    batch = solvers.hopf_batch(psi, MODEL, cases)
-    alone = [hopf(psi, MODEL, j, t, x) for j, t, x in cases]
-    np.testing.assert_array_equal(batch, alone)
-    np.testing.assert_array_equal(solvers.hopf_batch(psi, MODEL, cases[::-1]),
-                                  alone[::-1])
-    assert solvers.hopf_batch(psi, MODEL, []).shape == (0,)
+    routes = [(hopf, solvers.hopf_batch)]
+    if psi.kind == solvers.KIND_SEPARABLE:
+        routes.append((hopf_lax_separable, solvers.hopf_lax_separable_batch))
+    for route, batch_of in routes:
+        alone = [route(psi, MODEL, t, x) for t, x in cases]
+        np.testing.assert_array_equal(batch_of(psi, MODEL, cases), alone)
+        np.testing.assert_array_equal(batch_of(psi, MODEL, cases[::-1]),
+                                      alone[::-1])
+        assert batch_of(psi, MODEL, []).shape == (0,)
 
 
 # the linear psi of ROADMAP item 2 above the seam: its sup is flat, and at
@@ -996,12 +1061,12 @@ def _seam_closed_form(t, mu):
 
 def test_each_owner_stops_or_raises_on_its_own(monkeypatch):
     assert SEAM_PSI.lip_l1 > REG._seam.s0
-    certified = [hopf_lax_1d(SEAM_PSI, MODEL, SEAM_J, t, mu)
+    certified = [hopf_lax_1d(SEAM_PSI, MODEL, t, mu)
                  for t, mu in [FLAT_CASE] + FIRM_CASES]
     monkeypatch.setattr(solvers, "_SIMPLEX_MAX_LIVE", 64)
     cases = [FIRM_CASES[0], FLAT_CASE, (0.0, FLAT_CASE[1]), FIRM_CASES[1]]
-    batch = solvers.hopf_lax_1d_batch(SEAM_PSI, MODEL, SEAM_J, cases)
-    alone = [hopf_lax_1d(SEAM_PSI, MODEL, SEAM_J, t, mu) for t, mu in cases]
+    batch = solvers.hopf_lax_1d_batch(SEAM_PSI, MODEL, cases)
+    alone = [hopf_lax_1d(SEAM_PSI, MODEL, t, mu) for t, mu in cases]
     np.testing.assert_array_equal(batch, alone)
     # the flat case stopped: off its full search, within the flat gap
     flat = _seam_closed_form(*FLAT_CASE)
@@ -1014,10 +1079,10 @@ def test_each_owner_stops_or_raises_on_its_own(monkeypatch):
         assert abs(v - _seam_closed_form(t, mu)) <= 1e-10
     # a case that cannot be certified fails the batch with its own error
     with pytest.raises(InvalidInputError) as alone_err:
-        hopf_lax_1d(SEAM_PSI, MODEL, SEAM_J, *STUCK_CASE)
+        hopf_lax_1d(SEAM_PSI, MODEL, *STUCK_CASE)
     assert "cannot be certified" in str(alone_err.value)
     with pytest.raises(InvalidInputError) as batch_err:
-        solvers.hopf_lax_1d_batch(SEAM_PSI, MODEL, SEAM_J,
+        solvers.hopf_lax_1d_batch(SEAM_PSI, MODEL,
                                   FIRM_CASES + [FLAT_CASE, STUCK_CASE])
     assert str(batch_err.value) == str(alone_err.value)
 
@@ -1052,7 +1117,7 @@ def _bad_last_cases(j):
         "negative t": (good + [(-0.1, good[0][1])], "nonnegative"),
         "another partition": (
             good + [(0.5, ConePoint(other, good[0][1].scalars))],
-            "partition j"),
+            "one partition"),
     }
 
 
@@ -1064,7 +1129,7 @@ def test_hopf_lax_1d_batch_checks_every_case_before_evaluating_psi(bad):
     j = Partition.uniform(2)
     cases, error = _bad_last_cases(j)[bad]
     with pytest.raises(InvalidInputError, match=error):
-        solvers.hopf_lax_1d_batch(psi, MODEL, j, cases)
+        solvers.hopf_lax_1d_batch(psi, MODEL, cases)
     assert calls == []
 
 
@@ -1074,7 +1139,7 @@ def test_hopf_lax_1d_batch_checks_the_size_before_evaluating_psi():
     j = Partition.uniform(6)
     cases = [(0.0, ConePoint(j, np.linspace(0.1, 0.6, 6)))]
     with pytest.raises(InvalidInputError, match="hopf_lax for finer"):
-        solvers.hopf_lax_1d_batch(psi, MODEL, j, cases)
+        solvers.hopf_lax_1d_batch(psi, MODEL, cases)
     assert calls == []
 
 
@@ -1085,7 +1150,7 @@ def test_hopf_batch_checks_every_case_before_evaluating_psi(bad):
     j = Partition.uniform(2)
     cases, error = _bad_last_cases(j)[bad]
     with pytest.raises(InvalidInputError, match=error):
-        solvers.hopf_batch(psi, MODEL, [(j, t, x) for t, x in cases])
+        solvers.hopf_batch(psi, MODEL, cases)
     assert calls == []
 
 
@@ -1105,7 +1170,7 @@ def test_a_surface_is_one_search(monkeypatch, method, kernel):
         return exact(*args)
 
     monkeypatch.setattr(solvers, kernel, counted)
-    solve_surface(psi, MODEL, j, [0.1, 0.5, 1.0], samples, method=method)
+    solve_surface(psi, MODEL, [0.1, 0.5, 1.0], samples, method=method)
     assert len(calls) == 1
 
 
@@ -1117,7 +1182,7 @@ def test_routes_reject_a_psi_that_is_not_dual_increasing(route):
     assert not psi.dual_increasing
     for t in (0.0, 0.5):
         with pytest.raises(InvalidInputError, match="dual-increasing"):
-            route(psi, MODEL, j, t, ConePoint(j, [0.1, 0.4]))
+            route(psi, MODEL, t, ConePoint(j, [0.1, 0.4]))
 
 
 @pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
@@ -1125,7 +1190,7 @@ def test_routes_reject_matrix_models(route):
     j = Partition.uniform(2)
     psi = _softplus_psi(11)
     with pytest.raises(UnsupportedOperationError, match="D = 1"):
-        route(psi, MODEL, j, 0.5,
+        route(psi, MODEL, 0.5,
               ConePoint(j, np.stack([0.3 * np.eye(2), 0.8 * np.eye(2)])))
 
 
@@ -1138,9 +1203,9 @@ def test_routes_take_only_the_covariance_model(route, wrong):
     x = ConePoint(j, [0.3, 0.8])
     for t in (0.0, 0.5):
         with pytest.raises(InvalidInputError, match="CovarianceModel"):
-            route(psi, wrong, j, t, x)
+            route(psi, wrong, t, x)
         with pytest.raises(InvalidInputError, match="CovarianceModel"):
-            solve_surface(psi, wrong, j, [t], [x], method=route.__name__)
+            solve_surface(psi, wrong, [t], [x], method=route.__name__)
     with pytest.raises(InvalidInputError, match="CovarianceModel"):
         hopf_lax_pointwise(psi.phi, wrong, 0.5, x.scalars)
 
@@ -1149,7 +1214,7 @@ def test_solve_surface_unknown_method():
     j = Partition.uniform(1)
     psi = _softplus_psi(8)
     with pytest.raises(InvalidInputError):
-        solve_surface(psi, MODEL, j, [0.0], [ConePoint(j, [0.1])],
+        solve_surface(psi, MODEL, [0.0], [ConePoint(j, [0.1])],
                       method="bogus")
 
 
@@ -1161,6 +1226,6 @@ def test_spatial_lipschitz_bound_observed():
     for _ in range(10):
         x = ConePoint(j, np.cumsum(rng.uniform(0, 0.5, 4)))
         y = ConePoint(j, np.cumsum(rng.uniform(0, 0.5, 4)))
-        fx = hopf_lax_separable(psi, MODEL, j, 0.7, x)
-        fy = hopf_lax_separable(psi, MODEL, j, 0.7, y)
+        fx = hopf_lax_separable(psi, MODEL, 0.7, x)
+        fy = hopf_lax_separable(psi, MODEL, 0.7, y)
         assert abs(fx - fy) <= 0.8 * (x - y).norm_lp(1.0) + 1e-8

@@ -80,6 +80,10 @@ def test_instance_validation():
         SkInstance(15, 1.0, 0.0, HALF)
     with pytest.raises(InvalidInputError):
         SkInstance(4, 1.0, -0.1, HALF)
+    for beta, t in ((np.nan, 0.25), (np.inf, 0.25), (0.5, np.nan),
+                    (0.5, np.inf)):
+        with pytest.raises(InvalidInputError, match="finite"):
+            SkInstance(4, beta, t, HALF)
 
 
 def test_moment_normalization_small_n():
@@ -417,7 +421,7 @@ def test_custom_psi_sees_only_cone_rows(route):
     j = Partition.uniform(3)
     mu = project_pj(measure_to_quantile(HALF), j)
     for t in (0.25, 0.5):
-        route(psi, CovarianceModel.sk(0.5), j, t, mu)
+        route(psi, CovarianceModel.sk(0.5), t, mu)
     X = np.concatenate(rows)
     assert X.shape[1] == 3 and X.shape[0] > 100
     assert np.all(X >= 0.0) and np.all(np.diff(X, axis=1) >= 0.0)
@@ -434,9 +438,9 @@ def test_hopf_lax_1d_reaches_the_face_sup_of_the_half_cell(t):
     model = CovarianceModel.sk(0.5)
     j = Partition.uniform(4)
     mu = project_pj(measure_to_quantile(HALF), j)
-    f = hopf_lax_1d(psi, model, j, t, mu)
+    f = hopf_lax_1d(psi, model, t, mu)
     assert abs(f - HALF_FACE_SUP[t]) <= 1e-10, f
-    assert hopf_lax_1d(psi, model, j, t, mu) == f
+    assert hopf_lax_1d(psi, model, t, mu) == f
 
 
 @pytest.mark.parametrize("t", sorted(HALF_FACE_SUP))
@@ -447,7 +451,7 @@ def test_hopf_lax_1d_does_not_fall_as_the_partition_refines(measure, t):
     # penalty unchanged, so f^4 >= f^2 holds exactly
     psi = one_spin_initial_condition()
     model = CovarianceModel.sk(0.5)
-    f = [hopf_lax_1d(psi, model, j, t,
+    f = [hopf_lax_1d(psi, model, t,
                      project_pj(measure_to_quantile(measure), j))
          for j in (Partition.uniform(2), Partition.uniform(4))]
     assert f[1] >= f[0] - 1e-10, f
