@@ -179,8 +179,10 @@ def run_compare(config: dict, out: Path, seed: int, threads: int):
     u, v = fd_vs_hopf_lax(psi.phi, model, x_max, dx, T, psi.lip_l1)
     rep = comparison_check(u, v, L=psi.lip_l1, model=model,
                            tol=10.0 * dx * (1.0 + T))
-    rows = [(t, x, u.values[ti, xi_], v.values[ti, xi_])
-            for ti, t in enumerate(u.times) for xi_, x in enumerate(u.xs)]
+    xs = u.xs.tolist()
+    rows = [(t, x, a, b) for t, hl, fd in zip(u.times.tolist(), u.values.tolist(),
+                                             v.values.tolist())
+            for x, a, b in zip(xs, hl, fd)]
     write_csv(out / "compare.csv", ["t", "x", "hopf_lax", "fd"], rows)
     _write_json(out / "compare.json", rep.to_json())
     write_sidecar(out / "compare.meta.json", config, seed)
@@ -291,6 +293,10 @@ def main(argv=None) -> int:
                                               args.threads)
     except KeyError as exc:
         print(f"error: missing config key {exc}", file=sys.stderr)
+        return 1
+    except TypeError as exc:
+        # a config value of the wrong type, as a list where a number belongs
+        print(f"error: wrong type in config: {exc}", file=sys.stderr)
         return 1
     except (UnsupportedOperationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

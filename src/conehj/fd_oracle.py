@@ -22,6 +22,18 @@ from .nonlinearity import CovarianceModel, regularize
 from .solvers import hopf_lax_pointwise
 
 
+def _check_grid(x_max: float, dx: float):
+    """Refuse a spacing or extent that is not finite and positive, a grid of
+    fewer than 2 nodes, and a node count that overflows."""
+    if not (0.0 < dx < np.inf and 0.0 < x_max < np.inf):
+        raise InvalidInputError("dx and x_max must be finite and positive")
+    if x_max / dx == np.inf:
+        raise InvalidInputError("the node count x_max / dx overflows")
+    if round(x_max / dx) < 1:
+        raise InvalidInputError("the grid needs at least 2 nodes: "
+                                "round(x_max / dx) >= 1")
+
+
 @dataclass(frozen=True)
 class FdGrid:
     """Uniform space-time grid for the scalar oracle with a CFL guard."""
@@ -32,6 +44,9 @@ class FdGrid:
     slope_cap: float  # P: Lipschitz cap of the initial datum
 
     def validate(self, model: CovarianceModel):
+        _check_grid(self.x_max, self.dx)
+        if not 0.0 < self.dt < np.inf:
+            raise InvalidInputError("dt must be finite and positive")
         speed = regularize(model).deriv_sup(0.0, self.slope_cap)
         cfl = self.dt * speed / self.dx
         if cfl > 0.5 + 1e-12:
@@ -41,6 +56,7 @@ class FdGrid:
     @classmethod
     def make(cls, model: CovarianceModel, x_max: float, dx: float,
              slope_cap: float) -> "FdGrid":
+        _check_grid(x_max, dx)
         speed = max(regularize(model).deriv_sup(0.0, slope_cap), 1e-12)
         dt = 0.9 * 0.5 * dx / speed
         return cls(x_max, dx, dt, slope_cap)
@@ -64,37 +80,52 @@ def fd_solve(phi, model: CovarianceModel, grid: FdGrid, T: float) -> FdSurface:
     """Lax-Friedrichs solution of d/dt f = xibar(d/dx f), f(0, .) = phi.
 
     ``phi`` must be vectorized, nondecreasing and Lipschitz with
-    constant <= grid.slope_cap.  Snapshot rows are stored at 33 evenly
-    spaced times including 0 and T.
+    constant <= grid.slope_cap, and T finite and >= 0.  Snapshot rows
+    are stored at 33 evenly spaced times including 0 and T.
+
+    The state u of the n nodes sits in a buffer of n + 1 floats whose
+    last slot is the ghost node u[n - 1] + P dx.  A step fills a slope
+    buffer with the one-sided forward difference at x = 0 (no boundary
+    data is needed there) and the central differences at the other
+    nodes, so each step evaluates xibar once, on all n nodes.
     """
     grid.validate(model)
+    if not 0.0 <= T < np.inf:
+        raise InvalidInputError("T must be nonnegative and finite")
     reg = regularize(model)
     xs = grid.xs
-    u = np.asarray(phi(xs), dtype=float).copy()
-    if np.any(np.diff(u) < -1e-12):
+    u0 = np.asarray(phi(xs), dtype=float)
+    if np.any(np.diff(u0) < -1e-12):
         raise InvalidInputError("initial datum must be nondecreasing")
-    if np.max(np.abs(np.diff(u))) > grid.slope_cap * grid.dx * (1 + 1e-8):
+    if np.max(np.abs(np.diff(u0))) > grid.slope_cap * grid.dx * (1 + 1e-8):
         raise InvalidInputError("initial datum exceeds the slope cap")
     n_steps = int(np.ceil(T / grid.dt))
     dt = T / n_steps if n_steps > 0 else grid.dt
-    snap_at = np.unique(np.round(np.linspace(0, n_steps, 33)).astype(int))
+    snap_at = set(np.round(np.linspace(0, n_steps, 33)).astype(int).tolist())
+    n, dx = xs.size, grid.dx
+    ghost = grid.slope_cap * dx
+    state = np.empty(n + 1)  # u on the n nodes, then the ghost node
+    u, right, left = state[:n], state[2:], state[:-2]
+    u[:] = u0
+    slope, average = np.empty(n), np.empty(n)
+    central, mean = slope[1:], average[1:]
     times, rows = [], []
-    P = grid.slope_cap
     for step in range(n_steps + 1):
         if step in snap_at:
             times.append(step * dt)
             rows.append(u.copy())
         if step == n_steps:
             break
-        up = np.empty_like(u)
-        ghost_hi = u[-1] + P * grid.dx
-        left = u[:-1]
-        right = np.concatenate((u[2:], [ghost_hi]))
-        slope = (right - left) / (2.0 * grid.dx)
-        up[1:] = 0.5 * (right + left) + dt * reg(slope)
-        # one-sided forward difference at x = 0: no boundary data needed
-        up[0] = u[0] + dt * reg((u[1] - u[0]) / grid.dx)
-        u = up
+        state[n] = u[-1] + ghost
+        slope[0] = (u[1] - u[0]) / dx
+        np.subtract(right, left, out=central)
+        central /= 2.0 * dx
+        average[0] = u[0]
+        np.add(right, left, out=mean)
+        mean *= 0.5
+        flux = reg(slope)
+        flux *= dt
+        np.add(average, flux, out=u)
     return FdSurface(np.asarray(times), xs, np.asarray(rows))
 
 
@@ -137,12 +168,16 @@ def comparison_check(u: FdSurface, v: FdSurface, L: float,
     ``L`` bounds both spatial Lipschitz constants, M = 2L + 1/2, R is half
     the spatial extent and V the Lipschitz constant of xibar on the slope
     ball of radius 2L + 3M.  The report passes when the sup over t > 0
-    exceeds the t = 0 sup by at most ``tol``.
+    exceeds the t = 0 sup by at most ``tol``, so the surfaces must hold
+    the t = 0 row and at least one row after it.
     """
     if u.xs.shape != v.xs.shape or not np.allclose(u.xs, v.xs):
         raise InvalidInputError("surfaces live on different spatial grids")
     if u.times.shape != v.times.shape or not np.allclose(u.times, v.times):
         raise InvalidInputError("surfaces live on different time grids")
+    if u.times.size < 2 or u.times[0] != 0.0:
+        raise InvalidInputError("comparison needs the t = 0 snapshot and one "
+                                "after it (T > 0)")
     M = 2.0 * L + 0.5
     if M <= 2.0 * L:
         raise InvalidInputError("comparison requires M > 2L")
@@ -152,7 +187,7 @@ def comparison_check(u: FdSurface, v: FdSurface, L: float,
     pen = M * np.maximum(np.abs(u.xs)[None, :] + V * u.times[:, None] - R, 0.0)
     W = u.values - v.values - pen
     sup0 = float(W[0].max())
-    sup_pos = float(W[1:].max()) if W.shape[0] > 1 else -np.inf
+    sup_pos = float(W[1:].max())
     margin = sup_pos - sup0
     if margin <= tol:
         # supremum effectively achieved on the initial slice

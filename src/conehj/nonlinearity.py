@@ -93,10 +93,20 @@ class Regularization:
         return 2.0 * self.L
 
     def __call__(self, r) -> np.ndarray:
-        """xibar(r), elementwise over an array (0-d for a scalar r)."""
+        """xibar(r), elementwise over an array (0-d for a scalar r).
+
+        One evaluation of xi: the affine branch (r - 1) 2L + xi(0) is built
+        once, xi(r) is raised to it in place, and entries with r > 2 take
+        the affine branch alone.
+        """
         r = np.asarray(r, dtype=float)
-        affine = self._affine(r)
-        return np.where(r <= 2.0, np.maximum(self.base(r), affine), affine)
+        affine = np.subtract(r, 1.0)
+        affine *= self.slope_cap
+        affine += self._seam.xi0
+        out = self.base(r)
+        np.maximum(out, affine, out=out)
+        np.copyto(out, affine, where=r > 2.0)
+        return out
 
     def _affine(self, r):
         """The affine branch xi(0) + 2L(r - 1)."""

@@ -214,7 +214,8 @@ def _require(psi: InitialCondition, model: CovarianceModel, x: ConePoint,
     """Preconditions shared by every route.
 
     xi is a CovarianceModel, the point has D = 1, psi is
-    dual-increasing, the point lies in the cone and t is finite, >= 0.
+    dual-increasing, the point has finite coordinates and lies in the
+    cone, and t is finite, >= 0.
     """
     if not isinstance(model, CovarianceModel):
         raise InvalidInputError(f"{route} takes the CovarianceModel xi")
@@ -222,6 +223,8 @@ def _require(psi: InitialCondition, model: CovarianceModel, x: ConePoint,
         raise UnsupportedOperationError(f"{route} is implemented for D = 1 only")
     if not psi.dual_increasing:
         raise InvalidInputError(f"{route} requires a dual-increasing psi")
+    if not np.all(np.isfinite(x.coords)):
+        raise InvalidInputError("x must have finite coordinates")
     if not is_in_cone(x):
         raise InvalidInputError("x must lie in the cone")
     if not 0.0 <= t < np.inf:
@@ -475,16 +478,19 @@ def hopf_lax_pointwise(phi, model: CovarianceModel, t,
                        xv: np.ndarray) -> np.ndarray:
     """Entrywise sup_y {phi(x + y) - t xibar*(y / t)} over y in [0, 2Lt].
 
-    ``t`` broadcasts against ``xv``; entries with t = 0 are phi(x).  phi
-    must be convex: on [a, b] it lies under its chord of slope m, so the
-    objective lies under chord(y) - t xibar*(y / t), a concave function
-    whose max sits at the clamp of t xibar'(m) to [a, b].
+    ``t`` broadcasts against ``xv``; both must be finite and t >= 0.
+    Entries with t = 0 are phi(x).  phi must be convex: on [a, b] it lies
+    under its chord of slope m, so the objective lies under chord(y) -
+    t xibar*(y / t), a concave function whose max sits at the clamp of
+    t xibar'(m) to [a, b].
     """
     reg = regularize(model)
     t, xv = np.broadcast_arrays(np.asarray(t, dtype=float),
                                 np.asarray(xv, dtype=float))
     if not np.all((t >= 0.0) & (t < np.inf)):
         raise InvalidInputError("t must be nonnegative and finite")
+    if not np.all(np.isfinite(xv)):
+        raise InvalidInputError("x must have finite coordinates")
     out = np.array(phi(xv), dtype=float)
     pos = t > 0.0
     x, tt = xv[pos], t[pos]

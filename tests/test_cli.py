@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,58 @@ def test_non_finite_config_values_exit_1(tmp_path, capsys, command, config,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("config, expected", [
+    (dict(COMPARE_CONFIG, dx=0.0), "dx and x_max must be finite and positive"),
+    (dict(COMPARE_CONFIG, dx=-0.01), "dx and x_max must be finite and positive"),
+    (dict(COMPARE_CONFIG, x_max=-1.0), "dx and x_max must be finite and positive"),
+    (dict(COMPARE_CONFIG, x_max=0.0), "dx and x_max must be finite and positive"),
+    (dict(COMPARE_CONFIG, dx=float("inf")), "dx and x_max must be finite and positive"),
+    (dict(COMPARE_CONFIG, x_max=float("inf")), "dx and x_max must be finite and positive"),
+    (dict(COMPARE_CONFIG, x_max=0.01), "at least 2 nodes"),
+    (dict(COMPARE_CONFIG, T=float("inf")), "T must be nonnegative and finite"),
+    (dict(COMPARE_CONFIG, T=-1.0), "T must be nonnegative and finite"),
+    (dict(COMPARE_CONFIG, T=0.0), "the t = 0 snapshot and one after it"),
+], ids=["dx-0", "dx-negative", "x_max-negative", "x_max-0", "dx-inf",
+        "x_max-inf", "one-node", "T-inf", "T-negative", "T-0"])
+def test_degenerate_compare_grids_exit_1(tmp_path, capsys, config, expected):
+    # at T = 0 the only row is t = 0, where the comparison gate cannot fail
+    assert _run(tmp_path, "compare", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("method", ["hopf", "hopf_lax", "hopf_lax_1d",
+                                    "hopf_lax_separable"])
+def test_solve_refuses_an_infinite_coordinate_before_any_search(tmp_path, capsys,
+                                                                method):
+    cfg = dict(SOLVE_CONFIG, samples=[[0.1, float("inf")]], method=method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(tmp_path, "solve", cfg) == 1
+    assert capsys.readouterr().err == "error: x must have finite coordinates\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, config, expected", [
+    ("solve", dict(SOLVE_CONFIG, times=[[0.5]]), "wrong type in config"),
+    ("solve", dict(SOLVE_CONFIG, samples=[{"x": [0.1, 0.4]}]),
+     "wrong type in config"),
+    ("solve", dict(SOLVE_CONFIG, samples=[[0.1, [0.4]]]), "inhomogeneous"),
+    ("solve", dict(SOLVE_CONFIG, samples=[[[0.1, 0.4]]]), "coords must have shape"),
+    ("compare", dict(COMPARE_CONFIG, T="soon"), "could not convert"),
+    ("compare", dict(COMPARE_CONFIG, T=[1.0]), "wrong type in config"),
+], ids=["solve-nested-times", "solve-sample-object", "solve-ragged-sample",
+        "solve-nested-sample", "compare-string-T", "compare-list-T"])
+def test_config_values_of_the_wrong_type_exit_1(tmp_path, capsys, command, config,
+                                                expected):
+    # main returns 1 with an error line: no traceback escapes it
+    assert _run(tmp_path, command, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+    assert "Traceback" not in err
 
 
 def test_compare_with_a_matrix_xi_exits_1(tmp_path, capsys):

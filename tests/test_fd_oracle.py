@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from conehj import (CovarianceModel, FdGrid, FdSurface, InvalidInputError,
-                    comparison_check, fd_solve, hopf_lax_pointwise, regularize)
+from conehj import (CovarianceModel, FdGrid, FdSurface, InitialCondition,
+                    InvalidInputError, comparison_check, fd_oracle, fd_solve,
+                    hopf_lax_pointwise, regularize)
+from conehj.nonlinearity import Regularization
 
 MODEL = CovarianceModel.sk(1.0)
 REG = regularize(MODEL)
@@ -125,3 +127,113 @@ def test_comparison_report_json():
     blob = rep.to_json()
     assert blob["pass"] is True
     assert set(blob) >= {"M", "R", "V", "t_star", "x_star", "margin"}
+
+
+# ---------------------------------------------------------------------------
+# degenerate grids and times
+
+@pytest.mark.parametrize("x_max, dx, match", [
+    (1.0, 0.0, "finite and positive"),
+    (1.0, -0.01, "finite and positive"),
+    (1.0, np.inf, "finite and positive"),
+    (1.0, np.nan, "finite and positive"),
+    (0.0, 0.01, "finite and positive"),
+    (-1.0, 0.01, "finite and positive"),
+    (np.inf, 0.01, "finite and positive"),
+    (np.nan, 0.01, "finite and positive"),
+    (0.005, 0.01, "at least 2 nodes"),   # x_max / dx = 0.5 rounds to 0
+    (1e300, 1e-300, "overflows"),
+], ids=["dx-0", "dx-negative", "dx-inf", "dx-nan", "x_max-0", "x_max-negative",
+        "x_max-inf", "x_max-nan", "one-node", "node-count-overflows"])
+def test_degenerate_grids_are_refused(x_max, dx, match):
+    with pytest.raises(InvalidInputError, match=match):
+        FdGrid.make(MODEL, x_max, dx, 1.0)
+    grid = FdGrid(x_max, dx, 1e-3, 1.0)
+    with pytest.raises(InvalidInputError, match=match):
+        grid.validate(MODEL)
+    with pytest.raises(InvalidInputError, match=match):
+        fd_solve(lambda x: 0.5 * np.asarray(x), MODEL, grid, 0.1)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
+def test_validate_refuses_a_degenerate_time_step(dt):
+    with pytest.raises(InvalidInputError, match="dt must be finite and positive"):
+        FdGrid(1.0, 0.01, dt, 1.0).validate(MODEL)
+
+
+@pytest.mark.parametrize("T", [-1.0, np.inf, np.nan])
+def test_fd_solve_refuses_a_negative_or_non_finite_T(T):
+    grid = FdGrid.make(MODEL, 1.0, 0.05, 1.0)
+    with pytest.raises(InvalidInputError, match="T must be nonnegative and finite"):
+        fd_solve(lambda x: 0.5 * np.asarray(x), MODEL, grid, T)
+
+
+def test_comparison_refuses_surfaces_without_a_later_snapshot():
+    # T = 0 leaves the t = 0 row alone, against which the gate cannot fail
+    grid = FdGrid.make(MODEL, 1.0, 0.05, 1.0)
+    surf = fd_solve(lambda x: 0.5 * np.asarray(x), MODEL, grid, 0.0)
+    assert surf.times.tolist() == [0.0]
+    with pytest.raises(InvalidInputError, match="one after it"):
+        comparison_check(surf, surf, L=1.0, model=MODEL, tol=1e-9)
+    times, xs, u = _toy_surfaces()
+    late = FdSurface(times[1:], xs, u.values[1:])
+    with pytest.raises(InvalidInputError, match="t = 0 snapshot"):
+        comparison_check(late, late, L=1.0, model=MODEL, tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the step loop, bit for bit
+
+def _two_call_fd_solve(phi, model, grid, T):
+    """The Lax-Friedrichs step with xibar on the interior and again at x = 0."""
+    reg = regularize(model)
+    u = np.asarray(phi(grid.xs), dtype=float)
+    n_steps = int(np.ceil(T / grid.dt))
+    dt = T / n_steps
+    snap_at = np.unique(np.round(np.linspace(0, n_steps, 33)).astype(int))
+    rows = []
+    for step in range(n_steps + 1):
+        if step in snap_at:
+            rows.append(u.copy())
+        if step == n_steps:
+            break
+        left = u[:-1]
+        right = np.concatenate((u[2:], [u[-1] + grid.slope_cap * grid.dx]))
+        up = np.empty_like(u)
+        up[1:] = 0.5 * (right + left) + dt * reg((right - left) / (2.0 * grid.dx))
+        up[0] = u[0] + dt * reg((u[1] - u[0]) / grid.dx)
+        u = up
+    return snap_at * dt, np.asarray(rows)
+
+
+SOFTPLUS = InitialCondition.softplus([0.4, 0.5], [0.3, 1.2], [0.4, 0.8])
+
+
+@pytest.mark.parametrize("poly", [{2: 1.0}, {2: 0.5, 3: 0.3}], ids=["sk", "mixed-2-3"])
+def test_fd_solve_is_bitwise_the_two_call_step(poly):
+    model = CovarianceModel(poly=poly)
+    grid = FdGrid.make(model, 1.0, 0.02, SOFTPLUS.lip_l1)
+    T = 0.37
+    n_steps = int(np.ceil(T / grid.dt))
+    # 33 snapshots of a step count that 32 does not divide: rounded times
+    assert n_steps > 32 and n_steps % 32 != 0
+    surf = fd_solve(SOFTPLUS.phi, model, grid, T)
+    times, values = _two_call_fd_solve(SOFTPLUS.phi, model, grid, T)
+    assert surf.values.shape == (33, 51)
+    np.testing.assert_array_equal(surf.times, times)
+    np.testing.assert_array_equal(surf.values, values)
+
+
+def test_each_step_evaluates_xibar_once_on_every_node(monkeypatch):
+    shapes = []
+
+    class Counting(Regularization):
+        def __call__(self, r):
+            shapes.append(np.shape(r))
+            return super().__call__(r)
+
+    monkeypatch.setattr(fd_oracle, "regularize",
+                        lambda model: Counting(model, regularize(model).L))
+    grid = FdGrid.make(MODEL, 1.0, 0.02, SOFTPLUS.lip_l1)
+    surf = fd_solve(SOFTPLUS.phi, MODEL, grid, 0.37)
+    assert shapes == [surf.xs.shape] * int(np.ceil(0.37 / grid.dt))

@@ -59,6 +59,28 @@ def test_regularization_closed_form_sk():
     np.testing.assert_array_equal(reg(xs), [reg(a) for a in xs])
 
 
+@pytest.mark.parametrize("poly", [{2: 1.0}, {2: 0.5, 3: 0.3}, {3: 1.0}, {2: 0.0}],
+                         ids=["sk", "mixed-2-3", "cubic", "zero"])
+def test_regularization_is_bitwise_the_two_branch_formula(poly):
+    # the in-place evaluation gives, bit for bit, the textbook form
+    # where(r <= 2, max(xi(r), affine), affine) with affine = xi(0) + 2L(r - 1)
+    model = CovarianceModel(poly=poly)
+    reg = regularize(model)
+
+    def reference(r):
+        affine = model(0.0) + 2.0 * reg.L * (r - 1.0)
+        return np.where(r <= 2.0, np.maximum(model(r), affine), affine)
+
+    r = np.concatenate([np.linspace(-5.0, 0.0, 1001), np.linspace(0.0, 2.0, 1001),
+                        np.linspace(2.0, 5.0, 1001), [np.nextafter(2.0, 3.0)]])
+    np.testing.assert_array_equal(reg(r), reference(r))
+    # a scalar gives a 0-d array, as np.where does
+    for a in (-1.5, 0.3, 2.0, 3.5):
+        got = reg(a)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got == reference(np.asarray(a))
+
+
 def test_regularization_coincides_near_origin():
     reg = regularize(CovarianceModel.sk(1.0))
     xs = np.linspace(0.0, 1.0, 50)

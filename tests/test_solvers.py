@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -283,6 +284,17 @@ def test_every_route_refuses_a_non_finite_t(entry, t):
     j = Partition.uniform(2)
     with pytest.raises(InvalidInputError, match="t must be nonnegative"):
         ENTRY_POINTS[entry](_softplus_psi(6), t, ConePoint(j, [0.1, 0.4]))
+
+
+@pytest.mark.parametrize("coord", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_route_refuses_a_non_finite_coordinate(entry, coord):
+    # refused before any search, so numpy has nothing to warn about
+    x = ConePoint(Partition.uniform(2), [0.1, coord])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="x must have finite coordinates"):
+            ENTRY_POINTS[entry](_softplus_psi(6), 0.5, x)
 
 
 def test_separable_route_enforces_the_shared_preconditions():
